@@ -1,6 +1,6 @@
-// Shared helpers for the figure-reproduction benchmark binaries: a tiny
-// flag parser, fixed-width table / CSV emitters, and the observability
-// exporters (`--obs` / `--obs-json=` / `--trace`) shared by fig4–fig9.
+// Shared helpers for the benchmark binaries: a tiny flag parser,
+// fixed-width table / CSV emitters, and the observability exporters
+// (`--obs` / `--obs-json=` / `--trace`) of the scenario driver.
 #pragma once
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -22,7 +23,8 @@
 namespace benchutil {
 
 // Flag conventions, shared by every bench binary:
-//  * value flags are `--name=value`; boolean flags are bare `--name`;
+//  * value flags are `--name=value` (flag_value also reads `--name value`);
+//    boolean flags are bare `--name`;
 //  * when a flag is passed more than once, the FIRST occurrence wins (a
 //    scripted baseline prepended to a saved command line overrides it);
 //  * numeric values are parsed strictly — empty values, trailing junk, and
@@ -116,8 +118,8 @@ inline double flag_double(
   }
 }
 
-/// Returns the string value of `--name=value` (first occurrence wins), or
-/// `fallback`.
+/// Returns the string value of `--name=value` or `--name value` (first
+/// occurrence wins), or `fallback`.
 inline std::string flag_value(int argc, char** argv, const char* name,
                               const char* fallback = "") {
   const std::string prefix = std::string(name) + "=";
@@ -125,6 +127,7 @@ inline std::string flag_value(int argc, char** argv, const char* name,
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
       return std::string(argv[i] + prefix.size());
     }
+    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
   }
   return fallback;
 }
@@ -137,17 +140,40 @@ inline bool flag_set(int argc, char** argv, const char* name) {
   return false;
 }
 
-/// Worker-count sweep: the paper scales "up to 100 processors". An explicit
-/// `--workers=N` must be positive — an earlier version treated `--workers=0`
-/// (and, via atoll, `--workers=abc`) as "not set" and silently ran the full
-/// ten-point sweep instead of the point the user asked for.
-inline std::vector<int> worker_sweep(int argc, char** argv) {
-  if (const std::int64_t w = flag_int(argc, argv, "--workers", 0, 1, 100'000);
-      w > 0) {
-    return {static_cast<int>(w)};
+/// Exits with a usage error (code 2) on the first argument that is not a
+/// known flag, so a misspelled or foreign flag (`--quick`, `--workers=1`)
+/// fails instead of being ignored. `switches` are bare `--name` flags;
+/// `values` are read with flag_value, as `--name=VALUE` or as the two
+/// arguments `--name VALUE`.
+inline void require_known_flags(
+    int argc, char** argv, std::initializer_list<std::string_view> switches,
+    std::initializer_list<std::string_view> values) {
+  const auto known = [](std::initializer_list<std::string_view> names,
+                        std::string_view name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  const auto fail = [](const UsageError& e) {
+    std::fprintf(stderr, "usage error: %s\n", e.what());
+    std::exit(2);
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    const std::size_t eq = arg.find('=');
+    const std::string name(arg.substr(0, eq));
+    if (known(values, name)) {
+      if (eq != std::string_view::npos) continue;
+      if (i + 1 == argc || std::string_view(argv[i + 1]).starts_with("--")) {
+        fail(UsageError(name, "", "missing value"));
+      }
+      ++i;  // the value
+    } else if (eq != std::string_view::npos || !known(switches, name)) {
+      fail(UsageError(name,
+                      eq == std::string_view::npos
+                          ? ""
+                          : std::string(arg.substr(eq + 1)),
+                      "unknown flag"));
+    }
   }
-  if (flag_set(argc, argv, "--quick")) return {1, 4, 16, 48, 96};
-  return {1, 2, 4, 8, 16, 32, 48, 64, 80, 96};
 }
 
 /// Fixed-width table row printing.
@@ -214,18 +240,18 @@ inline std::string fmt(double v, int decimals = 2) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability wiring shared by the figure binaries. All of it is opt-in:
-// with none of the flags below, no Observer is constructed and every
+// Observability wiring of the scenario driver. All of it is opt-in: with
+// none of the flags below, no Observer is attached and every
 // instrumentation point in the simulator stays inert, so paper-mode outputs
 // are byte-identical to an unobserved build.
 // ---------------------------------------------------------------------------
 
-/// Observability flags common to fig4–fig9:
+/// Observability flags:
 ///   --obs              print per-layer / per-operation latency breakdowns
 ///   --obs-json=FILE    dump the full Observer JSON (metrics + histograms +
 ///                      span ring) to FILE ("-" = stdout)
-///   --trace            (where supported) also print one sample request's
-///                      span tree — implies --obs
+///   --trace            also print the newest request's span tree — implies
+///                      --obs
 struct ObsFlags {
   bool enabled = false;
   bool trace = false;
@@ -276,21 +302,11 @@ inline void print_obs_ops(const obs::Observer& o) {
   table.print();
 }
 
-/// Prints the span tree of one sample trace — the newest trace containing a
-/// span labeled `want_label` (any trace when the label is empty or never
-/// seen). Children print indented beneath their parent, in span-id
-/// (creation) order.
-inline void print_obs_trace(const obs::Observer& o,
-                            std::string_view want_label = "") {
+/// Prints the span tree of the newest captured trace. Children print
+/// indented beneath their parent, in span-id (creation) order.
+inline void print_obs_trace(const obs::Observer& o) {
   const std::vector<obs::Span> spans = o.spans();
-  std::uint64_t trace_id = 0;
-  for (const obs::Span& s : spans) {  // oldest → newest; keep the last match
-    if (!want_label.empty() && o.label_name(s.label) != want_label) continue;
-    trace_id = s.trace_id;
-  }
-  if (trace_id == 0 && !spans.empty()) {  // fall back to the newest trace
-    trace_id = spans.back().trace_id;
-  }
+  const std::uint64_t trace_id = spans.empty() ? 0 : spans.back().trace_id;
   if (trace_id == 0) {
     std::printf("\n(no complete trace captured)\n");
     return;
@@ -349,27 +365,32 @@ inline void print_obs_trace(const obs::Observer& o,
   }
 }
 
-/// End-of-run export: breakdown tables on stdout, plus the full JSON dump
-/// when `--obs-json=` was given. Call once, after the sweep completes.
-inline void finish_obs(const ObsFlags& flags, const obs::Observer& o) {
-  if (!flags.enabled) return;
+/// End-of-run export: breakdown tables (and the --trace span tree) on
+/// stdout, plus the full JSON dump when `--obs-json=` was given. Call once,
+/// after the run completes. Returns false when the JSON file cannot be
+/// written.
+inline bool finish_obs(const ObsFlags& flags, const obs::Observer& o) {
+  if (!flags.enabled) return true;
   print_obs_layers(o);
   print_obs_ops(o);
-  if (flags.json_path.empty()) return;
+  if (flags.trace) print_obs_trace(o);
+  if (flags.json_path.empty()) return true;
   const std::string json = o.to_json();
   if (flags.json_path == "-") {
     std::printf("%s\n", json.c_str());
-    return;
+    return true;
   }
-  if (std::FILE* f = std::fopen(flags.json_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("\nObserver JSON written to %s\n", flags.json_path.c_str());
-  } else {
+  std::FILE* f = std::fopen(flags.json_path.c_str(), "w");
+  if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n",
                  flags.json_path.c_str());
+    return false;
   }
+  std::fwrite(json.data(), 1, json.size(), f);
+  std::fputc('\n', f);
+  std::fclose(f);
+  std::printf("\nObserver JSON written to %s\n", flags.json_path.c_str());
+  return true;
 }
 
 }  // namespace benchutil

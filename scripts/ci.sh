@@ -53,13 +53,14 @@ run_config() {
   # The scenario suite re-runs by label (DSL diagnostics, generator KATs,
   # flag-parsing regressions, byte-identical driver replays), and the
   # generic driver's smoke run proves end-to-end replay determinism in this
-  # configuration. The full-paper-scale fig-parity checks (label `parity`)
-  # are excluded in the sanitizer lap — they re-run every legacy figure
-  # under ASan for minutes without adding coverage the Release lap lacks.
+  # configuration. The full-paper-scale figure goldens (label `golden`) are
+  # excluded from this re-run in the sanitizer lap: the full ctest pass
+  # above already diffed them once, and a second minutes-long pass under
+  # ASan adds nothing.
   echo "=== scenario ${dir} ==="
   if [[ "${dir}" == *sanitize* ]]; then
     ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-      -L scenario -LE parity
+      -L scenario -LE golden
   else
     ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L scenario
   fi

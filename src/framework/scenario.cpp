@@ -841,8 +841,8 @@ Scenario parse_scenario(std::string_view text) {
   if (fig != nullptr) {
     // Generic-only sections are meaningless in figure mode; rejecting them
     // beats silently ignoring half a spec. The backend key in particular:
-    // figure replays are *defined* by the Azure contract (byte-identical to
-    // the legacy fig binaries), so a non-Azure figure spec is a contradiction.
+    // figure replays are *defined* by the Azure contract (pinned by the
+    // tests/golden CSVs), so a non-Azure figure spec is a contradiction.
     for (const char* key :
          {"arrivals", "keys", "values", "think", "backend",
           "tier_split_bytes"}) {

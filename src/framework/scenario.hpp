@@ -14,9 +14,9 @@
 //
 // Two modes:
 //  * figure mode — `"figure": {"id": "fig4", ...}` replays one of the six
-//    paper figures through the shared benchfig::figN_table builders, so a
-//    spec's table output is byte-identical to the legacy fig binary by
-//    construction.
+//    paper figures through bench_scenario's figN_table builders; at the
+//    paper-scale defaults the tables match tests/golden/figN.csv
+//    byte-for-byte.
 //  * generic mode — `"mix": [...]` runs an open-loop LoadEngine workload:
 //    sessions arrive per the arrival process, each drawing a mix entry, a
 //    key (framework/keygen.hpp) and a value size, then issuing one storage

@@ -154,6 +154,13 @@ TEST(ScenarioParser, RejectsUnknownFigureId) {
                "scenario.figure.id", "unknown figure");
 }
 
+TEST(ScenarioParser, RejectsNonPositiveFigureWorkers) {
+  // A figure's worker counts come only from the spec; zero must not run an
+  // empty point.
+  expect_error(R"({"name":"x","figure":{"id":"fig6","workers":[4,0]}})",
+               "scenario.figure.workers", "integers in [1, 100000]");
+}
+
 TEST(ScenarioParser, RejectsQueuePayloadAboveMessageCap) {
   expect_error(R"({"name":"x","values":{"bytes":65536},)"
                R"("mix":[{"service":"queue","op":"put"}]})",
@@ -479,13 +486,27 @@ TEST(FlagParsingDeathTest, FlagIntExitsWithUsageErrorOnGarbage) {
               ::testing::ExitedWithCode(2), "usage error: --workers=abc");
 }
 
-TEST(FlagParsingDeathTest, WorkerSweepRejectsNonPositiveWorkers) {
-  // Pre-fix: --workers=0 (or =abc -> 0) produced an empty/zero sweep that
-  // benches silently interpreted as "default sweep" or ran zero work.
-  std::vector<std::string> args = {"prog", "--workers=0"};
-  char** argv = make_argv(args);
-  EXPECT_EXIT((void)benchutil::worker_sweep(2, argv),
-              ::testing::ExitedWithCode(2), "usage error: --workers=0");
+TEST(FlagParsingDeathTest, UnknownFlagsExitWithUsageError) {
+  // Pre-fix: the scenario driver ignored flags it did not know, so the
+  // legacy habit `--quick --workers=1` silently ran the spec's whole sweep.
+  const auto check = [](std::vector<std::string> args) {
+    benchutil::require_known_flags(static_cast<int>(args.size()),
+                                   make_argv(args), {"--csv"}, {"--spec"});
+  };
+  check({"prog", "--spec=a.json", "--csv"});
+  check({"prog", "--csv", "--spec", "a.json"});
+  std::vector<std::string> two_args = {"prog", "--spec", "a.json"};
+  EXPECT_EQ(benchutil::flag_value(3, make_argv(two_args), "--spec"), "a.json");
+  EXPECT_EXIT(check({"prog", "--spec=a.json", "--quick"}),
+              ::testing::ExitedWithCode(2), "usage error: --quick=: unknown");
+  EXPECT_EXIT(check({"prog", "--workers=1"}), ::testing::ExitedWithCode(2),
+              "usage error: --workers=1: unknown");
+  EXPECT_EXIT(check({"prog", "--csv=1"}), ::testing::ExitedWithCode(2),
+              "usage error: --csv=1: unknown");
+  EXPECT_EXIT(check({"prog", "--spec"}), ::testing::ExitedWithCode(2),
+              "usage error: --spec=: missing value");
+  EXPECT_EXIT(check({"prog", "a.json"}), ::testing::ExitedWithCode(2),
+              "usage error: a.json=: unknown");
 }
 
 using benchutil::DoubleParse;
