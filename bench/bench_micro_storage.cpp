@@ -3,6 +3,7 @@
 // latency as a reported counter.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <optional>
 
 #include "azure/cloud_storage_account.hpp"
@@ -48,6 +49,51 @@ void BM_QueuePutGetDelete(benchmark::State& state) {
       static_cast<double>(state.iterations() * kOpsPerRun * 3));
 }
 BENCHMARK(BM_QueuePutGetDelete);
+
+// Host cost of queue operations against a standing backlog: one world is
+// pre-filled to N messages, and each iteration runs kBacklogLoops loops of
+// put + peek + get + delete + count, which leave the backlog at N. The cost
+// per iteration should not grow with N.
+constexpr int kBacklogLoops = 100;
+
+sim::Task<void> fill_queue(World& w, std::int64_t messages) {
+  auto q = w.account.create_cloud_queue_client().get_queue_reference("q");
+  co_await q.create();
+  for (std::int64_t i = 0; i < messages; ++i) {
+    co_await q.add_message(azure::Payload::synthetic(4096));
+  }
+}
+
+sim::Task<void> backlog_loops(World& w, std::int64_t& count) {
+  auto q = w.account.create_cloud_queue_client().get_queue_reference("q");
+  for (int i = 0; i < kBacklogLoops; ++i) {
+    co_await q.add_message(azure::Payload::synthetic(4096));
+    (void)co_await q.peek_message();
+    auto msg = co_await q.get_message();
+    if (msg) co_await q.delete_message(*msg);
+    count = co_await q.get_message_count();
+  }
+}
+
+void BM_QueueBacklog(benchmark::State& state) {
+  const std::int64_t backlog = state.range(0);
+  World w;
+  w.sim.spawn(fill_queue(w, backlog));
+  w.sim.run();
+  std::int64_t count = -1;
+  for (auto _ : state) {
+    w.sim.spawn(backlog_loops(w, count));
+    w.sim.run();
+    benchmark::DoNotOptimize(count);
+  }
+  if (count != backlog) state.SkipWithError("backlog drifted from N");
+  state.SetItemsProcessed(state.iterations() * kBacklogLoops * 5);
+}
+BENCHMARK(BM_QueueBacklog)
+    ->Arg(0)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->Unit(benchmark::kMillisecond);
 
 sim::Task<void> blob_ops(World& w) {
   auto c = w.account.create_cloud_blob_client().get_container_reference("c");

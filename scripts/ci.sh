@@ -128,7 +128,22 @@ run_tidy() {
     tests/scenario_test.cpp
 }
 
+# hostbench (the host-side simulator benchmark) builds its own Release
+# harness into .bench_build/. Its tests check the harness; one short run per
+# workload checks the seed-42 output digest in hostbench/golden.txt, so a
+# change that moves the simulated output fails here (exit 1).
+run_hostbench() {
+  echo "=== hostbench tests ==="
+  python3 hostbench/test_hostbench.py
+  echo "=== hostbench golden digests ==="
+  local w
+  for w in table96 blob96 mixed_open sharded8; do
+    python3 hostbench/run.py --workload "${w}" --seconds 1 --trace 0
+  done
+}
+
 run_config build-ci-release -DCMAKE_BUILD_TYPE=Release
+run_hostbench
 run_tidy build-ci-release
 run_config build-ci-sanitize -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAZUREBENCH_SANITIZE=ON

@@ -50,9 +50,14 @@ void QueueService::expire(QueueData& q) {
   // = insertion + TTL and the message stays retrievable *through* that
   // instant — only strictly-later probes sweep it. `<= now` here would
   // silently drop a message whose TTL lapses exactly at the probe.
+  if (q.min_expiration >= now) return;  // nothing stored can have lapsed
   std::erase_if(q.messages, [now](const StoredMessage& m) {
     return m.expiration_time < now;
   });
+  q.min_expiration = sim::Simulation::kNever;
+  for (const StoredMessage& m : q.messages) {
+    q.min_expiration = std::min(q.min_expiration, m.expiration_time);
+  }
 }
 
 std::size_t QueueService::pick_visible(QueueData& q) {
@@ -179,6 +184,7 @@ sim::Task<void> QueueService::put_message(netsim::Nic& client,
   m.insertion_time = now;
   m.expiration_time = now + effective_ttl;
   m.visible_from = now;
+  q.min_expiration = std::min(q.min_expiration, m.expiration_time);
   q.messages.push_back(std::move(m));
 }
 
@@ -353,6 +359,9 @@ sim::Task<void> QueueService::delete_message(netsim::Nic& client,
     }
   }
 
+  // Sweep at the atomic point get/peek use: a message whose TTL lapsed is
+  // gone (Azure answers 404) even if no other operation has swept it yet.
+  expire(q);
   auto it = std::find_if(q.messages.begin(), q.messages.end(),
                          [id](const StoredMessage& m) { return m.id == id; });
   if (it == q.messages.end()) {
@@ -401,6 +410,7 @@ sim::Task<QueueMessage> QueueService::update_message(
     }
   }
 
+  expire(q);  // a lapsed message is not found, as in delete_message
   auto it = std::find_if(q.messages.begin(), q.messages.end(),
                          [id](const StoredMessage& m) { return m.id == id; });
   if (it == q.messages.end()) {

@@ -32,6 +32,7 @@
 #include "simcore/random.hpp"
 #include "simcore/rate_limiter.hpp"
 #include "simcore/resource.hpp"
+#include "simcore/simulation.hpp"
 #include "simcore/task.hpp"
 
 namespace azure {
@@ -155,6 +156,11 @@ class QueueService {
     explicit QueueData(sim::Simulation& sim)
         : throttle(sim, limits::kQueueMessagesPerSec), commit_lock(sim, 1) {}
     std::deque<StoredMessage> messages;
+    /// Lower bound on every stored message's expiration_time: put_message
+    /// lowers it and the TTL sweep recomputes it exactly. Removals leave it
+    /// a valid (if early) bound. TTLs are per message, so the front
+    /// message's expiry is not one.
+    sim::TimePoint min_expiration = sim::Simulation::kNever;
     sim::WindowCounter throttle;
     sim::Resource commit_lock;  // serialized message-log appends
     /// Count of acknowledged mutations — versions the queue's integrity
@@ -168,6 +174,8 @@ class QueueService {
     return (payload * 4 + 2) / 3 + cfg_.message_metadata_bytes;
   }
   void admit(QueueData& q, std::string name);
+  /// Lazy TTL sweep, run by every message operation at its atomic point.
+  /// Returns at once while no stored message can have lapsed.
   void expire(QueueData& q);
   /// Index of the visible message a consumer sees first (with the FIFO
   /// scramble), or npos.

@@ -1,6 +1,7 @@
 // Unit tests for Queue storage semantics and its timing model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -135,6 +136,36 @@ TEST(QueueTest, DefaultTtlIsSevenDays) {
     EXPECT_EQ(co_await q.get_message_count(), 1);
     co_await t.sim.delay(sim::seconds(0.2 * 24 * 3600));
     EXPECT_EQ(co_await q.get_message_count(), 0);
+  });
+}
+
+// A gotten message whose TTL lapses while it is still hidden is gone: no
+// put/get/peek/count runs in between to sweep it, yet delete and update must
+// not find it (Azure answers 404).
+TEST(QueueTest, DeleteOfExpiredMessageIsNotFound) {
+  TestWorld w;
+  azb_test::run(w, [](TestWorld& t) -> Task<> {
+    auto q = t.account.create_cloud_queue_client().get_queue_reference("q");
+    co_await q.create();
+    co_await q.add_message(Payload::bytes("short-lived"), sim::seconds(10));
+    const auto msg = co_await q.get_message(sim::seconds(3600));
+    CO_ASSERT_TRUE(msg.has_value());
+    co_await t.sim.delay(sim::seconds(20));
+    EXPECT_THROW(co_await q.delete_message(*msg), azure::NotFoundError);
+  });
+}
+
+TEST(QueueTest, UpdateOfExpiredMessageIsNotFound) {
+  TestWorld w;
+  azb_test::run(w, [](TestWorld& t) -> Task<> {
+    auto q = t.account.create_cloud_queue_client().get_queue_reference("q");
+    co_await q.create();
+    co_await q.add_message(Payload::bytes("short-lived"), sim::seconds(10));
+    const auto msg = co_await q.get_message(sim::seconds(3600));
+    CO_ASSERT_TRUE(msg.has_value());
+    co_await t.sim.delay(sim::seconds(20));
+    EXPECT_THROW((void)co_await q.update_message(*msg, sim::seconds(60)),
+                 azure::NotFoundError);
   });
 }
 
@@ -384,11 +415,22 @@ TEST(QueueTimingTest, SeparateQueuesScaleBetterThanShared) {
 // byte-identical, so the measured instants transfer between worlds.
 
 struct QueueBoundaryProbe {
-  TimePoint insertion = 0;  // message insertion time (first run)
-  TimePoint claim = 0;      // sim time right after the probing get returned
+  TimePoint insertion = 0;  // probed message's insertion time
+  TimePoint claim = 0;      // sim time right after the probing call returned
   bool served = false;
   int dequeue_count = 0;
+  std::int64_t count = 0;   // get_message_count at the probe
 };
+
+/// Runs `world(t, param, probe)` in a fresh world and returns the probe.
+template <class World>
+QueueBoundaryProbe run_probe(World world, sim::Duration param) {
+  TestWorld w;
+  QueueBoundaryProbe p;
+  w.sim.spawn(world(w, param, p));
+  w.sim.run();
+  return p;
+}
 
 Task<> expiry_world(TestWorld& t, sim::Duration ttl, QueueBoundaryProbe& out) {
   auto q = t.account.create_cloud_queue_client().get_queue_reference("q");
@@ -400,17 +442,9 @@ Task<> expiry_world(TestWorld& t, sim::Duration ttl, QueueBoundaryProbe& out) {
   if (msg.has_value()) out.insertion = msg->insertion_time;
 }
 
-QueueBoundaryProbe run_expiry_world(sim::Duration ttl) {
-  TestWorld w;
-  QueueBoundaryProbe p;
-  w.sim.spawn(expiry_world(w, ttl, p));
-  w.sim.run();
-  return p;
-}
-
 TEST(QueueBoundaryTest, MessageRetrievableAtExactExpirationInstant) {
   // Calibration: default 7-day TTL; measure insertion -> claim delta.
-  const QueueBoundaryProbe cal = run_expiry_world(0);
+  const QueueBoundaryProbe cal = run_probe(expiry_world, 0);
   ASSERT_TRUE(cal.served);
   const sim::Duration delta = cal.claim - cal.insertion;
   ASSERT_GT(delta, 1);
@@ -418,11 +452,11 @@ TEST(QueueBoundaryTest, MessageRetrievableAtExactExpirationInstant) {
   // TTL lapses exactly at the claim sweep's `now`. A TTL is a guaranteed
   // lifetime (ExpirationTime = insertion + TTL, retrievable *through* that
   // instant); the pre-fix `expiration_time <= now` sweep dropped it here.
-  const QueueBoundaryProbe at_edge = run_expiry_world(delta);
+  const QueueBoundaryProbe at_edge = run_probe(expiry_world, delta);
   EXPECT_TRUE(at_edge.served);
 
   // One nanosecond less and the TTL genuinely lapsed before the claim.
-  const QueueBoundaryProbe past_edge = run_expiry_world(delta - 1);
+  const QueueBoundaryProbe past_edge = run_probe(expiry_world, delta - 1);
   EXPECT_FALSE(past_edge.served);
 }
 
@@ -440,18 +474,10 @@ Task<> visibility_world(TestWorld& t, sim::Duration first_vis,
   if (second.has_value()) out.dequeue_count = second->dequeue_count;
 }
 
-QueueBoundaryProbe run_visibility_world(sim::Duration first_vis) {
-  TestWorld w;
-  QueueBoundaryProbe p;
-  w.sim.spawn(visibility_world(w, first_vis, p));
-  w.sim.run();
-  return p;
-}
-
 TEST(QueueBoundaryTest, MessageVisibleAtExactTimeNextVisibleInstant) {
   // Calibration: default 30 s visibility; the second get finds nothing and
   // measures how long its own claim sweep takes to run (D).
-  const QueueBoundaryProbe cal = run_visibility_world(0);
+  const QueueBoundaryProbe cal = run_probe(visibility_world, 0);
   ASSERT_FALSE(cal.served);
   const sim::Duration d = cal.claim - cal.insertion;
   ASSERT_GT(d, 1);
@@ -459,13 +485,92 @@ TEST(QueueBoundaryTest, MessageVisibleAtExactTimeNextVisibleInstant) {
   // First get hides the message for exactly D: visible_from (Azure's
   // TimeNextVisible — the instant the message *becomes* visible) equals the
   // second get's claim instant, so that consumer must receive it.
-  const QueueBoundaryProbe at_edge = run_visibility_world(d);
+  const QueueBoundaryProbe at_edge = run_probe(visibility_world, d);
   EXPECT_TRUE(at_edge.served);
   EXPECT_EQ(at_edge.dequeue_count, 2);
 
   // One nanosecond more and the message is still hidden at the claim.
-  const QueueBoundaryProbe before_edge = run_visibility_world(d + 1);
+  const QueueBoundaryProbe before_edge = run_probe(visibility_world, d + 1);
   EXPECT_FALSE(before_edge.served);
+}
+
+// ------------------------------------------------------ TTL sweep guard ----
+//
+// The TTL sweep is skipped while a lower bound on the stored messages'
+// expiration times is not before `now`. These tests pin that the skip never
+// keeps a lapsed message, with the same two-world calibration as above: the
+// count's sweep instant is measured first, then a TTL is set to lapse exactly
+// at it (message stays) or one nanosecond before it (message is swept).
+
+Task<> mixed_ttl_world(TestWorld& t, sim::Duration ttl,
+                       QueueBoundaryProbe& out) {
+  auto q = t.account.create_cloud_queue_client().get_queue_reference("q");
+  co_await q.create();
+  for (int i = 0; i < 3; ++i) co_await q.add_message(Payload::bytes("week"));
+  co_await q.add_message(Payload::bytes("short"), ttl);
+  out.insertion = t.sim.now();
+  co_await t.sim.delay(sim::seconds(10));
+  out.count = co_await q.get_message_count();
+  out.claim = t.sim.now();
+}
+
+TEST(QueueExpiryGuardTest, ShortTtlBehindSevenDayMessagesLapsesOnTime) {
+  const QueueBoundaryProbe cal = run_probe(mixed_ttl_world, 0);
+  ASSERT_EQ(cal.count, 4);
+  const sim::Duration d = cal.claim - cal.insertion;
+  ASSERT_GT(d, sim::seconds(10));
+
+  EXPECT_EQ(run_probe(mixed_ttl_world, d).count, 4);
+  // Swept at its own instant while the 7-day messages ahead of it survive:
+  // a guard that reads only the front message's expiry would keep it.
+  EXPECT_EQ(run_probe(mixed_ttl_world, d - 1).count, 3);
+}
+
+Task<> deleted_earliest_world(TestWorld& t, sim::Duration ttl,
+                              QueueBoundaryProbe& out) {
+  auto q = t.account.create_cloud_queue_client().get_queue_reference("q");
+  co_await q.create();
+  co_await q.add_message(Payload::bytes("earliest"), sim::seconds(5));
+  co_await q.add_message(Payload::bytes("later"), ttl);
+  out.insertion = t.sim.now();
+  const auto first = co_await q.get_message();
+  CO_ASSERT_TRUE(first.has_value());
+  CO_ASSERT_EQ(first->body.data(), "earliest");
+  co_await q.delete_message(*first);
+  co_await t.sim.delay(sim::seconds(20));
+  out.count = co_await q.get_message_count();
+  out.claim = t.sim.now();
+}
+
+TEST(QueueExpiryGuardTest, LaterShortTtlLapsesOnTimeAfterEarliestIsDeleted) {
+  const QueueBoundaryProbe cal = run_probe(deleted_earliest_world, 0);
+  ASSERT_EQ(cal.count, 1);
+  const sim::Duration d = cal.claim - cal.insertion;
+  ASSERT_GT(d, sim::seconds(20));
+
+  // Deleting the earliest-expiring message leaves the bound early, never
+  // late, so the later message is still swept the instant it lapses.
+  EXPECT_EQ(run_probe(deleted_earliest_world, d).count, 1);
+  EXPECT_EQ(run_probe(deleted_earliest_world, d - 1).count, 0);
+}
+
+TEST(QueueExpiryGuardTest, ClearThenPutsKeepsCountCorrect) {
+  TestWorld w;
+  azb_test::run(w, [](TestWorld& t) -> Task<> {
+    auto q = t.account.create_cloud_queue_client().get_queue_reference("q");
+    co_await q.create();
+    co_await q.add_message(Payload::bytes("cleared-short"), sim::seconds(5));
+    co_await q.add_message(Payload::bytes("cleared-week"));
+    co_await q.clear();
+    co_await q.add_message(Payload::bytes("short"), sim::seconds(30));
+    co_await q.add_message(Payload::bytes("week"));
+    EXPECT_EQ(co_await q.get_message_count(), 2);
+    // Past the cleared short message's expiry: the sweep runs and keeps both.
+    co_await t.sim.delay(sim::seconds(10));
+    EXPECT_EQ(co_await q.get_message_count(), 2);
+    co_await t.sim.delay(sim::seconds(30));
+    EXPECT_EQ(co_await q.get_message_count(), 1);
+  });
 }
 
 }  // namespace
