@@ -5,8 +5,6 @@
 //   2. 16 KB Get anomaly           -> queue Get cost at 16 KB (Fig. 6)
 //   3. reject- vs queue-throttling -> table phase time under overload
 //   4. queue sharding              -> shared vs per-worker queues (Fig. 6/7)
-//
-// Flags: --csv.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -50,7 +48,9 @@ azurebench::TableBenchConfig table_cfg(cluster::ThrottleMode mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
+  bool csv = false;
+  benchutil::parse_flags(
+      argc, argv, {{"--csv", &csv, "CSV instead of the fixed-width table"}});
   benchutil::Table table({"ablation", "variant", "metric", "value"});
 
   // 1. Replica-served reads.

@@ -2,8 +2,6 @@
 // what would each benchmark experiment have cost on the 2012 pay-as-you-go
 // price sheet? Usage (transactions, instance-hours, stored bytes) comes
 // from the simulation's own accounting.
-//
-// Flags: --csv.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -23,7 +21,9 @@ std::string money(double usd) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
+  bool csv = false;
+  benchutil::parse_flags(
+      argc, argv, {{"--csv", &csv, "CSV instead of the fixed-width table"}});
   benchutil::Table table({"experiment", "workers", "virtual_time_s",
                           "transactions", "compute", "transactions_cost",
                           "storage", "total"});

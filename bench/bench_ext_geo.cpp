@@ -11,13 +11,6 @@
 // staleness-at-failover) grows with the shipping interval, while RTO (the
 // redirect-driven promotion) stays flat. Failback runs the chain-CRC verify
 // + ledger scrub + catch-up reconciliation before the home region resumes.
-//
-// Flags:
-//   --smoke        two sweep points, smaller session count (CI)
-//   --ship_ms=N    single shipping interval instead of the sweep
-//   --csv          CSV instead of the fixed-width table
-//   --json         JSON rows instead of the table
-//   --selfcheck    run the sweep twice, fail unless byte-identical
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -229,17 +222,26 @@ void print_json(const std::vector<std::vector<std::string>>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = benchutil::flag_set(argc, argv, "--smoke");
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
-  const bool json = benchutil::flag_set(argc, argv, "--json");
-  const bool selfcheck = benchutil::flag_set(argc, argv, "--selfcheck");
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      benchutil::flag_int(argc, argv, "--seed", 0x6E0D));
+  bool smoke = false;
+  bool csv = false;
+  bool json = false;
+  bool selfcheck = false;
+  std::uint64_t seed = 0x6E0D;
+  std::int64_t ship_ms = 0;
+  benchutil::parse_flags(
+      argc, argv,
+      {{"--smoke", &smoke, "two sweep points, 400 sessions (CI)"},
+       {"--ship_ms", &ship_ms,
+        "single shipping interval instead of the 5..250 ms sweep", 1, 60'000},
+       {"--seed", &seed, "drill seed (default 0x6E0D)"},
+       {"--csv", &csv, "CSV instead of the fixed-width table"},
+       {"--json", &json, "JSON rows instead of the table"},
+       {"--selfcheck", &selfcheck,
+        "run the sweep twice, fail unless byte-identical"}});
 
   std::vector<sim::Duration> intervals;
-  if (const std::int64_t ms = benchutil::flag_int(argc, argv, "--ship_ms", 0, 1, 60'000);
-      ms > 0) {
-    intervals = {sim::millis(ms)};
+  if (ship_ms > 0) {
+    intervals = {sim::millis(ship_ms)};
   } else if (smoke) {
     intervals = {sim::millis(10), sim::millis(100)};
   } else {

@@ -14,17 +14,6 @@
 // its budget dead-letters as a throttle failure. The top of the sweep holds
 // >= 100k concurrent sessions in the admission window (column peak_if) —
 // the population scale ROADMAP.md targets, on one host, in virtual time.
-//
-// Flags:
-//   --smoke          tiny populations for CI
-//   --population=N   single population instead of the default sweep
-//   --rate_scale=X   multiply the offered arrival rate (default 1.0): 0.5
-//                    halves the P/10 per-second rate, 2.0 doubles it — the
-//                    knob that moves a fixed population across the
-//                    under-/over-load boundary
-//   --csv            CSV instead of the fixed-width table
-//   --json           JSON rows instead of the table
-//   --selfcheck      run the sweep twice, fail unless byte-identical
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -203,22 +192,30 @@ void print_json(const std::vector<std::vector<std::string>>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = benchutil::flag_set(argc, argv, "--smoke");
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
-  const bool json = benchutil::flag_set(argc, argv, "--json");
-  const bool selfcheck = benchutil::flag_set(argc, argv, "--selfcheck");
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      benchutil::flag_int(argc, argv, "--seed", 0x10AD));
-  // Strict double parse: `--rate_scale=fast`, `--rate_scale=1.5x`, and
-  // `--rate_scale=inf` are all usage errors, not a garbage sweep.
-  const double rate_scale =
-      benchutil::flag_double(argc, argv, "--rate_scale", 1.0, 1e-3, 1e3);
+  bool smoke = false;
+  bool csv = false;
+  bool json = false;
+  bool selfcheck = false;
+  std::uint64_t seed = 0x10AD;
+  double rate_scale = 1.0;
+  std::int64_t population = 0;
+  benchutil::parse_flags(
+      argc, argv,
+      {{"--smoke", &smoke, "tiny populations (1k, 4k) for CI"},
+       {"--population", &population,
+        "single population instead of the 1k..1M sweep", 1},
+       {"--rate_scale", &rate_scale,
+        "multiply the offered P/10 per-second arrival rate (default 1.0)",
+        1e-3, 1e3},
+       {"--seed", &seed, "session seed (default 0x10AD)"},
+       {"--csv", &csv, "CSV instead of the fixed-width table"},
+       {"--json", &json, "JSON rows instead of the table"},
+       {"--selfcheck", &selfcheck,
+        "run the sweep twice, fail unless byte-identical"}});
 
   std::vector<std::int64_t> populations;
-  if (const std::int64_t p =
-          benchutil::flag_int(argc, argv, "--population", 0, 1);
-      p > 0) {
-    populations = {p};
+  if (population > 0) {
+    populations = {population};
   } else if (smoke) {
     populations = {1'000, 4'000};
   } else {

@@ -9,13 +9,7 @@
 // executor queue gates the whole run; with it on, the hottest buckets are
 // reassigned to idle servers at epoch boundaries and stale clients pay one
 // redirect each to learn the new map.
-//
-// Flags:
-//   --smoke        tiny run for CI (fixed workers/ops)
-//   --workers=N    client count        (default 64)
-//   --ops=N        requests per client (default 64)
-//   --hot=P        hot-spot percentage (default 90)
-//   --csv          CSV instead of the fixed-width table
+#include <climits>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -108,21 +102,27 @@ RunResult run(int workers, int ops_per_worker, int hot_percent,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = benchutil::flag_set(argc, argv, "--smoke");
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
-  const int workers = smoke ? 16 : static_cast<int>(benchutil::flag_int(
-                                       argc, argv, "--workers", 64, 1));
-  const int ops = smoke ? 10
-                        : static_cast<int>(benchutil::flag_int(argc, argv,
-                                                               "--ops", 64, 1));
-  const int hot =
-      static_cast<int>(benchutil::flag_int(argc, argv, "--hot", 90, 0, 100));
+  bool smoke = false;
+  bool csv = false;
+  std::int64_t workers = 0;
+  std::int64_t ops = 0;
+  std::int64_t hot = 90;
+  benchutil::parse_flags(
+      argc, argv,
+      {{"--smoke", &smoke, "tiny run for CI: 16 workers x 10 ops unless given"},
+       {"--workers", &workers, "client count (default 64)", 1, INT_MAX},
+       {"--ops", &ops, "requests per client (default 64)", 1, INT_MAX},
+       {"--hot", &hot, "hot-spot percentage (default 90)", 0, 100},
+       {"--csv", &csv, "CSV instead of the fixed-width table"}});
+  if (workers == 0) workers = smoke ? 16 : 64;
+  if (ops == 0) ops = smoke ? 10 : 64;
 
   benchutil::Table table({"balancer", "workers", "ops/client", "hot%",
                           "completion_s", "ops_per_s", "imbalance", "moves",
                           "redirects", "map_version"});
   for (const bool balance : {false, true}) {
-    const RunResult r = run(workers, ops, hot, balance);
+    const RunResult r = run(static_cast<int>(workers), static_cast<int>(ops),
+                            static_cast<int>(hot), balance);
     table.add_row({balance ? "on" : "off", std::to_string(workers),
                    std::to_string(ops), std::to_string(hot),
                    benchutil::fmt(r.seconds, 3),

@@ -6,8 +6,6 @@
 //   * deployment provisioning: time-to-ready vs. instance count and VM
 //     size ("resource provisioning times and application deployment
 //     timings").
-//
-// Flags: --csv.
 #include <cstdio>
 
 #include "azure/cloud_storage_account.hpp"
@@ -42,7 +40,9 @@ double measure_ms(World& w, Op op) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
+  bool csv = false;
+  benchutil::parse_flags(
+      argc, argv, {{"--csv", &csv, "CSV instead of the fixed-width table"}});
   benchutil::Table table({"experiment", "variant", "value"});
 
   // ------------------------------------------- cache vs. durable storage --

@@ -1,8 +1,6 @@
 // SQL Azure vs. Table storage — the comparison the paper deferred with its
 // SQL-Azure future work: point reads, writes, and predicate queries on the
 // relational service against the schemaless Table storage.
-//
-// Flags: --csv.
 #include <cstdio>
 
 #include "azure/cloud_storage_account.hpp"
@@ -69,7 +67,9 @@ double measure_ms(World& w, Op op, int repeats) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
+  bool csv = false;
+  benchutil::parse_flags(
+      argc, argv, {{"--csv", &csv, "CSV instead of the fixed-width table"}});
   World w;
   w.sim.spawn(seed(w));
   w.sim.run();

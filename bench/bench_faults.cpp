@@ -16,9 +16,8 @@
 //
 // The zero-fault row is the control: it must match a run without any plan
 // armed, because a disabled plan draws no randomness and schedules nothing.
-//
-// Flags: --workers=N, --messages=N (per worker), --seed=N, --quick, --csv.
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -167,19 +166,26 @@ Point run_profile(const FaultProfile& p, int workers, int messages,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = benchutil::flag_set(argc, argv, "--quick");
-  const int workers = static_cast<int>(
-      benchutil::flag_int(argc, argv, "--workers", quick ? 8 : 32, 1));
-  const int messages = static_cast<int>(
-      benchutil::flag_int(argc, argv, "--messages", quick ? 20 : 100, 1));
-  const auto seed = static_cast<std::uint64_t>(
-      benchutil::flag_int(argc, argv, "--seed", 0xFA017));
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
+  bool quick = false;
+  bool csv = false;
+  std::int64_t workers = 0;
+  std::int64_t messages = 0;
+  std::uint64_t seed = 0xFA017;
+  benchutil::parse_flags(
+      argc, argv,
+      {{"--quick", &quick, "small sweep: 8 workers x 20 messages unless given"},
+       {"--workers", &workers, "workers (default 32)", 1, INT_MAX},
+       {"--messages", &messages, "messages per worker (default 100)", 1,
+        INT_MAX},
+       {"--seed", &seed, "fault-plan seed (default 0xFA017)"},
+       {"--csv", &csv, "CSV instead of the fixed-width table"}});
+  if (workers == 0) workers = quick ? 8 : 32;
+  if (messages == 0) messages = quick ? 20 : 100;
 
   std::printf(
       "AzureBench fault sweep — queue throughput vs. injected fault rate\n"
-      "%d workers x %d messages; retry: 250 ms exponential, 2 s cap\n\n",
-      workers, messages);
+      "%lld workers x %lld messages; retry: 250 ms exponential, 2 s cap\n\n",
+      static_cast<long long>(workers), static_cast<long long>(messages));
 
   const std::vector<FaultProfile> profiles = {
       {"none", 0, 0, 0, 0, 0},
@@ -198,7 +204,8 @@ int main(int argc, char** argv) {
                           "inj_drop", "inj_flip", "inj_torn", "inj_crash",
                           "crc_detect", "repairs", "resid_div"});
   for (const FaultProfile& p : profiles) {
-    const Point r = run_profile(p, workers, messages, seed);
+    const Point r = run_profile(p, static_cast<int>(workers),
+                                static_cast<int>(messages), seed);
     table.add_row({p.name,
                    benchutil::fmt(r.seconds),
                    std::to_string(r.ops),

@@ -11,19 +11,6 @@
 // committed tests/golden/figN.csv. Generic-mode specs run an open-loop
 // LoadEngine workload (scenario_runner.hpp).
 //
-// Flags (anything else is a usage error):
-//   --spec=FILE    the scenario spec (required unless --smoke); `--spec FILE`
-//                  works too
-//   --smoke        built-in tiny four-service spec for CI
-//   --backend=B    override the spec's backend (azure | s3 | tiered);
-//                  generic mode only, and the mix must fit the target
-//                  backend's capabilities
-//   --csv          machine-diffable output: the table(s) only, as CSV
-//   --selfcheck    run twice, fail (exit 1) unless byte-identical —
-//                  including the obs JSON export when observability is on
-//   --obs, --obs-json=FILE, --trace   observability export of the first
-//                  run (bench_util.hpp)
-//
 // Exit codes: 0 ok, 1 selfcheck divergence, 2 usage/spec error.
 #include <cstdio>
 #include <string>
@@ -264,14 +251,29 @@ RunOutput run_once(const framework::Scenario& sc, obs::Observer* observer) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchutil::require_known_flags(
-      argc, argv, {"--smoke", "--csv", "--selfcheck", "--obs", "--trace"},
-      {"--spec", "--backend", "--obs-json"});
-  const bool smoke = benchutil::flag_set(argc, argv, "--smoke");
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
-  const bool selfcheck = benchutil::flag_set(argc, argv, "--selfcheck");
-  const benchutil::ObsFlags obs_flags = benchutil::obs_flags(argc, argv);
-  const std::string spec_path = benchutil::flag_value(argc, argv, "--spec");
+  std::string spec_path;
+  std::string backend_flag;
+  bool smoke = false;
+  bool csv = false;
+  bool selfcheck = false;
+  benchutil::ObsFlags obs_opts;
+  benchutil::parse_flags(
+      argc, argv,
+      {{"--spec", &spec_path, "scenario spec file (required unless --smoke)"},
+       {"--smoke", &smoke, "built-in tiny four-service spec for CI"},
+       {"--backend", &backend_flag,
+        "run a generic spec on another backend: azure | s3 | tiered"},
+       {"--csv", &csv, "machine-diffable output: the table(s) only, as CSV"},
+       {"--selfcheck", &selfcheck,
+        "run twice, exit 1 unless byte-identical (obs JSON included)"},
+       {"--obs", &obs_opts.enabled,
+        "print per-layer / per-operation latency breakdowns"},
+       {"--obs-json", &obs_opts.json_path,
+        "write the Observer JSON of the first run to a file (- = stdout)"},
+       {"--trace", &obs_opts.trace,
+        "also print the newest request's span tree (implies --obs)"}});
+  obs_opts.enabled =
+      obs_opts.enabled || obs_opts.trace || !obs_opts.json_path.empty();
 
   framework::Scenario sc;
   try {
@@ -292,8 +294,6 @@ int main(int argc, char** argv) {
 
   // --backend=B re-targets a generic spec at another backend without
   // editing the file (the cross-backend cost sweeps run one spec N times).
-  const std::string backend_flag =
-      benchutil::flag_value(argc, argv, "--backend");
   if (!backend_flag.empty()) {
     if (sc.figure_mode()) {
       std::fprintf(stderr,
@@ -329,13 +329,13 @@ int main(int argc, char** argv) {
 
   obs::Observer observer;
   const RunOutput out =
-      run_once(sc, obs_flags.enabled ? &observer : nullptr);
+      run_once(sc, obs_opts.enabled ? &observer : nullptr);
   if (selfcheck) {
     obs::Observer replay_observer;
     const RunOutput replay =
-        run_once(sc, obs_flags.enabled ? &replay_observer : nullptr);
+        run_once(sc, obs_opts.enabled ? &replay_observer : nullptr);
     if (replay.canonical != out.canonical ||
-        (obs_flags.enabled &&
+        (obs_opts.enabled &&
          replay_observer.to_json() != observer.to_json())) {
       std::fprintf(stderr,
                    "selfcheck FAILED: replay of scenario '%s' diverged\n",
@@ -373,5 +373,5 @@ int main(int argc, char** argv) {
     if (selfcheck) std::printf("\nselfcheck: PASS (byte-identical replay)\n");
   }
 
-  return benchutil::finish_obs(obs_flags, observer) ? 0 : 2;
+  return benchutil::finish_obs(obs_opts, observer) ? 0 : 2;
 }

@@ -6,7 +6,9 @@
 #include "fabric/vm_size.hpp"
 
 int main(int argc, char** argv) {
-  const bool csv = benchutil::flag_set(argc, argv, "--csv");
+  bool csv = false;
+  benchutil::parse_flags(
+      argc, argv, {{"--csv", &csv, "CSV instead of the fixed-width table"}});
   std::printf("AzureBench Table I — VM configurations\n\n");
   benchutil::Table table(
       {"VM Size", "CPU Cores", "Memory", "Storage", "NIC (model)"});

@@ -1,19 +1,13 @@
-// Shared helpers for the benchmark binaries: a tiny flag parser,
-// fixed-width table / CSV emitters, and the observability exporters
-// (`--obs` / `--obs-json=` / `--trace`) of the scenario driver.
+// Shared helpers for the benchmark binaries: fixed-width table / CSV
+// emitters and the observability exporters (`--obs` / `--obs-json=` /
+// `--trace`) of the scenario driver. The flag parser every binary uses,
+// parse_flags, lives in strict_parse.hpp.
 #pragma once
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
-#include <limits>
-#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/observer.hpp"
@@ -21,160 +15,6 @@
 #include "strict_parse.hpp"
 
 namespace benchutil {
-
-// Flag conventions, shared by every bench binary:
-//  * value flags are `--name=value` (flag_value also reads `--name value`);
-//    boolean flags are bare `--name`;
-//  * when a flag is passed more than once, the FIRST occurrence wins (a
-//    scripted baseline prepended to a saved command line overrides it);
-//  * numeric values are parsed strictly — empty values, trailing junk, and
-//    overflow are typed usage errors (exit code 2), never silent zeros. An
-//    earlier version used std::atoll, which turned `--workers=abc` into 0
-//    and `--workers=9999999999999999999999` into undefined behaviour.
-//
-// The parsers themselves (UsageError, parse_int, parse_double, ...) live in
-// strict_parse.hpp so tests and examples can reuse them without pulling in
-// the simulator headers this file needs for the observability exporters.
-
-/// Returns the value of `--name=value` (first occurrence wins), or
-/// `fallback` when the flag is absent. Explicitly-passed values must parse
-/// strictly and lie in [min, max]; violations throw UsageError. The
-/// fallback is returned as-is — bounds constrain the command line, not the
-/// binary's defaults.
-inline std::int64_t flag_int_checked(
-    int argc, char** argv, const char* name, std::int64_t fallback,
-    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
-    std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) != 0) continue;
-    const std::string_view text(argv[i] + prefix.size());
-    const std::int64_t value = require_int(name, text);
-    if (value < min || value > max) {
-      throw UsageError(name, std::string(text),
-                       "value out of range [" + std::to_string(min) + ", " +
-                           std::to_string(max) + "]");
-    }
-    return value;
-  }
-  return fallback;
-}
-
-/// flag_int_checked with the UsageError rendered to stderr + exit(2) — the
-/// form the bench mains call so a bad flag fails loudly instead of running
-/// a garbage configuration.
-inline std::int64_t flag_int(
-    int argc, char** argv, const char* name, std::int64_t fallback,
-    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
-    std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
-  try {
-    return flag_int_checked(argc, argv, name, fallback, min, max);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "usage error: %s\n", e.what());
-    std::exit(2);
-  }
-}
-
-/// Renders a double bound compactly for range-error messages ("0.25", not
-/// "0.250000"); std::to_string's fixed six decimals would garble 1e18.
-inline std::string fmt_bound(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
-
-/// Double-valued counterpart of flag_int_checked: strict full-token parse
-/// (from_chars — no locale, no partial consumption), finite-only, bounds
-/// checked, first occurrence wins, fallback returned as-is.
-inline double flag_double_checked(
-    int argc, char** argv, const char* name, double fallback,
-    double min = std::numeric_limits<double>::lowest(),
-    double max = std::numeric_limits<double>::max()) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) != 0) continue;
-    const std::string_view text(argv[i] + prefix.size());
-    const double value = require_double(name, text);
-    if (value < min || value > max) {
-      throw UsageError(name, std::string(text),
-                       "value out of range [" + fmt_bound(min) + ", " +
-                           fmt_bound(max) + "]");
-    }
-    return value;
-  }
-  return fallback;
-}
-
-/// flag_double_checked with the UsageError rendered to stderr + exit(2).
-inline double flag_double(
-    int argc, char** argv, const char* name, double fallback,
-    double min = std::numeric_limits<double>::lowest(),
-    double max = std::numeric_limits<double>::max()) {
-  try {
-    return flag_double_checked(argc, argv, name, fallback, min, max);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "usage error: %s\n", e.what());
-    std::exit(2);
-  }
-}
-
-/// Returns the string value of `--name=value` or `--name value` (first
-/// occurrence wins), or `fallback`.
-inline std::string flag_value(int argc, char** argv, const char* name,
-                              const char* fallback = "") {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
-  }
-  return fallback;
-}
-
-/// Returns true when `--name` is present.
-inline bool flag_set(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-/// Exits with a usage error (code 2) on the first argument that is not a
-/// known flag, so a misspelled or foreign flag (`--quick`, `--workers=1`)
-/// fails instead of being ignored. `switches` are bare `--name` flags;
-/// `values` are read with flag_value, as `--name=VALUE` or as the two
-/// arguments `--name VALUE`.
-inline void require_known_flags(
-    int argc, char** argv, std::initializer_list<std::string_view> switches,
-    std::initializer_list<std::string_view> values) {
-  const auto known = [](std::initializer_list<std::string_view> names,
-                        std::string_view name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
-  };
-  const auto fail = [](const UsageError& e) {
-    std::fprintf(stderr, "usage error: %s\n", e.what());
-    std::exit(2);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    const std::size_t eq = arg.find('=');
-    const std::string name(arg.substr(0, eq));
-    if (known(values, name)) {
-      if (eq != std::string_view::npos) continue;
-      if (i + 1 == argc || std::string_view(argv[i + 1]).starts_with("--")) {
-        fail(UsageError(name, "", "missing value"));
-      }
-      ++i;  // the value
-    } else if (eq != std::string_view::npos || !known(switches, name)) {
-      fail(UsageError(name,
-                      eq == std::string_view::npos
-                          ? ""
-                          : std::string(arg.substr(eq + 1)),
-                      "unknown flag"));
-    }
-  }
-}
 
 /// Fixed-width table row printing.
 class Table {
@@ -246,25 +86,16 @@ inline std::string fmt(double v, int decimals = 2) {
 // are byte-identical to an unobserved build.
 // ---------------------------------------------------------------------------
 
-/// Observability flags:
-///   --obs              print per-layer / per-operation latency breakdowns
-///   --obs-json=FILE    dump the full Observer JSON (metrics + histograms +
-///                      span ring) to FILE ("-" = stdout)
-///   --trace            also print the newest request's span tree — implies
-///                      --obs
+/// What the observability flags asked for: `--obs` prints per-layer /
+/// per-operation latency breakdowns, `--obs-json=FILE` dumps the full
+/// Observer JSON (metrics + histograms + span ring) to FILE ("-" = stdout),
+/// and `--trace` also prints the newest request's span tree. Any of them
+/// sets `enabled`.
 struct ObsFlags {
   bool enabled = false;
   bool trace = false;
   std::string json_path;
 };
-
-inline ObsFlags obs_flags(int argc, char** argv) {
-  ObsFlags f;
-  f.trace = flag_set(argc, argv, "--trace");
-  f.json_path = flag_value(argc, argv, "--obs-json");
-  f.enabled = f.trace || !f.json_path.empty() || flag_set(argc, argv, "--obs");
-  return f;
-}
 
 /// Per-layer latency summary: one row per span kind that recorded anything.
 inline void print_obs_layers(const obs::Observer& o) {

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "azure/common/retry.hpp"
 #include "bench_util.hpp"
 #include "faults/errors.hpp"
 #include "framework/keygen.hpp"
@@ -109,6 +110,20 @@ inline OpCode resolve_op(const framework::ScenarioMixEntry& e, bool read) {
 constexpr int kClientNics = 16;
 constexpr int kMaxAttempts = 4;
 constexpr std::int64_t kQueueSeedCap = 1'000;
+
+/// Populate's retry policy: the paper's fixed 1 s sleep without jitter,
+/// widened to every transient error a populate op can meet (injected
+/// timeouts, resets and checksum mismatches under an armed fault plan, and
+/// the balancer's stale-map redirects), so the load phase starts on a warm
+/// store instead of a cold miss storm.
+inline constexpr azure::RetryPolicy kPopulateRetry = [] {
+  azure::RetryPolicy p = azure::RetryPolicy::paper();
+  p.retry_timeouts = true;
+  p.retry_connection_resets = true;
+  p.retry_checksum_mismatch = true;
+  p.retry_partition_moved = true;
+  return p;
+}();
 
 struct Driver {
   const framework::Scenario& sc;
@@ -292,23 +307,6 @@ struct Driver {
     }
   }
 
-  /// Pre-populate with ServerBusy and injected faults absorbed by a 1 s
-  /// retry (the populate phase may exceed partition targets or lose
-  /// transfers under an armed fault plan; the run phase must not inherit a
-  /// cold miss storm instead).
-  template <class MakeOp>
-  sim::Task<void> patient(MakeOp make_op) {
-    for (;;) {
-      try {
-        co_await make_op();
-        co_return;
-      } catch (const cluster::ServerBusyError&) {
-      } catch (const faults::FaultError&) {
-      }
-      co_await s.delay(sim::seconds(1));
-    }
-  }
-
   sim::Task<void> setup(framework::LoadEngine& engine) {
     using S = framework::ScenarioMixEntry::Service;
     netsim::Nic& nic = *nics[0];
@@ -320,8 +318,9 @@ struct Driver {
       for (std::int64_t k = 0; k < pop; ++k) {
         const std::string name = blob_name(static_cast<std::uint64_t>(k));
         const std::int64_t b = pick_bytes(sizes);
-        co_await patient(
-            [&]() { return backend->object_write(nic, name, b); });
+        co_await azure::with_retry(
+            s, [&]() { return backend->object_write(nic, name, b); },
+            kPopulateRetry);
       }
     }
     if (use[static_cast<int>(S::kQueue)]) {
@@ -331,7 +330,9 @@ struct Driver {
         co_await backend->prepare_queue(nic, q);
         for (std::int64_t m = 0; m < seed_msgs; ++m) {
           const std::int64_t b = pick_bytes(sizes);
-          co_await patient([&]() { return backend->queue_put(nic, q, b); });
+          co_await azure::with_retry(
+              s, [&]() { return backend->queue_put(nic, q, b); },
+              kPopulateRetry);
         }
       }
     }
@@ -342,17 +343,21 @@ struct Driver {
         const std::string part = partition_of(kk);
         const std::string row = row_of(kk);
         const std::int64_t b = pick_bytes(sizes);
-        co_await patient(
-            [&]() { return backend->table_insert(nic, part, row, b); });
+        co_await azure::with_retry(
+            s, [&]() { return backend->table_insert(nic, part, row, b); },
+            kPopulateRetry);
       }
     }
     if (use[static_cast<int>(S::kSql)]) {
       co_await backend->prepare_sql(nic);
       for (std::int64_t k = 0; k < pop; ++k) {
         const std::int64_t b = pick_bytes(sizes);
-        co_await patient([&]() {
-          return backend->sql_write(nic, static_cast<std::uint64_t>(k), b);
-        });
+        co_await azure::with_retry(
+            s,
+            [&]() {
+              return backend->sql_write(nic, static_cast<std::uint64_t>(k), b);
+            },
+            kPopulateRetry);
       }
     }
     // Arrivals start on the post-setup clock (the engine walks forward

@@ -1,6 +1,8 @@
-// Strict numeric parsing shared by the bench flag parser (bench_util.hpp),
-// the chaos harness, and the example programs. Deliberately dependency-free
-// (no simulator headers) so tests and examples can include just this.
+// Strict numeric parsing, shared by the bench binaries, the chaos harness,
+// hostbench and the example programs, and parse_flags, the one
+// command-line flag parser of the bench binaries and the chaos harness.
+// Deliberately dependency-free (no simulator headers) so tests and
+// examples can include just this.
 //
 // The contract for every parser here: the WHOLE token must parse (no
 // trailing junk), empty input is an error, overflow is an error, and
@@ -8,13 +10,21 @@
 // behaviour of turning "abc" into 0 or "1e999" into inf.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
 namespace benchutil {
 
@@ -147,6 +157,134 @@ inline double require_double(const char* flag, std::string_view text) {
       break;
   }
   return value;
+}
+
+/// One declared command-line flag: its name, the variable an explicit value
+/// is written to (a bool* makes it a bare switch), one line of --help text,
+/// and the bounds an explicit integer or double value must lie in. Integer
+/// bounds are held as doubles, which is exact up to 2^53.
+struct Flag {
+  const char* name;
+  std::variant<bool*, std::int64_t*, std::uint64_t*, double*, std::string*>
+      out;
+  const char* help;
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
+};
+
+/// Renders a bound compactly ("1000000", "0.001", "inf").
+inline std::string fmt_bound(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.15g", v);
+  return buf;
+}
+
+/// Reads argv against the declared `flags` in one pass. Switches are bare
+/// (`--csv`); value flags take `--name=V` or `--name V`, where a V that
+/// starts with `--` is taken for the next flag, so the value is missing.
+/// Values parse strictly and explicit values must lie in [min, max]; a
+/// flag left off the command line keeps its variable's initial value
+/// unchecked, so a sentinel default (0 = "pick by preset") works. When a
+/// flag repeats, every occurrence must parse and the first one wins.
+/// Throws UsageError on an unknown flag, a positional argument, a missing
+/// value or a switch given a value. Returns true when `--help` was given.
+inline bool parse_flags_checked(int argc, char** argv,
+                                std::initializer_list<Flag> flags) {
+  std::vector<bool> seen(flags.size());
+  bool help = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    const std::size_t eq = arg.find('=');
+    const std::string name(arg.substr(0, eq));
+    const bool has_value = eq != std::string_view::npos;
+    std::string value(has_value ? arg.substr(eq + 1) : "");
+    if (!arg.starts_with("--")) {
+      throw UsageError(name, value, "unexpected positional argument");
+    }
+    if (name == "--help") {
+      if (has_value) throw UsageError(name, value, "switch takes no value");
+      help = true;
+      continue;
+    }
+    const Flag* f = std::find_if(flags.begin(), flags.end(),
+                                 [&](const Flag& g) { return name == g.name; });
+    if (f == flags.end()) throw UsageError(name, value, "unknown flag");
+    if (std::holds_alternative<bool*>(f->out)) {
+      if (has_value) throw UsageError(name, value, "switch takes no value");
+    } else if (!has_value) {
+      if (i + 1 == argc || std::string_view(argv[i + 1]).starts_with("--")) {
+        throw UsageError(name, "", "missing value");
+      }
+      value = argv[++i];
+    }
+    const auto k = static_cast<std::size_t>(f - flags.begin());
+    const bool first = !seen[k];
+    seen[k] = true;
+    std::visit(
+        [&](auto* out) {
+          using T = std::remove_pointer_t<decltype(out)>;
+          T v{};
+          if constexpr (std::is_same_v<T, bool>) {
+            v = true;
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            v = value;
+          } else if constexpr (std::is_same_v<T, std::int64_t>) {
+            v = require_int(f->name, value);
+          } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            v = require_uint64(f->name, value);
+          } else {
+            v = require_double(f->name, value);
+          }
+          if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+            if (static_cast<double>(v) < f->min ||
+                static_cast<double>(v) > f->max) {
+              throw UsageError(f->name, value,
+                               "value out of range [" + fmt_bound(f->min) +
+                                   ", " + fmt_bound(f->max) + "]");
+            }
+          }
+          if (first) *out = std::move(v);
+        },
+        f->out);
+  }
+  return help;
+}
+
+/// The flag table as --help prints it: one line per flag with its value
+/// placeholder, help text and bounds.
+inline void print_flag_help(const char* prog,
+                            std::initializer_list<Flag> flags) {
+  const char* slash = std::strrchr(prog, '/');
+  std::printf("usage: %s [flags]\n", slash != nullptr ? slash + 1 : prog);
+  for (const Flag& f : flags) {
+    static constexpr const char* kPlaceholder[] = {"", "=N", "=N", "=X",
+                                                   "=VALUE"};
+    const std::string name = f.name + std::string(kPlaceholder[f.out.index()]);
+    std::string range;
+    if (std::isfinite(f.min) || std::isfinite(f.max)) {
+      range = " [" + fmt_bound(f.min) + ", " + fmt_bound(f.max) + "]";
+    }
+    std::printf("  %-18s %s%s\n", name.c_str(), f.help, range.c_str());
+  }
+  std::printf("  %-18s %s\n", "--help", "print this help and exit");
+  std::printf(
+      "Value flags take --name=V or --name V; the first occurrence wins.\n"
+      "Anything else is a usage error (exit 2).\n");
+}
+
+/// parse_flags_checked for main(): on --help prints the flag table to
+/// stdout and exits 0; on bad input prints "usage error: ..." to stderr and
+/// exits 2.
+inline void parse_flags(int argc, char** argv,
+                        std::initializer_list<Flag> flags) {
+  try {
+    if (!parse_flags_checked(argc, argv, flags)) return;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "usage error: %s\n", e.what());
+    std::exit(2);
+  }
+  print_flag_help(argv[0], flags);
+  std::exit(0);
 }
 
 }  // namespace benchutil

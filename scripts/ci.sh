@@ -26,30 +26,27 @@ run_config() {
   echo "=== obs ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L obs
   # The partition-map / load-balancer suite re-runs by label for the same
-  # reason, and the balancer benchmark's smoke run proves the binary drives
-  # an actual rebalance end-to-end in this configuration.
+  # reason, including the balancer benchmark's smoke run, which drives an
+  # actual rebalance end-to-end in this configuration.
   echo "=== partition ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L partition
-  "${dir}/bench/bench_ext_partition_lb" --smoke
   # The parallel-kernel suite re-runs by label: the byte-parity contract
   # (threads=N identical to threads=1) must hold under sanitizers too.
   echo "=== parallel ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L parallel
   # The open-loop load suite re-runs by label (arrival statistics, admission
-  # window, session-pool lifecycle), and the saturation bench's smoke run
-  # proves the binary produces a byte-identical sweep (--selfcheck runs the
-  # populations twice and compares) in this configuration.
+  # window, session-pool lifecycle), including the saturation bench's smoke
+  # run, which proves the binary produces a byte-identical sweep
+  # (--selfcheck runs the populations twice and compares).
   echo "=== load ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L load
-  "${dir}/bench/bench_ext_load" --smoke --selfcheck
   # The geo-replication suite re-runs by label (bounded-staleness shipping,
-  # the region-failover drill, cross-stamp reconciliation), and the drill
-  # benchmark's smoke run proves an end-to-end region-loss drill in this
-  # configuration: byte-identical replay (--selfcheck) plus the built-in
-  # RPO bound (staleness-at-failover <= the provisioned target).
+  # the region-failover drill, cross-stamp reconciliation), including the
+  # drill benchmark's smoke run: an end-to-end region-loss drill with
+  # byte-identical replay (--selfcheck) plus the built-in RPO bound
+  # (staleness-at-failover <= the provisioned target).
   echo "=== geo ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L geo
-  "${dir}/bench/bench_ext_geo" --smoke --selfcheck
   # The scenario suite re-runs by label (DSL diagnostics, generator KATs,
   # flag-parsing regressions, byte-identical driver replays), and the
   # generic driver's smoke run proves end-to-end replay determinism in this

@@ -16,11 +16,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "azure_test_util.hpp"
@@ -39,34 +36,7 @@
 /// duration) up or down to fit the wall-clock budget of the machine.
 namespace chaos_flags {
 std::uint64_t seed = 0xC0A1;
-int messages = 8;
-
-/// Applies one CLI token to the globals above. Returns false when the token
-/// is not a chaos flag (gtest's own flags pass through untouched). Values
-/// parse strictly via benchutil — an earlier version used strtoull/atoi,
-/// which turned `--chaos_seed=abc` into seed 0 and `--chaos_messages=abc`
-/// into a silently clamped 1-message run, so a typo in a CI invocation
-/// quietly tested almost nothing.
-inline bool apply_flag(std::string_view arg) {
-  constexpr std::string_view kSeed = "--chaos_seed=";
-  constexpr std::string_view kMessages = "--chaos_messages=";
-  if (arg.rfind(kSeed, 0) == 0) {
-    seed = benchutil::require_uint64("--chaos_seed", arg.substr(kSeed.size()));
-    return true;
-  }
-  if (arg.rfind(kMessages, 0) == 0) {
-    const std::string_view text = arg.substr(kMessages.size());
-    const std::int64_t value =
-        benchutil::require_int("--chaos_messages", text);
-    if (value < 1 || value > 1'000'000) {
-      throw benchutil::UsageError("--chaos_messages", std::string(text),
-                                  "value out of range [1, 1000000]");
-    }
-    messages = static_cast<int>(value);
-    return true;
-  }
-  return false;
-}
+std::int64_t messages = 8;
 }  // namespace chaos_flags
 
 namespace {
@@ -469,65 +439,18 @@ TEST(ChaosBagOfTasksTest, CompletesDespiteCrashingHandlers) {
   EXPECT_EQ(app.handler_failures(), expected_failures);
 }
 
-// --------------------------------------------------- flag-parsing guard ----
-
-/// Saves/restores the chaos globals so parser assertions cannot leak a
-/// mutated seed or message count into the scenarios of this very binary.
-class ChaosFlagParsing : public ::testing::Test {
- protected:
-  void TearDown() override {
-    chaos_flags::seed = saved_seed_;
-    chaos_flags::messages = saved_messages_;
-  }
-
- private:
-  std::uint64_t saved_seed_ = chaos_flags::seed;
-  int saved_messages_ = chaos_flags::messages;
-};
-
-TEST_F(ChaosFlagParsing, WellFormedFlagsApplyAndForeignFlagsPassThrough) {
-  EXPECT_TRUE(chaos_flags::apply_flag("--chaos_seed=12345"));
-  EXPECT_EQ(chaos_flags::seed, 12345u);
-  EXPECT_TRUE(chaos_flags::apply_flag("--chaos_messages=42"));
-  EXPECT_EQ(chaos_flags::messages, 42);
-  EXPECT_FALSE(chaos_flags::apply_flag("--gtest_filter=*"));
-}
-
-/// Regression: before the strict-parse fix this binary accepted
-/// `--chaos_messages=abc` (atoi → 0, clamped to 1 message per worker) and
-/// `--chaos_seed=abc` (strtoull → seed 0), silently running a near-empty or
-/// mis-seeded suite. Both must now be loud usage errors.
-TEST_F(ChaosFlagParsing, MalformedValuesAreUsageErrorsNotSilentDefaults) {
-  EXPECT_THROW(chaos_flags::apply_flag("--chaos_messages=abc"),
-               benchutil::UsageError);
-  EXPECT_THROW(chaos_flags::apply_flag("--chaos_messages=8q"),
-               benchutil::UsageError);
-  EXPECT_THROW(chaos_flags::apply_flag("--chaos_messages="),
-               benchutil::UsageError);
-  EXPECT_THROW(chaos_flags::apply_flag("--chaos_messages=0"),
-               benchutil::UsageError);
-  EXPECT_THROW(chaos_flags::apply_flag("--chaos_seed=abc"),
-               benchutil::UsageError);
-  EXPECT_THROW(chaos_flags::apply_flag("--chaos_seed=-1"),
-               benchutil::UsageError);
-  EXPECT_EQ(chaos_flags::messages, 8) << "a rejected value must not apply";
-}
-
 }  // namespace
 
 /// Custom entry point (the chaos target links gtest, not gtest_main) so the
-/// binary accepts scenario flags alongside the usual --gtest_* ones:
-///   --chaos_seed=N      re-seed the fault plans of the fleet scenarios
-///   --chaos_messages=N  per-worker message count (run duration)
+/// binary accepts the chaos flags once gtest has consumed its --gtest_* ones.
 int main(int argc, char** argv) {
-  try {
-    for (int i = 1; i < argc; ++i) {
-      chaos_flags::apply_flag(argv[i]);
-    }
-  } catch (const benchutil::UsageError& e) {
-    std::fprintf(stderr, "usage error: %s\n", e.what());
-    return 2;
-  }
   ::testing::InitGoogleTest(&argc, argv);
+  benchutil::parse_flags(
+      argc, argv,
+      {{"--chaos_seed", &chaos_flags::seed,
+        "re-seed the fault plans of the fleet scenarios (default 0xC0A1)"},
+       {"--chaos_messages", &chaos_flags::messages,
+        "per-worker message count, i.e. run duration (default 8)", 1,
+        1'000'000}});
   return RUN_ALL_TESTS();
 }

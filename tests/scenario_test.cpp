@@ -404,8 +404,9 @@ using benchutil::parse_int;
 using benchutil::UsageError;
 
 TEST(FlagParsing, ParseIntRejectsWhatAtollAccepted) {
-  // Pre-fix, flag_int used std::atoll: "abc" silently became 0, "12x"
-  // silently became 12, overflow was undefined. All are typed errors now.
+  // Pre-fix, the bench flags used std::atoll: "abc" silently became 0,
+  // "12x" silently became 12, overflow was undefined. All are typed errors
+  // now.
   std::int64_t v = -1;
   EXPECT_EQ(parse_int("abc", v), IntParse::kBadDigit);
   EXPECT_EQ(parse_int("", v), IntParse::kEmpty);
@@ -419,18 +420,27 @@ TEST(FlagParsing, ParseIntRejectsWhatAtollAccepted) {
   EXPECT_EQ(v, 7);
 }
 
-char** make_argv(std::vector<std::string>& storage) {
-  static std::vector<char*> ptrs;
-  ptrs.clear();
-  for (std::string& s : storage) ptrs.push_back(s.data());
-  return ptrs.data();
+/// argv pointers into `args` (argv[0] included), which must outlive them.
+std::vector<char*> argv_of(std::vector<std::string>& args) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return argv;
+}
+
+/// Parses `args` against one int64 flag `--workers` in [1, 100] whose
+/// variable starts at `fallback`.
+std::int64_t parse_workers(std::vector<std::string> args,
+                           std::int64_t fallback) {
+  std::vector<char*> argv = argv_of(args);
+  std::int64_t workers = fallback;
+  benchutil::parse_flags_checked(static_cast<int>(argv.size()), argv.data(),
+                                 {{"--workers", &workers, "", 1, 100}});
+  return workers;
 }
 
 TEST(FlagParsing, CheckedFlagThrowsTypedUsageError) {
-  std::vector<std::string> args = {"prog", "--workers=abc"};
-  char** argv = make_argv(args);
   try {
-    (void)benchutil::flag_int_checked(2, argv, "--workers", 4, 1, 100);
+    (void)parse_workers({"prog", "--workers=abc"}, 4);
     FAIL() << "expected UsageError";
   } catch (const UsageError& e) {
     EXPECT_EQ(e.flag(), "--workers");
@@ -440,73 +450,60 @@ TEST(FlagParsing, CheckedFlagThrowsTypedUsageError) {
 }
 
 TEST(FlagParsing, CheckedFlagEnforcesBoundsOnExplicitValuesOnly) {
-  {
-    std::vector<std::string> args = {"prog", "--workers=0"};
-    EXPECT_THROW((void)benchutil::flag_int_checked(2, make_argv(args),
-                                                   "--workers", 4, 1, 100),
-                 UsageError);
-  }
-  {
-    std::vector<std::string> args = {"prog", "--workers=101"};
-    EXPECT_THROW((void)benchutil::flag_int_checked(2, make_argv(args),
-                                                   "--workers", 4, 1, 100),
-                 UsageError);
-  }
-  {
-    // The fallback is the binary's own default and is returned unchecked —
-    // sentinel defaults like 0 = "auto" keep working.
-    std::vector<std::string> args = {"prog"};
-    EXPECT_EQ(benchutil::flag_int_checked(1, make_argv(args), "--workers", 0,
-                                          1, 100),
-              0);
-  }
-  {
-    std::vector<std::string> args = {"prog", "--workers=100"};
-    EXPECT_EQ(benchutil::flag_int_checked(2, make_argv(args), "--workers", 4,
-                                          1, 100),
-              100);
-  }
+  EXPECT_THROW((void)parse_workers({"prog", "--workers=0"}, 4), UsageError);
+  EXPECT_THROW((void)parse_workers({"prog", "--workers", "101"}, 4),
+               UsageError);
+  // The variable's initial value is the binary's own default and is left
+  // unchecked, so sentinel defaults like 0 = "auto" keep working.
+  EXPECT_EQ(parse_workers({"prog"}, 0), 0);
+  EXPECT_EQ(parse_workers({"prog", "--workers=100"}, 4), 100);
 }
 
 TEST(FlagParsing, DuplicateFlagsFirstOccurrenceWins) {
-  // The documented (and now tested) duplicate-flag contract: first wins,
-  // matching flag_value. Pre-fix this was implicit and untested.
-  std::vector<std::string> args = {"prog", "--workers=3", "--workers=96"};
-  EXPECT_EQ(benchutil::flag_int_checked(3, make_argv(args), "--workers", 4,
-                                        1, 100),
-            3);
+  // First wins, so a scripted baseline prepended to a saved command line
+  // overrides it; a later occurrence must still parse.
+  EXPECT_EQ(parse_workers({"prog", "--workers=3", "--workers=96"}, 4), 3);
+  EXPECT_EQ(parse_workers({"prog", "--workers", "3", "--workers=96"}, 4), 3);
+  EXPECT_THROW((void)parse_workers({"prog", "--workers=3", "--workers=x"}, 4),
+               UsageError);
 }
 
 TEST(FlagParsingDeathTest, FlagIntExitsWithUsageErrorOnGarbage) {
-  // flag_int (the exit(2) wrapper every binary uses) must die loudly on
-  // what atoll silently zeroed.
+  // parse_flags (what every binary calls) must die loudly on what atoll
+  // silently zeroed.
   std::vector<std::string> args = {"prog", "--workers=abc"};
-  char** argv = make_argv(args);
-  EXPECT_EXIT((void)benchutil::flag_int(2, argv, "--workers", 4, 1, 100),
+  std::vector<char*> argv = argv_of(args);
+  std::int64_t workers = 4;
+  EXPECT_EXIT(benchutil::parse_flags(2, argv.data(),
+                                     {{"--workers", &workers, "", 1, 100}}),
               ::testing::ExitedWithCode(2), "usage error: --workers=abc");
 }
 
 TEST(FlagParsingDeathTest, UnknownFlagsExitWithUsageError) {
-  // Pre-fix: the scenario driver ignored flags it did not know, so the
+  // Pre-fix: the bench binaries ignored flags they did not know, so the
   // legacy habit `--quick --workers=1` silently ran the spec's whole sweep.
-  const auto check = [](std::vector<std::string> args) {
-    benchutil::require_known_flags(static_cast<int>(args.size()),
-                                   make_argv(args), {"--csv"}, {"--spec"});
+  const auto parse = [](std::vector<std::string> args) {
+    std::vector<char*> argv = argv_of(args);
+    std::string spec;
+    bool csv = false;
+    benchutil::parse_flags(static_cast<int>(argv.size()), argv.data(),
+                           {{"--csv", &csv, ""}, {"--spec", &spec, ""}});
+    return spec;
   };
-  check({"prog", "--spec=a.json", "--csv"});
-  check({"prog", "--csv", "--spec", "a.json"});
-  std::vector<std::string> two_args = {"prog", "--spec", "a.json"};
-  EXPECT_EQ(benchutil::flag_value(3, make_argv(two_args), "--spec"), "a.json");
-  EXPECT_EXIT(check({"prog", "--spec=a.json", "--quick"}),
+  EXPECT_EQ(parse({"prog", "--spec=a.json", "--csv"}), "a.json");
+  EXPECT_EQ(parse({"prog", "--csv", "--spec", "a.json"}), "a.json");
+  EXPECT_EXIT(parse({"prog", "--spec=a.json", "--quick"}),
               ::testing::ExitedWithCode(2), "usage error: --quick=: unknown");
-  EXPECT_EXIT(check({"prog", "--workers=1"}), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(parse({"prog", "--workers=1"}), ::testing::ExitedWithCode(2),
               "usage error: --workers=1: unknown");
-  EXPECT_EXIT(check({"prog", "--csv=1"}), ::testing::ExitedWithCode(2),
-              "usage error: --csv=1: unknown");
-  EXPECT_EXIT(check({"prog", "--spec"}), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(parse({"prog", "--csv=1"}), ::testing::ExitedWithCode(2),
+              "usage error: --csv=1: switch takes no value");
+  EXPECT_EXIT(parse({"prog", "--spec"}), ::testing::ExitedWithCode(2),
               "usage error: --spec=: missing value");
-  EXPECT_EXIT(check({"prog", "a.json"}), ::testing::ExitedWithCode(2),
-              "usage error: a.json=: unknown");
+  EXPECT_EXIT(parse({"prog", "--spec", "--csv"}), ::testing::ExitedWithCode(2),
+              "usage error: --spec=: missing value");
+  EXPECT_EXIT(parse({"prog", "a.json"}), ::testing::ExitedWithCode(2),
+              "usage error: a.json=: unexpected positional argument");
 }
 
 using benchutil::DoubleParse;
@@ -530,52 +527,43 @@ TEST(FlagParsing, ParseDoubleIsFullTokenAndFiniteOnly) {
   EXPECT_EQ(parse_double("1e999", v), DoubleParse::kNotFinite);
 }
 
+/// parse_workers for one double flag `--rate_scale` in [0.001, 1000].
+double parse_rate_scale(std::vector<std::string> args, double fallback) {
+  std::vector<char*> argv = argv_of(args);
+  double rate_scale = fallback;
+  benchutil::parse_flags_checked(
+      static_cast<int>(argv.size()), argv.data(),
+      {{"--rate_scale", &rate_scale, "", 0.001, 1000.0}});
+  return rate_scale;
+}
+
 TEST(FlagParsing, FlagDoubleCheckedMirrorsTheIntContract) {
-  {
-    // Strict parse, typed error carrying flag and value.
-    std::vector<std::string> args = {"prog", "--rate_scale=fast"};
-    try {
-      (void)benchutil::flag_double_checked(2, make_argv(args), "--rate_scale",
-                                           1.0, 0.001, 1000.0);
-      FAIL() << "expected UsageError";
-    } catch (const UsageError& e) {
-      EXPECT_EQ(e.flag(), "--rate_scale");
-      EXPECT_EQ(e.value(), "fast");
-    }
+  // Strict parse, typed error carrying flag and value.
+  try {
+    (void)parse_rate_scale({"prog", "--rate_scale=fast"}, 1.0);
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(e.flag(), "--rate_scale");
+    EXPECT_EQ(e.value(), "fast");
   }
-  {
-    // Bounds apply to explicit values...
-    std::vector<std::string> args = {"prog", "--rate_scale=1e6"};
-    EXPECT_THROW((void)benchutil::flag_double_checked(
-                     2, make_argv(args), "--rate_scale", 1.0, 0.001, 1000.0),
-                 UsageError);
-  }
-  {
-    // ...but not to the binary's own fallback.
-    std::vector<std::string> args = {"prog"};
-    EXPECT_DOUBLE_EQ(benchutil::flag_double_checked(
-                         1, make_argv(args), "--rate_scale", 0.0, 0.001,
-                         1000.0),
-                     0.0);
-  }
-  {
-    // First occurrence wins, matching flag_int/flag_value.
-    std::vector<std::string> args = {"prog", "--rate_scale=0.5",
-                                     "--rate_scale=2.0"};
-    EXPECT_DOUBLE_EQ(benchutil::flag_double_checked(
-                         3, make_argv(args), "--rate_scale", 1.0, 0.001,
-                         1000.0),
-                     0.5);
-  }
+  // Bounds apply to explicit values, not to the binary's own fallback.
+  EXPECT_THROW((void)parse_rate_scale({"prog", "--rate_scale=1e6"}, 1.0),
+               UsageError);
+  EXPECT_DOUBLE_EQ(parse_rate_scale({"prog"}, 0.0), 0.0);
+  // First occurrence wins.
+  EXPECT_DOUBLE_EQ(
+      parse_rate_scale({"prog", "--rate_scale=0.5", "--rate_scale=2.0"}, 1.0),
+      0.5);
 }
 
 TEST(FlagParsingDeathTest, FlagDoubleExitsWithUsageErrorOnGarbage) {
   std::vector<std::string> args = {"prog", "--rate_scale=1.5x"};
-  char** argv = make_argv(args);
-  EXPECT_EXIT((void)benchutil::flag_double(2, argv, "--rate_scale", 1.0,
-                                           0.001, 1000.0),
-              ::testing::ExitedWithCode(2),
-              "usage error: --rate_scale=1.5x");
+  std::vector<char*> argv = argv_of(args);
+  double rate_scale = 1.0;
+  EXPECT_EXIT(benchutil::parse_flags(2, argv.data(),
+                                     {{"--rate_scale", &rate_scale, "", 1e-3,
+                                       1e3}}),
+              ::testing::ExitedWithCode(2), "usage error: --rate_scale=1.5x");
 }
 
 // ------------------------------------------------- backend declarations --
@@ -728,6 +716,22 @@ TEST(ScenarioReplay, AccountingInvariantsHold) {
     bucketed += ms.count + ms.miss + ms.err;
   }
   EXPECT_EQ(bucketed, st.completed + st.dead_lettered);
+}
+
+TEST(ScenarioReplay, PopulateRetriesPartitionMoves) {
+  // Regression: populate absorbed ServerBusy and injected faults but not
+  // the balancer's stale-map redirects, so a bucket moved during populate
+  // escaped as an uncaught PartitionMovedError and aborted the run.
+  const Scenario sc = parse_scenario(R"({
+    "name": "populate_moves", "operations": 100, "populate": 20,
+    "cluster": {"partition_servers": 16, "balancer": true},
+    "mix": [{"service": "blob", "op": "mixed", "weight": 1.0},
+            {"service": "table", "op": "read", "weight": 1.0},
+            {"service": "sql", "op": "mixed", "weight": 1.0}]})");
+  obs::Observer o;
+  const auto r = benchscn::run_generic_scenario(sc, &o);
+  EXPECT_EQ(r.stats.completed, sc.operations);
+  EXPECT_GT(o.metrics().counter("retry.backoffs").value(), 0);
 }
 
 }  // namespace
