@@ -9,9 +9,10 @@
 // measured rather than assumed.
 //
 // Each population P offers P sessions at P/10 arrivals per second (a 10
-// virtual-second ramp). A session issues one cluster request and retries
-// ServerBusy with doubling backoff up to 4 attempts; a session that exhausts
-// its budget dead-letters as a throttle failure. The top of the sweep holds
+// virtual-second ramp). A session issues one cluster request through
+// azure::with_retry under RetryPolicy::open_loop, retrying ServerBusy with
+// doubling backoff up to 4 attempts; a session that exhausts its budget
+// dead-letters as a throttle failure. The top of the sweep holds
 // >= 100k concurrent sessions in the admission window (column peak_if) —
 // the population scale ROADMAP.md targets, on one host, in virtual time.
 #include <algorithm>
@@ -21,9 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "azure/common/retry.hpp"
 #include "bench_util.hpp"
 #include "cluster/config.hpp"
-#include "cluster/errors.hpp"
 #include "cluster/storage_cluster.hpp"
 #include "framework/load_engine.hpp"
 #include "netsim/nic.hpp"
@@ -34,7 +35,6 @@
 namespace {
 
 constexpr int kClientNics = 64;
-constexpr int kMaxAttempts = 4;
 constexpr int kWindowCap = 131072;
 
 struct PointResult {
@@ -52,19 +52,11 @@ sim::Task<void> session_body(sim::Simulation& s, cluster::StorageCluster& cl,
   cluster::RequestCost cost;
   cost.server_cpu = sim::micros(500);
   const std::uint64_t hash = sess.rng.next_u64();
-  for (int attempt = 1;; ++attempt) {
-    bool busy = false;
-    try {
-      co_await cl.execute(nic, hash, cost);
-    } catch (const cluster::ServerBusyError&) {
-      if (attempt >= kMaxAttempts) throw;  // engine books the throttle failure
-      busy = true;
-    }
-    if (!busy) co_return;
-    const sim::Duration backoff =
-        std::min(sim::millis(250) << (attempt - 1), sim::seconds(1));
-    co_await s.delay(backoff + sim::micros(sess.rng.uniform(0, 1000)));
-  }
+  // A ServerBusy left after the last attempt escapes to the engine, which
+  // books the throttle failure.
+  co_await azure::with_retry(
+      s, [&] { return cl.execute(nic, hash, cost); },
+      azure::RetryPolicy::open_loop(static_cast<std::uint64_t>(sess.id)));
 }
 
 PointResult run_point(std::int64_t population, std::uint64_t seed,

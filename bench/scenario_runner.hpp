@@ -14,8 +14,9 @@
 //   load phase   — LoadEngine sessions arrive per the spec's arrival
 //                  process. Each session draws: mix entry, key, value size,
 //                  think time — all from deterministic streams — then issues
-//                  one storage operation, retrying ServerBusy (which covers
-//                  the S3 backend's 503 SlowDown subclass) with doubling
+//                  one storage operation through azure::with_retry under
+//                  RetryPolicy::open_loop: ServerBusy (which covers the S3
+//                  backend's 503 SlowDown subclass) retries with doubling
 //                  backoff up to 4 attempts.
 //
 // Accounting is plain integers plus obs::LatencyHistogram (integer log2
@@ -108,7 +109,6 @@ inline OpCode resolve_op(const framework::ScenarioMixEntry& e, bool read) {
 }
 
 constexpr int kClientNics = 16;
-constexpr int kMaxAttempts = 4;
 constexpr std::int64_t kQueueSeedCap = 1'000;
 
 /// Populate's retry policy: the paper's fixed 1 s sleep without jitter,
@@ -269,41 +269,27 @@ struct Driver {
     netsim::Nic& nic = nic_for(sess.id);
     MixStat& ms = stat[ei];
     const sim::TimePoint t0 = s.now();
-    for (int attempt = 1;; ++attempt) {
-      bool busy = false;
-      try {
-        bool miss = false;
-        const std::int64_t moved =
-            co_await execute(op, key, bytes, nic, miss);
-        if (miss) {
-          ms.miss += 1;
-        } else {
-          ms.count += 1;
-          ms.bytes += moved;
-          ms.latency.record(s.now() - t0);
-        }
-        co_return;
-      } catch (const cluster::ServerBusyError&) {
-        // Covers both the Azure account gate and the S3 per-prefix 503
-        // SlowDown (a ServerBusyError subclass): same backoff policy.
-        if (attempt >= kMaxAttempts) {
-          ms.err += 1;
-          throw;  // the engine books the throttle failure
-        }
-        busy = true;
-      } catch (const cluster::StorageError&) {
-        ms.err += 1;  // conflict, precondition, cap, corruption, ...
-        co_return;
-      } catch (const faults::FaultError&) {
-        ms.err += 1;  // injected drop timed out
-        co_return;
+    try {
+      bool miss = false;
+      const std::int64_t moved = co_await azure::with_retry(
+          s, [&] { return execute(op, key, bytes, nic, miss); },
+          azure::RetryPolicy::open_loop(static_cast<std::uint64_t>(sess.id)));
+      if (miss) {
+        ms.miss += 1;
+      } else {
+        ms.count += 1;
+        ms.bytes += moved;
+        ms.latency.record(s.now() - t0);
       }
-      if (busy) {
-        const sim::Duration backoff =
-            std::min(sim::millis(250) << (attempt - 1), sim::seconds(1));
-        co_await s.delay(backoff +
-                         sim::micros(sess.rng.uniform(0, 1'000)));
-      }
+    } catch (const cluster::ServerBusyError&) {
+      // The Azure partition and account targets and the S3 per-prefix 503
+      // SlowDown (a ServerBusyError subclass) alike, once retries run out.
+      ms.err += 1;
+      throw;  // the engine books the throttle failure
+    } catch (const cluster::StorageError&) {
+      ms.err += 1;  // conflict, precondition, cap, corruption, ...
+    } catch (const faults::FaultError&) {
+      ms.err += 1;  // injected drop timed out
     }
   }
 

@@ -48,12 +48,12 @@ run_config() {
   echo "=== geo ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L geo
   # The scenario suite re-runs by label (DSL diagnostics, generator KATs,
-  # flag-parsing regressions, byte-identical driver replays), and the
-  # generic driver's smoke run proves end-to-end replay determinism in this
-  # configuration. The full-paper-scale figure goldens (label `golden`) are
-  # excluded from this re-run in the sanitizer lap: the full ctest pass
-  # above already diffed them once, and a second minutes-long pass under
-  # ASan adds nothing.
+  # flag-parsing regressions, byte-identical driver replays, and the
+  # generic driver's smoke run, which proves end-to-end replay determinism
+  # in this configuration). The goldens (label `golden`) are excluded from
+  # this re-run in the sanitizer lap: the full ctest pass above already
+  # diffed them once, and a second minutes-long pass under ASan adds
+  # nothing.
   echo "=== scenario ${dir} ==="
   if [[ "${dir}" == *sanitize* ]]; then
     ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
@@ -61,7 +61,6 @@ run_config() {
   else
     ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L scenario
   fi
-  "${dir}/bench/bench_scenario" --smoke --selfcheck
   # The driver suite re-runs by label: backend conformance (the same op
   # contract asserted against azure, s3, and tiered), the S3 throttling /
   # visibility-lag semantics, and the cross-backend scenario packs'

@@ -85,6 +85,27 @@ struct RetryPolicy {
     return p;
   }
 
+  /// The open-loop session policy (the scenario runner's load phase and
+  /// bench_ext_load): ServerBusy only (SlowDown included), 4 attempts,
+  /// 250 ms doubling capped at 1 s. A session that exhausts it dead-letters
+  /// as a throttle failure, and any other error is the session's outcome.
+  /// Seed the jitter (±0.2%, about ±0.5 ms on the first backoff) with the
+  /// session id so concurrent sessions do not retry in lockstep.
+  static constexpr RetryPolicy open_loop(std::uint64_t jitter_seed) {
+    RetryPolicy p;
+    p.backoff = sim::millis(250);
+    p.max_backoff = sim::kSecond;
+    p.jitter = 0.002;
+    p.jitter_seed = jitter_seed;
+    p.max_attempts = 4;
+    p.retry_timeouts = false;
+    p.retry_connection_resets = false;
+    p.retry_checksum_mismatch = false;
+    p.retry_partition_moved = false;
+    p.retry_region_moved = false;
+    return p;
+  }
+
   /// Whether an error of a class with retryability `class_retryable`,
   /// caught after `retries` completed retries (i.e. on attempt
   /// `retries + 1`) with `elapsed` spent since the operation started, must
@@ -138,34 +159,35 @@ struct RetryPolicy {
   }
 };
 
-/// Runs `make_op()` (a factory returning a fresh Task each attempt),
-/// retrying transient errors according to `policy` and counting retries
-/// into `retries_out`. Non-retryable errors propagate immediately; the
-/// transient error is rethrown once attempts run out.
 namespace detail {
 /// Error-class labels interned on first use (tracing only).
 inline std::uint16_t error_label(obs::Observer* o, const char* name) {
   return o != nullptr ? o->label(name) : 0;
 }
-}  // namespace detail
 
+/// The retry loop behind with_retry_counted and with_retry (which passes
+/// no counter, so it adds no coroutine frame of its own).
 template <class MakeOp>
-auto with_retry_counted(sim::Simulation& sim, MakeOp make_op,
-                        RetryPolicy policy, std::int64_t& retries_out)
-    -> decltype(make_op()) {
+auto retry_loop(sim::Simulation& sim, MakeOp make_op, RetryPolicy policy,
+                std::int64_t* retries_out) -> decltype(make_op()) {
   obs::RequestScope request(sim);  // root span over all attempts
   obs::Observer* const o = request.observer();
   const sim::TimePoint op_start = sim.now();
-  // Elapsed budget is evaluated where the error is caught (after the failed
-  // attempt), so the deadline bounds when retrying stops, never how long an
-  // in-flight attempt may run.
-  const auto elapsed = [&sim, op_start] { return sim.now() - op_start; };
   int retries = 0;
+  std::uint16_t error_class = 0;
+  // Called from a catch handler: labels the caught error and rethrows it
+  // if the policy gives up, else returns so the loop backs off and retries.
+  // The elapsed budget is evaluated here, after the failed attempt, so the
+  // deadline bounds when retrying stops, never how long an in-flight
+  // attempt may run.
+  const auto retry_or_rethrow = [&](const char* label, bool retryable) {
+    error_class = error_label(o, label);
+    if (policy.gives_up(retryable, retries, sim.now() - op_start)) {
+      request.fail(error_class);
+      throw;
+    }
+  };
   for (;;) {
-    // co_await is not permitted inside a catch handler, so record the need
-    // to back off and do it after the handler exits.
-    bool backoff = false;
-    std::uint16_t error_class = 0;
     request.count_attempt();
     if (o != nullptr) {
       o->metrics().counter("retry.attempts").add(1);
@@ -177,77 +199,58 @@ auto with_retry_counted(sim::Simulation& sim, MakeOp make_op,
     try {
       co_return co_await make_op();
     } catch (const ServerBusyError&) {
-      error_class = detail::error_label(o, "server_busy");
-      if (policy.gives_up(policy.retry_server_busy, retries, elapsed())) {
-        request.fail(error_class);
-        throw;
-      }
-      backoff = true;
+      retry_or_rethrow("server_busy", policy.retry_server_busy);
     } catch (const TimeoutError&) {
-      error_class = detail::error_label(o, "timeout");
-      if (policy.gives_up(policy.retry_timeouts, retries, elapsed())) {
-        request.fail(error_class);
-        throw;
-      }
-      backoff = true;
+      retry_or_rethrow("timeout", policy.retry_timeouts);
     } catch (const ConnectionResetError&) {
-      error_class = detail::error_label(o, "connection_reset");
-      if (policy.gives_up(policy.retry_connection_resets, retries, elapsed())) {
-        request.fail(error_class);
-        throw;
-      }
-      backoff = true;
+      retry_or_rethrow("connection_reset", policy.retry_connection_resets);
     } catch (const ChecksumMismatchError&) {
       // Corruption in flight: the upload was rejected before any state was
       // touched, or the download's end-to-end checksum failed client-side.
       // Either way the operation is safe to repeat verbatim.
-      error_class = detail::error_label(o, "checksum_mismatch");
-      if (policy.gives_up(policy.retry_checksum_mismatch, retries, elapsed())) {
-        request.fail(error_class);
-        throw;
-      }
-      backoff = true;
+      retry_or_rethrow("checksum_mismatch", policy.retry_checksum_mismatch);
     } catch (const PartitionMovedError&) {
       // Stale partition-map redirect: the request never executed and the
       // redirect already refreshed this client's cached map, so the retry
       // routes against fresh state.
-      error_class = detail::error_label(o, "partition_moved");
-      if (policy.gives_up(policy.retry_partition_moved, retries, elapsed())) {
-        request.fail(error_class);
-        throw;
-      }
-      backoff = true;
+      retry_or_rethrow("partition_moved", policy.retry_partition_moved);
     } catch (const RegionMovedError&) {
       // Stale geo-map redirect: the primary region failed over since this
       // client last routed. The redirect refreshed the client's cached geo
       // map, so the retry reaches the promoted region.
-      error_class = detail::error_label(o, "region_moved");
-      if (policy.gives_up(policy.retry_region_moved, retries, elapsed())) {
-        request.fail(error_class);
-        throw;
-      }
-      backoff = true;
+      retry_or_rethrow("region_moved", policy.retry_region_moved);
     }
-    if (backoff) {
-      ++retries_out;
-      const sim::TimePoint backoff_start = sim.now();
-      co_await sim.delay(policy.backoff_for(retries++));
-      if (o != nullptr) {
-        o->metrics().counter("retry.backoffs").add(1);
-        o->emit(obs::SpanKind::kRetryBackoff, request.ctx(), backoff_start,
-                sim.now(), error_class);
-      }
+    // Only a handler that chose to retry gets here. co_await is not
+    // permitted inside a catch handler, so the backoff waits until now.
+    if (retries_out != nullptr) ++*retries_out;
+    const sim::TimePoint backoff_start = sim.now();
+    co_await sim.delay(policy.backoff_for(retries++));
+    if (o != nullptr) {
+      o->metrics().counter("retry.backoffs").add(1);
+      o->emit(obs::SpanKind::kRetryBackoff, request.ctx(), backoff_start,
+              sim.now(), error_class);
     }
   }
+}
+
+}  // namespace detail
+
+/// Runs `make_op()` (a factory returning a fresh Task each attempt),
+/// retrying transient errors according to `policy` and counting retries
+/// into `retries_out`. Non-retryable errors propagate immediately; the
+/// transient error is rethrown once attempts run out.
+template <class MakeOp>
+auto with_retry_counted(sim::Simulation& sim, MakeOp make_op,
+                        RetryPolicy policy, std::int64_t& retries_out)
+    -> decltype(make_op()) {
+  return detail::retry_loop(sim, std::move(make_op), policy, &retries_out);
 }
 
 /// with_retry_counted without the counter.
 template <class MakeOp>
 auto with_retry(sim::Simulation& sim, MakeOp make_op, RetryPolicy policy = {})
     -> decltype(make_op()) {
-  std::int64_t dropped_count = 0;
-  co_return co_await with_retry_counted(sim, std::move(make_op), policy,
-                                        dropped_count);
+  return detail::retry_loop(sim, std::move(make_op), policy, nullptr);
 }
 
 }  // namespace azure

@@ -39,6 +39,10 @@ QueueService::QueueData& QueueService::require_queue(std::string name) {
 
 void QueueService::admit(QueueData& q, std::string name) {
   if (!q.throttle.try_consume()) {
+    if (obs::Observer* const o = cluster_.simulation().observer();
+        o != nullptr) {
+      o->metrics().counter("queue.throttle_rejects").add(1);
+    }
     throw ServerBusyError("queue '" + name +
                           "' exceeded 500 messages per second");
   }

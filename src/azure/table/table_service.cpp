@@ -104,9 +104,13 @@ void TableService::validate_entity(const TableEntity& e) const {
   }
 }
 
-void TableService::admit(TableData& t, std::string table,
-                         std::string pk) {
-  if (!partition_state(t, pk).throttle.try_consume()) {
+void TableService::admit(TableData& t, std::string table, std::string pk,
+                         std::int64_t entities) {
+  if (!partition_state(t, pk).throttle.try_consume(entities)) {
+    if (obs::Observer* const o = cluster_.simulation().observer();
+        o != nullptr) {
+      o->metrics().counter("table.throttle_rejects").add(1);
+    }
     throw ServerBusyError("table '" + table + "' partition '" + pk +
                           "' exceeded 500 entities per second");
   }
@@ -454,11 +458,7 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
   TableData& t = require_table(table);
   // Every entity in the group counts against the partition's 500/s target,
   // atomically: the whole batch is admitted or rejected.
-  if (!partition_state(t, pk).throttle.try_consume(
-          static_cast<std::int64_t>(batch.size()))) {
-    throw ServerBusyError("table '" + table + "' partition '" + pk +
-                          "' exceeded 500 entities per second");
-  }
+  admit(t, table, pk, static_cast<std::int64_t>(batch.size()));
 
   co_await journal_write(table, pk, total_wire);
   cluster::RequestCost cost;

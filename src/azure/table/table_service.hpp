@@ -179,7 +179,10 @@ class TableService {
   TableData& require_table(std::string table);
   PartitionState& partition_state(TableData& t, std::string pk);
   void validate_entity(const TableEntity& e) const;
-  void admit(TableData& t, std::string table, std::string pk);
+  /// Charges `entities` against the partition's 500 entities/s target, or
+  /// throws ServerBusyError without charging any.
+  void admit(TableData& t, std::string table, std::string pk,
+             std::int64_t entities = 1);
   std::uint64_t hash(std::string table, std::string pk) const {
     return cluster::partition_hash(table, pk);
   }

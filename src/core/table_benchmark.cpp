@@ -29,24 +29,6 @@ struct Shared {
   std::int64_t retries = 0;
 };
 
-/// with_retry, counting the retries (the paper reports when the 500
-/// entities/s target bites).
-template <class MakeOp>
-sim::Task<void> retry_counted(sim::Simulation& sim, Shared& shared,
-                              MakeOp make_op) {
-  for (;;) {
-    bool backoff = false;
-    try {
-      co_await make_op();
-      co_return;
-    } catch (const azure::ServerBusyError&) {
-      ++shared.retries;
-      backoff = true;
-    }
-    if (backoff) co_await sim.delay(sim::kSecond);
-  }
-}
-
 sim::Task<void> worker_body(fabric::RoleContext& ctx, Shared& shared) {
   const TableBenchConfig& cfg = shared.cfg;
   auto& sim = ctx.simulation();
@@ -73,9 +55,9 @@ sim::Task<void> worker_body(fabric::RoleContext& ctx, Shared& shared) {
     {
       const sim::TimePoint t0 = sim.now();
       for (int row = 0; row < cfg.entities; ++row) {
-        co_await retry_counted(sim, shared, [&] {
-          return table.insert(make_entity(ctx.id(), row, size));
-        });
+        co_await azure::with_retry_counted(
+            sim, [&] { return table.insert(make_entity(ctx.id(), row, size)); },
+            azure::RetryPolicy::paper(), shared.retries);
       }
       shared.collector.record("insert-" + tag, size_index, t0, sim.now());
     }
@@ -85,10 +67,13 @@ sim::Task<void> worker_body(fabric::RoleContext& ctx, Shared& shared) {
     {
       const sim::TimePoint t0 = sim.now();
       for (int row = 0; row < cfg.entities; ++row) {
-        co_await retry_counted(sim, shared, [&]() -> sim::Task<void> {
-          (void)co_await table.query("worker-" + std::to_string(ctx.id()),
-                                     "row-" + std::to_string(row));
-        });
+        (void)co_await azure::with_retry_counted(
+            sim,
+            [&] {
+              return table.query("worker-" + std::to_string(ctx.id()),
+                                 "row-" + std::to_string(row));
+            },
+            azure::RetryPolicy::paper(), shared.retries);
       }
       shared.collector.record("query-" + tag, size_index, t0, sim.now());
     }
@@ -98,9 +83,10 @@ sim::Task<void> worker_body(fabric::RoleContext& ctx, Shared& shared) {
     {
       const sim::TimePoint t0 = sim.now();
       for (int row = 0; row < cfg.entities; ++row) {
-        co_await retry_counted(sim, shared, [&] {
-          return table.update(make_entity(ctx.id(), row, size), "*");
-        });
+        co_await azure::with_retry_counted(
+            sim,
+            [&] { return table.update(make_entity(ctx.id(), row, size), "*"); },
+            azure::RetryPolicy::paper(), shared.retries);
       }
       shared.collector.record("update-" + tag, size_index, t0, sim.now());
     }
@@ -110,10 +96,13 @@ sim::Task<void> worker_body(fabric::RoleContext& ctx, Shared& shared) {
     {
       const sim::TimePoint t0 = sim.now();
       for (int row = 0; row < cfg.entities; ++row) {
-        co_await retry_counted(sim, shared, [&] {
-          return table.erase("worker-" + std::to_string(ctx.id()),
-                             "row-" + std::to_string(row));
-        });
+        co_await azure::with_retry_counted(
+            sim,
+            [&] {
+              return table.erase("worker-" + std::to_string(ctx.id()),
+                                 "row-" + std::to_string(row));
+            },
+            azure::RetryPolicy::paper(), shared.retries);
       }
       shared.collector.record("delete-" + tag, size_index, t0, sim.now());
     }

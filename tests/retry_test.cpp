@@ -5,12 +5,14 @@
 //  * max_attempts counts total attempts and rethrows on exhaustion;
 //  * capped exponential backoff and deterministic jitter behave at edges;
 //  * the paper() preset reproduces the paper's fixed 1 s sleep, and a
-//    workload's timing depends on the policy ONLY when retries occur.
+//    workload's timing depends on the policy ONLY when retries occur;
+//  * the open_loop() preset is a short ServerBusy-only ladder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <set>
 
 #include "azure_test_util.hpp"
 #include "azure/common/errors.hpp"
@@ -26,6 +28,7 @@ enum class Err {
   kTimeout,
   kReset,
   kBusy,
+  kSlowDown,
   kNotFound,
   kChecksum,
   kPartitionMoved,
@@ -40,6 +43,8 @@ enum class Err {
       throw azure::ConnectionResetError("injected reset");
     case Err::kBusy:
       throw azure::ServerBusyError("injected busy");
+    case Err::kSlowDown:
+      throw cluster::SlowDownError("injected 503 SlowDown");
     case Err::kNotFound:
       throw azure::NotFoundError("injected 404");
     case Err::kChecksum:
@@ -339,6 +344,53 @@ TEST(RetryPaperPresetTest, SurfacesInjectedFaultsInsteadOfHidingThem) {
   const Outcome busy = drive(azure::RetryPolicy::paper(), 2, Err::kBusy);
   EXPECT_EQ(busy.result, 7);
   EXPECT_EQ(busy.elapsed, 2 * sim::kSecond);
+}
+
+// -------------------------------------------------- the open-loop preset ----
+
+TEST(RetryOpenLoopPresetTest, MakesExactlyFourAttempts) {
+  const azure::RetryPolicy p = azure::RetryPolicy::open_loop(7);
+  const Outcome o = drive(p, 10, Err::kBusy);
+  EXPECT_TRUE(o.threw);
+  EXPECT_EQ(o.calls, 4);
+  EXPECT_EQ(o.retries, 3);
+  EXPECT_EQ(o.elapsed, p.backoff_for(0) + p.backoff_for(1) + p.backoff_for(2));
+}
+
+TEST(RetryOpenLoopPresetTest, BackoffsDoubleFrom250MsAndClampAtOneSecond) {
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    const azure::RetryPolicy p = azure::RetryPolicy::open_loop(seed);
+    EXPECT_NEAR(p.backoff_for(0), sim::millis(250), sim::millis(0.5));
+    EXPECT_NEAR(p.backoff_for(1), sim::millis(500), sim::millis(1));
+    EXPECT_LE(p.backoff_for(2), sim::kSecond);
+    EXPECT_GE(p.backoff_for(2), sim::millis(998));
+  }
+}
+
+TEST(RetryOpenLoopPresetTest, RetriesServerBusyAndSlowDown) {
+  for (Err e : {Err::kBusy, Err::kSlowDown}) {
+    const Outcome o = drive(azure::RetryPolicy::open_loop(3), 3, e);
+    EXPECT_EQ(o.result, 7) << "class " << static_cast<int>(e);
+    EXPECT_EQ(o.calls, 4) << "class " << static_cast<int>(e);
+  }
+}
+
+TEST(RetryOpenLoopPresetTest, RethrowsEveryOtherTransientErrorAtOnce) {
+  for (Err e : {Err::kTimeout, Err::kReset, Err::kChecksum,
+                Err::kPartitionMoved, Err::kRegionMoved}) {
+    const Outcome o = drive(azure::RetryPolicy::open_loop(3), 1, e);
+    EXPECT_TRUE(o.threw) << "class " << static_cast<int>(e);
+    EXPECT_EQ(o.calls, 1) << "class " << static_cast<int>(e);
+    EXPECT_EQ(o.elapsed, 0) << "class " << static_cast<int>(e);
+  }
+}
+
+TEST(RetryOpenLoopPresetTest, DistinctSeedsGiveDistinctJitter) {
+  std::set<sim::Duration> first_backoffs;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    first_backoffs.insert(azure::RetryPolicy::open_loop(seed).backoff_for(0));
+  }
+  EXPECT_EQ(first_backoffs.size(), 16u);
 }
 
 // ------------------------------------- preset divergence (regression) -------

@@ -734,4 +734,24 @@ TEST(ScenarioReplay, PopulateRetriesPartitionMoves) {
   EXPECT_GT(o.metrics().counter("retry.backoffs").value(), 0);
 }
 
+TEST(ScenarioReplay, PartitionTargetRejectionsAreCountedAndRetried) {
+  // 400 read-modify-writes per second on one table partition (all 64 keys
+  // share it) ask 800 entities/s of its 500/s target, well under the
+  // account's 5,000 tx/s. Every rejection is counted once and retried once:
+  // no session runs out of attempts.
+  const Scenario sc = parse_scenario(R"({
+    "name": "hot_partition", "seed": 5, "operations": 400, "populate": 64,
+    "arrivals": {"kind": "poisson", "rate_per_sec": 400.0},
+    "keys": {"kind": "uniform", "space": 64},
+    "mix": [{"service": "table", "op": "rmw", "weight": 1.0}]})");
+  obs::Observer o;
+  const auto r = benchscn::run_generic_scenario(sc, &o);
+  EXPECT_EQ(r.stats.completed, sc.operations);
+  const std::int64_t rejects =
+      o.metrics().counter("table.throttle_rejects").value();
+  EXPECT_GT(rejects, 0);
+  EXPECT_EQ(rejects, o.metrics().counter("retry.backoffs").value());
+  EXPECT_EQ(o.metrics().counter("cluster.throttle_rejects").value(), 0);
+}
+
 }  // namespace
