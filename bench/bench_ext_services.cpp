@@ -158,11 +158,12 @@ int main(int argc, char** argv) {
              " s"});
   }
 
-  std::printf(
-      "AzureBench extensions — services the paper defers to future work\n\n");
   if (csv) {
     table.print_csv();
   } else {
+    std::printf(
+        "AzureBench extensions — services the paper defers to future "
+        "work\n\n");
     table.print();
   }
   return 0;

@@ -118,13 +118,13 @@ int main(int argc, char** argv) {
                  benchutil::fmt(sql_scan) + " ms",
                  benchutil::fmt(tbl_scan) + " ms"});
 
-  std::printf(
-      "AzureBench extension — SQL Azure vs. Table storage (the comparison "
-      "the paper\ndeferred; 1,000 seeded 4 KB rows; means per "
-      "operation)\n\n");
   if (csv) {
     table.print_csv();
   } else {
+    std::printf(
+        "AzureBench extension — SQL Azure vs. Table storage (the comparison "
+        "the paper\ndeferred; 1,000 seeded 4 KB rows; means per "
+        "operation)\n\n");
     table.print();
     std::printf(
         "\nTakeaway: the relational service wins point lookups (no "

@@ -182,10 +182,13 @@ int main(int argc, char** argv) {
   if (workers == 0) workers = quick ? 8 : 32;
   if (messages == 0) messages = quick ? 20 : 100;
 
-  std::printf(
-      "AzureBench fault sweep — queue throughput vs. injected fault rate\n"
-      "%lld workers x %lld messages; retry: 250 ms exponential, 2 s cap\n\n",
-      static_cast<long long>(workers), static_cast<long long>(messages));
+  if (!csv) {
+    std::printf(
+        "AzureBench fault sweep — queue throughput vs. injected fault rate\n"
+        "%lld workers x %lld messages; retry: 250 ms exponential, 2 s "
+        "cap\n\n",
+        static_cast<long long>(workers), static_cast<long long>(messages));
+  }
 
   const std::vector<FaultProfile> profiles = {
       {"none", 0, 0, 0, 0, 0},

@@ -7,22 +7,29 @@
 //   bench_scenario --smoke --selfcheck
 //
 // Figure-mode specs replay a paper figure (fig4–fig9) through the figN_table
-// builders below; `ctest -L golden` diffs their --csv tables against the
-// committed tests/golden/figN.csv. Generic-mode specs run an open-loop
-// LoadEngine workload (scenario_runner.hpp).
+// builders below, all on one CloudConfig built from the spec, so the
+// ablation flags and the cluster section apply to every figure. fig4, fig6
+// and fig8 append the run's 2012 operating cost (core/cost_model.hpp).
+// `ctest -L golden` diffs every spec's --csv output against the committed
+// tests/golden/NAME.csv. Generic-mode specs run an open-loop LoadEngine
+// workload (scenario_runner.hpp).
 //
 // Exit codes: 0 ok, 1 selfcheck divergence, 2 usage/spec error.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "azure/common/limits.hpp"
 #include "bench_util.hpp"
 #include "core/blob_benchmark.hpp"
+#include "core/cost_model.hpp"
 #include "core/queue_benchmark.hpp"
 #include "core/table_benchmark.hpp"
 #include "framework/scenario.hpp"
 #include "obs/observer.hpp"
 #include "scenario_runner.hpp"
+#include "storage/azure_driver.hpp"
 
 namespace {
 
@@ -58,34 +65,86 @@ std::vector<int> figure_workers(const ScenarioFigure& f) {
   return {1, 2, 4, 8, 16, 32, 48, 64, 80, 96};
 }
 
+/// One full run: the canonical report string the selfcheck compares, plus
+/// the tables to print.
+struct RunOutput {
+  std::string canonical{};
+  benchutil::Table table;          // figure table or mix table
+  benchutil::Table extra{{}};      // the cost table or the load table
+  bool has_extra = false;
+};
+
+/// A figure table with `headers` plus an empty cost table, which
+/// add_cost_row fills with one row per sweep point.
+RunOutput priced_output(std::vector<std::string> headers) {
+  return {.table = benchutil::Table(std::move(headers)),
+          .extra = benchutil::Table({"workers", "virtual_time_s",
+                                     "transactions", "compute",
+                                     "transactions_cost", "storage",
+                                     "total"}),
+          .has_extra = true};
+}
+
+std::string money(double usd) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "$%.4f", usd);
+  return buf;
+}
+
+/// Prices one sweep point on the 2012 price sheet: `workers` Small
+/// instances for the run's virtual time, its storage transactions, and
+/// `stored_bytes` held in the account throughout.
+void add_cost_row(benchutil::Table& cost, int workers,
+                  std::int64_t transactions, double virtual_seconds,
+                  std::int64_t stored_bytes) {
+  azurebench::UsageSample usage;
+  usage.transactions = transactions;
+  usage.instances = workers;
+  usage.duration = sim::seconds(virtual_seconds);
+  usage.peak_stored_bytes = stored_bytes;
+  const azurebench::CostReport c = azurebench::estimate_cost(usage);
+  cost.add_row({std::to_string(workers), benchutil::fmt(virtual_seconds, 0),
+                std::to_string(transactions), money(c.compute_usd),
+                money(c.transactions_usd), money(c.storage_usd),
+                money(c.total())});
+}
+
 /// Fig. 4: blob upload/download time and throughput vs. workers.
-benchutil::Table fig4_table(const ScenarioFigure& f, obs::Observer* observer) {
-  benchutil::Table table({"workers", "pageUp_s", "pageUp_MiBps", "blockUp_s",
-                          "blockUp_MiBps", "pageDown_s", "pageDown_MiBps",
-                          "blockDown_s", "blockDown_MiBps", "barrier_s"});
+RunOutput fig4_table(const ScenarioFigure& f,
+                        const azure::CloudConfig& cloud,
+                        obs::Observer* observer) {
+  RunOutput out = priced_output({"workers", "pageUp_s", "pageUp_MiBps",
+                                 "blockUp_s", "blockUp_MiBps", "pageDown_s",
+                                 "pageDown_MiBps", "blockDown_s",
+                                 "blockDown_MiBps", "barrier_s"});
   for (const int workers : figure_workers(f)) {
     azurebench::BlobBenchConfig cfg;
     cfg.workers = workers;
     cfg.repeats = f.repeats;
-    cfg.cloud.blob.replica_reads = !f.no_replica_reads;
+    cfg.cloud = cloud;
     cfg.observer = observer;
     const auto r = azurebench::run_blob_benchmark(cfg);
-    table.add_row({std::to_string(workers),
-                   benchutil::fmt(r.page_upload.seconds),
-                   benchutil::fmt(r.page_upload.mib_per_sec()),
-                   benchutil::fmt(r.block_upload.seconds),
-                   benchutil::fmt(r.block_upload.mib_per_sec()),
-                   benchutil::fmt(r.page_full_read.seconds),
-                   benchutil::fmt(r.page_full_read.mib_per_sec()),
-                   benchutil::fmt(r.block_full_read.seconds),
-                   benchutil::fmt(r.block_full_read.mib_per_sec()),
-                   benchutil::fmt(r.barrier_seconds)});
+    out.table.add_row({std::to_string(workers),
+                       benchutil::fmt(r.page_upload.seconds),
+                       benchutil::fmt(r.page_upload.mib_per_sec()),
+                       benchutil::fmt(r.block_upload.seconds),
+                       benchutil::fmt(r.block_upload.mib_per_sec()),
+                       benchutil::fmt(r.page_full_read.seconds),
+                       benchutil::fmt(r.page_full_read.mib_per_sec()),
+                       benchutil::fmt(r.block_full_read.seconds),
+                       benchutil::fmt(r.block_full_read.mib_per_sec()),
+                       benchutil::fmt(r.barrier_seconds)});
+    // One page blob and one block blob of chunks x chunk_bytes each.
+    add_cost_row(out.extra, workers, r.storage_transactions, r.virtual_seconds,
+                 2 * cfg.chunks * cfg.chunk_bytes);
   }
-  return table;
+  return out;
 }
 
 /// Fig. 5: chunk-wise blob download (random pages / sequential blocks).
-benchutil::Table fig5_table(const ScenarioFigure& f, obs::Observer* observer) {
+benchutil::Table fig5_table(const ScenarioFigure& f,
+                            const azure::CloudConfig& cloud,
+                            obs::Observer* observer) {
   benchutil::Table table({"workers", "pageRand_s", "pageRand_MiBps",
                           "pageRand_ms/op", "blockSeq_s", "blockSeq_MiBps",
                           "blockSeq_ms/op"});
@@ -93,6 +152,7 @@ benchutil::Table fig5_table(const ScenarioFigure& f, obs::Observer* observer) {
     azurebench::BlobBenchConfig cfg;
     cfg.workers = workers;
     cfg.repeats = f.repeats;
+    cfg.cloud = cloud;
     cfg.observer = observer;
     const auto r = azurebench::run_blob_benchmark(cfg);
     table.add_row({std::to_string(workers),
@@ -107,18 +167,21 @@ benchutil::Table fig5_table(const ScenarioFigure& f, obs::Observer* observer) {
 }
 
 /// Fig. 6: queue storage, separate queue per worker, one series per size.
-benchutil::Table fig6_table(const ScenarioFigure& f, obs::Observer* observer) {
-  benchutil::Table table({"workers", "size_KB", "put_s", "peek_s", "get_s",
-                          "put_ms/op", "peek_ms/op", "get_ms/op"});
+RunOutput fig6_table(const ScenarioFigure& f,
+                        const azure::CloudConfig& cloud,
+                        obs::Observer* observer) {
+  RunOutput out = priced_output({"workers", "size_KB", "put_s", "peek_s",
+                                 "get_s", "put_ms/op", "peek_ms/op",
+                                 "get_ms/op"});
   for (const int workers : figure_workers(f)) {
     azurebench::QueueSeparateConfig cfg;
     cfg.workers = workers;
     cfg.total_messages = f.messages;
-    cfg.cloud.queue.model_16k_get_anomaly = !f.no_anomaly;
+    cfg.cloud = cloud;
     cfg.observer = observer;
     const auto r = azurebench::run_queue_separate_benchmark(cfg);
     for (const auto& p : r.points) {
-      table.add_row(
+      out.table.add_row(
           {std::to_string(workers), std::to_string(p.message_size / 1024),
            benchutil::fmt(p.put.seconds), benchutil::fmt(p.peek.seconds),
            benchutil::fmt(p.get.seconds),
@@ -126,18 +189,26 @@ benchutil::Table fig6_table(const ScenarioFigure& f, obs::Observer* observer) {
            benchutil::fmt(p.peek.ms_per_op() * workers),
            benchutil::fmt(p.get.ms_per_op() * workers)});
     }
+    // Every message of the largest size, at its usable payload.
+    add_cost_row(out.extra, workers, r.storage_transactions, r.virtual_seconds,
+                 cfg.total_messages *
+                     std::min(std::ranges::max(cfg.message_sizes),
+                              azure::limits::kMaxMessagePayloadBytes));
   }
-  return table;
+  return out;
 }
 
 /// Fig. 7: queue storage, single shared queue, one series per think time.
-benchutil::Table fig7_table(const ScenarioFigure& f, obs::Observer* observer) {
+benchutil::Table fig7_table(const ScenarioFigure& f,
+                            const azure::CloudConfig& cloud,
+                            obs::Observer* observer) {
   benchutil::Table table({"workers", "think_s", "put_s", "peek_s", "get_s",
                           "put_ms/op", "peek_ms/op", "get_ms/op"});
   for (const int workers : figure_workers(f)) {
     azurebench::QueueSharedConfig cfg;
     cfg.workers = workers;
     cfg.total_messages = f.messages;
+    cfg.cloud = cloud;
     cfg.observer = observer;
     const auto r = azurebench::run_queue_shared_benchmark(cfg);
     for (const auto& p : r.points) {
@@ -154,32 +225,42 @@ benchutil::Table fig7_table(const ScenarioFigure& f, obs::Observer* observer) {
 }
 
 /// Fig. 8: table storage Insert/Query/Update/Delete, one series per size.
-benchutil::Table fig8_table(const ScenarioFigure& f, obs::Observer* observer) {
-  benchutil::Table table({"workers", "size_KB", "insert_s", "query_s",
-                          "update_s", "delete_s", "busy_retries"});
+RunOutput fig8_table(const ScenarioFigure& f,
+                        const azure::CloudConfig& cloud,
+                        obs::Observer* observer) {
+  RunOutput out = priced_output({"workers", "size_KB", "insert_s",
+                                 "query_s", "update_s", "delete_s",
+                                 "busy_retries"});
   for (const int workers : figure_workers(f)) {
     azurebench::TableBenchConfig cfg;
     cfg.workers = workers;
     cfg.entities = f.entities;
+    cfg.cloud = cloud;
     cfg.observer = observer;
     const auto r = azurebench::run_table_benchmark(cfg);
     bool first = true;
     for (const auto& p : r.points) {
-      table.add_row({std::to_string(workers),
-                     std::to_string(p.entity_size / 1024),
-                     benchutil::fmt(p.insert.seconds),
-                     benchutil::fmt(p.query.seconds),
-                     benchutil::fmt(p.update.seconds),
-                     benchutil::fmt(p.erase.seconds),
-                     first ? std::to_string(r.server_busy_retries) : ""});
+      out.table.add_row({std::to_string(workers),
+                         std::to_string(p.entity_size / 1024),
+                         benchutil::fmt(p.insert.seconds),
+                         benchutil::fmt(p.query.seconds),
+                         benchutil::fmt(p.update.seconds),
+                         benchutil::fmt(p.erase.seconds),
+                         first ? std::to_string(r.server_busy_retries) : ""});
       first = false;
     }
+    // Every worker's entities at the largest size.
+    add_cost_row(out.extra, workers, r.storage_transactions, r.virtual_seconds,
+                 std::int64_t{workers} * cfg.entities *
+                     std::ranges::max(cfg.entity_sizes));
   }
-  return table;
+  return out;
 }
 
 /// Fig. 9: per-operation time for table and queue storage (32 KB payloads).
-benchutil::Table fig9_table(const ScenarioFigure& f, obs::Observer* observer) {
+benchutil::Table fig9_table(const ScenarioFigure& f,
+                            const azure::CloudConfig& cloud,
+                            obs::Observer* observer) {
   benchutil::Table table({"workers", "tbl_insert", "tbl_query", "tbl_update",
                           "tbl_delete", "q_put", "q_peek", "q_get"});
   for (const int workers : figure_workers(f)) {
@@ -187,6 +268,7 @@ benchutil::Table fig9_table(const ScenarioFigure& f, obs::Observer* observer) {
     tcfg.workers = workers;
     tcfg.entities = f.entities;
     tcfg.entity_sizes = {32 << 10};
+    tcfg.cloud = cloud;
     tcfg.observer = observer;
     const auto t = azurebench::run_table_benchmark(tcfg);
     const auto& tp = t.points.front();
@@ -195,6 +277,7 @@ benchutil::Table fig9_table(const ScenarioFigure& f, obs::Observer* observer) {
     qcfg.workers = workers;
     qcfg.total_messages = f.messages;
     qcfg.message_sizes = {32 << 10};
+    qcfg.cloud = cloud;
     qcfg.observer = observer;
     const auto q = azurebench::run_queue_separate_benchmark(qcfg);
     const auto& qp = q.points.front();
@@ -211,32 +294,30 @@ benchutil::Table fig9_table(const ScenarioFigure& f, obs::Observer* observer) {
   return table;
 }
 
-benchutil::Table figure_table(const ScenarioFigure& f,
-                              obs::Observer* observer) {
+/// Runs a figure spec. Every figure runs on one CloudConfig: the spec's
+/// cluster section, mapped as generic mode maps it, plus the two ablation
+/// flags.
+RunOutput figure_output(const framework::Scenario& sc,
+                        obs::Observer* observer) {
+  const ScenarioFigure& f = *sc.figure;
+  azure::CloudConfig cloud = storage::AzureDriver::cloud_config(sc);
+  cloud.blob.replica_reads = !f.no_replica_reads;
+  cloud.queue.model_16k_get_anomaly = !f.no_anomaly;
   switch (f.id) {
-    case 4: return fig4_table(f, observer);
-    case 5: return fig5_table(f, observer);
-    case 6: return fig6_table(f, observer);
-    case 7: return fig7_table(f, observer);
-    case 8: return fig8_table(f, observer);
-    default: return fig9_table(f, observer);
+    case 4: return fig4_table(f, cloud, observer);
+    case 5: return {.table = fig5_table(f, cloud, observer)};
+    case 6: return fig6_table(f, cloud, observer);
+    case 7: return {.table = fig7_table(f, cloud, observer)};
+    case 8: return fig8_table(f, cloud, observer);
+    default: return {.table = fig9_table(f, cloud, observer)};
   }
 }
 
-/// One full run: the canonical report string the selfcheck compares, plus
-/// the tables to print.
-struct RunOutput {
-  std::string canonical;
-  benchutil::Table table;          // figure table or mix table
-  benchutil::Table extra{{}};      // generic mode: the load table
-  bool has_extra = false;
-};
-
 RunOutput run_once(const framework::Scenario& sc, obs::Observer* observer) {
   if (sc.figure_mode()) {
-    RunOutput out{.canonical = "",
-                  .table = figure_table(*sc.figure, observer)};
-    out.canonical = "scenario," + sc.name + "\n" + out.table.csv_string();
+    RunOutput out = figure_output(sc, observer);
+    out.canonical = "scenario," + sc.name + "\n" + out.table.csv_string() +
+                    out.extra.csv_string();
     return out;
   }
   const benchscn::ScenarioRunResult r =

@@ -9,7 +9,6 @@ int main(int argc, char** argv) {
   bool csv = false;
   benchutil::parse_flags(
       argc, argv, {{"--csv", &csv, "CSV instead of the fixed-width table"}});
-  std::printf("AzureBench Table I — VM configurations\n\n");
   benchutil::Table table(
       {"VM Size", "CPU Cores", "Memory", "Storage", "NIC (model)"});
   for (const auto size :
@@ -38,6 +37,7 @@ int main(int argc, char** argv) {
   if (csv) {
     table.print_csv();
   } else {
+    std::printf("AzureBench Table I — VM configurations\n\n");
     table.print();
   }
   return 0;

@@ -61,10 +61,22 @@ class Table {
                   (c + 1 < row.size()) ? " | " : "\n");
     }
   }
+  /// One RFC 4180 record: a cell holding a comma, a double quote or a line
+  /// break is quoted, with its quotes doubled.
   static void append_csv_row(std::string& out,
                              const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      out += row[c];
+      const std::string& cell = row[c];
+      if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+        out += cell;
+      } else {
+        out += '"';
+        for (const char ch : cell) {
+          if (ch == '"') out += '"';
+          out += ch;
+        }
+        out += '"';
+      }
       out += (c + 1 < row.size()) ? "," : "\n";
     }
   }

@@ -843,14 +843,24 @@ Scenario parse_scenario(std::string_view text) {
     // beats silently ignoring half a spec. The backend key in particular:
     // figure replays are *defined* by the Azure contract (pinned by the
     // tests/golden CSVs), so a non-Azure figure spec is a contradiction.
+    // The figure workloads carry their own fixed seeds, and the paper's
+    // fixed 1 s ServerBusy retry rethrows partition moves and injected
+    // faults, so neither a seed, a fault plan nor the balancer can apply.
     for (const char* key :
-         {"arrivals", "keys", "values", "think", "backend",
+         {"seed", "operations", "read_ratio", "queue_fanout", "populate",
+          "rows_per_partition", "max_in_flight", "max_pending", "arrivals",
+          "keys", "values", "think", "faults", "backend",
           "tier_split_bytes"}) {
       if (const JsonNode* n = root.find(key)) {
         fail_at(*n, join(path, key),
                 std::string("'") + key +
                     "' has no effect in figure mode — remove it");
       }
+    }
+    if (sc.cluster.balancer) {
+      fail_at(*root.find("cluster")->find("balancer"),
+              join(join(path, "cluster"), "balancer"),
+              "the balancer has no effect in figure mode — remove it");
     }
     ScenarioFigure f;
     bind_figure(*fig, join(path, "figure"), f);

@@ -163,15 +163,18 @@ struct ScenarioCluster {
   bool throttle_queue = false;
 };
 
-/// Figure-replay mode: which paper figure, at which sweep points.
+/// Figure-replay mode: which paper figure, at which sweep points. The two
+/// ablation flags and the spec's `cluster` section (throttle mode,
+/// partition servers) apply to every figure; the generic-only keys, the
+/// seed, the fault plan and the balancer are rejected.
 struct ScenarioFigure {
   int id = 4;                ///< 4..9
   std::vector<int> workers;  ///< empty = the figure's default sweep
   int repeats = 10;          ///< fig4/fig5
   std::int64_t messages = 20'000;  ///< fig6/fig7/fig9
   int entities = 500;              ///< fig8/fig9
-  bool no_anomaly = false;         ///< fig6 ablation
-  bool no_replica_reads = false;   ///< fig4 ablation
+  bool no_anomaly = false;         ///< queue ablation (16 KB Get quirk off)
+  bool no_replica_reads = false;   ///< blob ablation (primary-only reads)
 };
 
 struct Scenario {

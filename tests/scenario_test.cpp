@@ -4,8 +4,9 @@
 //   2. generator toolkit (framework/keygen.hpp) — known-answer sequences,
 //      distribution moments inside analytic bounds, permutation/coverage
 //      properties, and the zipf s=0 degenerate-to-uniform boundary fix;
-//   3. bench_util flag parsing — the regression tests for this PR's bugfix
-//      sweep (each documents the silent pre-fix behaviour it kills);
+//   3. bench_util CSV quoting and flag parsing — the regression tests for
+//      the bugfix sweep (each documents the silent pre-fix behaviour it
+//      kills);
 //   4. driver replay — the generic runner is a pure function of the spec:
 //      two runs produce byte-identical reports and obs JSON exports.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -144,9 +146,37 @@ TEST(ScenarioParser, RejectsFigurePlusMix) {
 }
 
 TEST(ScenarioParser, RejectsGenericSectionsInFigureMode) {
-  expect_error(
-      R"({"name":"x","figure":{"id":"fig4"},"keys":{"space":10}})",
-      "scenario.keys", "no effect in figure mode");
+  // Every key a figure cannot honour is a located error, never a silently
+  // dropped setting: the figure workloads carry their own fixed seeds, and
+  // the paper's fixed 1 s retry rethrows faults and partition moves.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"("keys":{"space":10})", "scenario.keys"},
+      {R"("seed":7)", "scenario.seed"},
+      {R"("operations":10)", "scenario.operations"},
+      {R"("read_ratio":0.5)", "scenario.read_ratio"},
+      {R"("queue_fanout":2)", "scenario.queue_fanout"},
+      {R"("populate":0)", "scenario.populate"},
+      {R"("rows_per_partition":8)", "scenario.rows_per_partition"},
+      {R"("max_in_flight":8)", "scenario.max_in_flight"},
+      {R"("max_pending":8)", "scenario.max_pending"},
+      {R"("faults":{"drop_probability":0.5})", "scenario.faults"},
+      {R"("cluster":{"balancer":true})", "scenario.cluster.balancer"},
+  };
+  for (const auto& [member, path] : cases) {
+    SCOPED_TRACE(member);
+    expect_error(R"({"name":"x","figure":{"id":"fig8"},)" + member + "}",
+                 path, "no effect in figure mode");
+  }
+}
+
+TEST(ScenarioParser, FigureModeAcceptsTheClusterShape) {
+  const Scenario sc = parse_scenario(
+      R"({"name":"x","figure":{"id":"fig8"},)"
+      R"("cluster":{"throttle":"queue","partition_servers":4,)"
+      R"("balancer":false}})");
+  ASSERT_TRUE(sc.figure_mode());
+  EXPECT_TRUE(sc.cluster.throttle_queue);
+  EXPECT_EQ(sc.cluster.partition_servers, 4);
 }
 
 TEST(ScenarioParser, RejectsUnknownFigureId) {
@@ -395,6 +425,18 @@ TEST(KeyGen, ConfigBoundaryValidation) {
   EXPECT_THROW(KeyGen{cfg}, framework::KeyGenError);
   cfg.zipf_s = -0.1;
   EXPECT_THROW(KeyGen{cfg}, framework::KeyGenError);
+}
+
+// ------------------------------------------------------------- CSV -------
+
+TEST(CsvTable, QuotesCellsHoldingCommasQuotesAndLineBreaks) {
+  benchutil::Table table({"name", "note"});
+  table.add_row({"plain", "first ready 302 s, all ready 642 s"});
+  table.add_row({"say \"hi\"", "two\nlines"});
+  EXPECT_EQ(table.csv_string(),
+            "name,note\n"
+            "plain,\"first ready 302 s, all ready 642 s\"\n"
+            "\"say \"\"hi\"\"\",\"two\nlines\"\n");
 }
 
 // ------------------------------------------------- flag parsing (bugfix) --
