@@ -66,6 +66,43 @@ void BM_HeapStress(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapStress)->Arg(1'000'000)->Unit(benchmark::kMillisecond);
 
+// Heap stress at the fig8 @96 (hostbench table96) shape: ~120 pending events,
+// each process re-arming one delay per resume, of which `same_pct` percent
+// land at the instant being executed (22 at table96). Arg 0 is the same
+// shape with every push in the future.
+sim::Task<void> rearm_loop(sim::Simulation& s, std::uint64_t x, int hops,
+                           int same_pct) {
+  for (int i = 0; i < hops; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t r = x >> 33;
+    const sim::Duration d =
+        static_cast<int>(r % 100) < same_pct
+            ? 0
+            : 1 + static_cast<sim::Duration>((r >> 8) % 20'000);
+    co_await s.delay(d);
+  }
+}
+
+void BM_HeapStressTableShape(benchmark::State& state) {
+  constexpr int kPending = 120;
+  constexpr int kHops = 2'000;
+  const int same_pct = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation s;
+    for (int p = 0; p < kPending; ++p) {
+      s.spawn(rearm_loop(s, static_cast<std::uint64_t>(p) + 1, kHops,
+                         same_pct));
+    }
+    s.run();
+    benchmark::DoNotOptimize(s.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * kPending * (kHops + 1));
+}
+BENCHMARK(BM_HeapStressTableShape)
+    ->Arg(0)
+    ->Arg(22)
+    ->Unit(benchmark::kMillisecond);
+
 sim::Task<void> delay_loop(sim::Simulation& s, int n) {
   for (int i = 0; i < n; ++i) co_await s.delay(sim::millis(1));
 }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "azure/cloud_storage_account.hpp"
 #include "azure/environment.hpp"
@@ -124,9 +125,30 @@ void BM_BlobPagePutGet(benchmark::State& state) {
 }
 BENCHMARK(BM_BlobPagePutGet);
 
-sim::Task<void> table_ops(World& w) {
+/// Fills table "t" with `partitions` x `rows` entities of 4 KB, one entity
+/// group transaction of 100 rows at a time.
+sim::Task<void> fill_table(World& w, int partitions, int rows) {
   auto t = w.account.create_cloud_table_client().get_table_reference("t");
   co_await t.create();
+  for (int r = 0; r < rows; r += 100) {
+    for (int p = 0; p < partitions; ++p) {
+      azure::TableBatch batch;
+      for (int k = r; k < r + 100 && k < rows; ++k) {
+        azure::TableEntity e;
+        e.partition_key = "worker-" + std::to_string(p);
+        e.row_key = "row-" + std::to_string(k);
+        e.properties["data"] = azure::Payload::synthetic(4096);
+        batch.insert(std::move(e));
+      }
+      co_await t.execute_batch(std::move(batch));
+    }
+    // Each partition admits 500 entities per second.
+    co_await w.sim.delay(sim::millis(200));
+  }
+}
+
+sim::Task<void> table_ops(World& w) {
+  auto t = w.account.create_cloud_table_client().get_table_reference("t");
   for (int i = 0; i < kOpsPerRun; ++i) {
     azure::TableEntity e;
     e.partition_key = "p";
@@ -139,20 +161,39 @@ sim::Task<void> table_ops(World& w) {
   }
 }
 
+sim::Task<void> table_erase(World& w) {
+  auto t = w.account.create_cloud_table_client().get_table_reference("t");
+  for (int i = 0; i < kOpsPerRun; ++i) {
+    co_await t.erase("p", "r" + std::to_string(i));
+    co_await w.sim.delay(sim::millis(3));
+  }
+}
+
+// Insert + query of 200 rows of one partition, in a store pre-filled with
+// range(0) partitions x range(1) rows (96 x 500 is the fig8 @96 store). The
+// rows are erased again, untimed, after every iteration.
 void BM_TableInsertQuery(benchmark::State& state) {
+  World w;
+  w.sim.spawn(fill_table(w, static_cast<int>(state.range(0)),
+                         static_cast<int>(state.range(1))));
+  w.sim.run();
   double virtual_seconds = 0;
   for (auto _ : state) {
-    World w;
+    const sim::TimePoint start = w.sim.now();
     w.sim.spawn(table_ops(w));
     w.sim.run();
-    virtual_seconds += sim::to_seconds(w.sim.now());
+    state.PauseTiming();
+    virtual_seconds += sim::to_seconds(w.sim.now() - start);
+    w.sim.spawn(table_erase(w));
+    w.sim.run();
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * kOpsPerRun * 2);
   state.counters["virt_ms_per_op"] = benchmark::Counter(
       virtual_seconds * 1000.0 /
       static_cast<double>(state.iterations() * kOpsPerRun * 2));
 }
-BENCHMARK(BM_TableInsertQuery);
+BENCHMARK(BM_TableInsertQuery)->Args({0, 0})->Args({96, 500});
 
 }  // namespace
 

@@ -57,7 +57,7 @@ std::uint32_t entity_crc(const TableEntity& e) {
 
 /// Per-entity integrity object id (never 0).
 std::uint64_t entity_object_id(std::uint64_t part_hash,
-                               const std::string& row_key) {
+                               std::string_view row_key) {
   const std::uint64_t id = mix_u64(
       kTableObjectSalt, mix_u64(part_hash, cluster::partition_hash(row_key)));
   return id != 0 ? id : 1;
@@ -76,18 +76,22 @@ std::int64_t TableEntity::size() const {
 
 // -------------------------------------------------------------- helpers ----
 
-TableService::TableData& TableService::require_table(
-    std::string table) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) throw NotFoundError("table not found: " + table);
+TableService::TableData& TableService::require_table(std::string_view table) {
+  const auto it = tables_.find(table);
+  if (it == tables_.end()) {
+    throw NotFoundError("table not found: " + std::string(table));
+  }
   return it->second;
 }
 
-TableService::PartitionState& TableService::partition_state(
-    TableData& t, std::string pk) {
-  auto& slot = t.partitions[pk];
-  if (!slot) slot = std::make_unique<PartitionState>(cluster_.simulation());
-  return *slot;
+TableService::Partition& TableService::partition(TableData& t,
+                                                 std::string_view pk) {
+  auto it = t.partitions.find(pk);
+  if (it == t.partitions.end()) {
+    it = t.partitions.try_emplace(std::string(pk), cluster_.simulation())
+             .first;
+  }
+  return it->second;
 }
 
 void TableService::validate_entity(const TableEntity& e) const {
@@ -104,26 +108,29 @@ void TableService::validate_entity(const TableEntity& e) const {
   }
 }
 
-void TableService::admit(TableData& t, std::string table, std::string pk,
-                         std::int64_t entities) {
-  if (!partition_state(t, pk).throttle.try_consume(entities)) {
+TableService::Partition& TableService::admit(std::string_view table,
+                                             std::string_view pk,
+                                             std::int64_t entities) {
+  Partition& p = partition(require_table(table), pk);
+  if (!p.throttle.try_consume(entities)) {
     if (obs::Observer* const o = cluster_.simulation().observer();
         o != nullptr) {
       o->metrics().counter("table.throttle_rejects").add(1);
     }
-    throw ServerBusyError("table '" + table + "' partition '" + pk +
+    throw ServerBusyError("table '" + std::string(table) + "' partition '" +
+                          std::string(pk) +
                           "' exceeded 500 entities per second");
   }
+  return p;
 }
 
-sim::Task<void> TableService::journal_write(std::string table,
-                                            std::string pk,
+sim::Task<void> TableService::journal_write(std::uint64_t part_hash,
                                             std::int64_t bytes) {
   // Routed through the partition map: when the balancer (or crash failover)
   // moves the partition's bucket, its log appends follow it to the new
   // serving server's journal rather than staying pinned to the static home.
-  const int server = cluster_.server_index(hash(table, pk));
-  auto& journal = journals_[server];
+  auto& journal =
+      journals_[static_cast<std::size_t>(cluster_.server_index(part_hash))];
   if (!journal) {
     journal = std::make_unique<sim::FlowLimiter>(
         cluster_.simulation(), cfg_.journal_bytes_per_sec,
@@ -183,31 +190,33 @@ sim::Task<void> TableService::insert(netsim::Nic& client,
                                      TableEntity entity) {
   obs::OpScope op(cluster_.simulation(), "table.insert");
   validate_entity(entity);
-  TableData& t = require_table(table);
-  admit(t, table, entity.partition_key);
+  admit(table, entity.partition_key);
+  const std::uint64_t part_hash =
+      cluster::partition_hash(table, entity.partition_key);
 
   const std::int64_t wire = entity.size() + cfg_.entity_envelope_bytes;
   op.set_bytes(wire);
-  co_await journal_write(table, entity.partition_key, wire);
+  co_await journal_write(part_hash, wire);
   cluster::RequestCost cost;
   cost.request_bytes = wire;
   cost.disk_bytes = wire;
   cost.server_cpu = cfg_.insert_cpu;
   cost.replicate = true;
-  cost.object_id =
-      entity_object_id(hash(table, entity.partition_key), entity.row_key);
+  cost.object_id = entity_object_id(part_hash, entity.row_key);
   cost.content_crc = entity_crc(entity);
   op.stage();
-  co_await cluster_.execute(client, hash(table, entity.partition_key), cost);
+  co_await cluster_.execute(client, part_hash, cost);
 
-  Key key{entity.partition_key, entity.row_key};
-  if (t.entities.count(key)) {
+  auto& rows = require_partition(table, entity.partition_key).rows;
+  const auto it = rows.lower_bound(entity.row_key);
+  if (it != rows.end() && it->first == entity.row_key) {
     throw ConflictError("entity already exists: " + entity.partition_key +
                         "/" + entity.row_key);
   }
   entity.etag = next_etag();
   entity.timestamp = cluster_.simulation().now();
-  t.entities.emplace(std::move(key), std::move(entity));
+  std::string row_key = entity.row_key;
+  rows.emplace_hint(it, std::move(row_key), std::move(entity));
 }
 
 sim::Task<TableEntity> TableService::query(netsim::Nic& client,
@@ -215,47 +224,52 @@ sim::Task<TableEntity> TableService::query(netsim::Nic& client,
                                            std::string partition_key,
                                            std::string row_key) {
   obs::OpScope op(cluster_.simulation(), "table.query");
-  TableData& t = require_table(table);
-  admit(t, table, partition_key);
+  std::int64_t wire = cfg_.entity_envelope_bytes;
+  bool found = false;
+  {
+    const auto& rows = admit(table, partition_key).rows;
+    if (const auto it = rows.find(row_key); it != rows.end()) {
+      found = true;
+      wire += it->second.size();
+    }
+  }
+  const std::uint64_t part_hash = cluster::partition_hash(table, partition_key);
 
-  auto it = t.entities.find(Key{partition_key, row_key});
-  const std::int64_t wire =
-      (it != t.entities.end() ? it->second.size() : 0) +
-      cfg_.entity_envelope_bytes;
   op.set_bytes(wire);
   cluster::RequestCost cost;
   cost.request_bytes = 512;
   cost.response_bytes = wire;
   cost.server_cpu = cfg_.query_cpu;
-  cost.object_id = entity_object_id(hash(table, partition_key), row_key);
+  cost.object_id = entity_object_id(part_hash, row_key);
   op.stage();
   const cluster::ExecResult r =
-      co_await cluster_.execute(client, hash(table, partition_key), cost);
+      co_await cluster_.execute(client, part_hash, cost);
   op.set_server(r.served_by);
   if (r.response_corrupted) {
     op.set_error();
     throw ChecksumMismatchError("queried entity failed its checksum");
   }
 
-  if (it == t.entities.end()) {
-    throw NotFoundError("entity not found: " + partition_key + "/" + row_key);
+  // Looked up again: the row (or its table) may have been deleted during the
+  // round trip, and a concurrent replace returns the replacing entity.
+  if (found) {
+    const auto& rows = require_partition(table, partition_key).rows;
+    if (const auto it = rows.find(row_key); it != rows.end()) {
+      co_return it->second;
+    }
   }
-  co_return it->second;
+  throw NotFoundError("entity not found: " + partition_key + "/" + row_key);
 }
 
 sim::Task<std::vector<TableEntity>> TableService::query_partition(
     netsim::Nic& client, std::string table,
     std::string partition_key) {
   obs::OpScope op(cluster_.simulation(), "table.query_partition");
-  TableData& t = require_table(table);
-  admit(t, table, partition_key);
-
   std::vector<TableEntity> out;
   std::int64_t wire = cfg_.entity_envelope_bytes;
-  for (auto it = t.entities.lower_bound(Key{partition_key, ""});
-       it != t.entities.end() && it->first.first == partition_key; ++it) {
-    out.push_back(it->second);
-    wire += it->second.size() + 64;
+  for (const auto& [row_key, e] : admit(table, partition_key).rows) {
+    out.push_back(e);
+    wire += e.size() + 64;
   }
   // Partition scans and entity group transactions span many entities, each
   // its own integrity object — they stay untracked (no single object id
@@ -268,7 +282,8 @@ sim::Task<std::vector<TableEntity>> TableService::query_partition(
       cfg_.query_cpu + static_cast<sim::Duration>(out.size()) * sim::micros(50);
   op.set_bytes(wire);
   op.stage();
-  co_await cluster_.execute(client, hash(table, partition_key), cost);
+  co_await cluster_.execute(
+      client, cluster::partition_hash(table, partition_key), cost);
   co_return out;
 }
 
@@ -278,25 +293,26 @@ sim::Task<void> TableService::update(netsim::Nic& client,
                                      std::string if_match) {
   obs::OpScope op(cluster_.simulation(), "table.update");
   validate_entity(entity);
-  TableData& t = require_table(table);
-  admit(t, table, entity.partition_key);
+  admit(table, entity.partition_key);
+  const std::uint64_t part_hash =
+      cluster::partition_hash(table, entity.partition_key);
 
   const std::int64_t wire = entity.size() + cfg_.entity_envelope_bytes;
   op.set_bytes(wire);
-  co_await journal_write(table, entity.partition_key, wire);
+  co_await journal_write(part_hash, wire);
   cluster::RequestCost cost;
   cost.request_bytes = wire;
   cost.disk_bytes = wire;
   cost.server_cpu = cfg_.update_cpu;  // ETag check + read-modify-write
   cost.replicate = true;
-  cost.object_id =
-      entity_object_id(hash(table, entity.partition_key), entity.row_key);
+  cost.object_id = entity_object_id(part_hash, entity.row_key);
   cost.content_crc = entity_crc(entity);
   op.stage();
-  co_await cluster_.execute(client, hash(table, entity.partition_key), cost);
+  co_await cluster_.execute(client, part_hash, cost);
 
-  auto it = t.entities.find(Key{entity.partition_key, entity.row_key});
-  if (it == t.entities.end()) {
+  auto& rows = require_partition(table, entity.partition_key).rows;
+  const auto it = rows.find(entity.row_key);
+  if (it == rows.end()) {
     throw NotFoundError("entity not found: " + entity.partition_key + "/" +
                         entity.row_key);
   }
@@ -313,27 +329,28 @@ sim::Task<void> TableService::insert_or_replace(netsim::Nic& client,
                                                 TableEntity entity) {
   obs::OpScope op(cluster_.simulation(), "table.insert_or_replace");
   validate_entity(entity);
-  TableData& t = require_table(table);
-  admit(t, table, entity.partition_key);
+  admit(table, entity.partition_key);
+  const std::uint64_t part_hash =
+      cluster::partition_hash(table, entity.partition_key);
 
   const std::int64_t wire = entity.size() + cfg_.entity_envelope_bytes;
   op.set_bytes(wire);
-  co_await journal_write(table, entity.partition_key, wire);
+  co_await journal_write(part_hash, wire);
   cluster::RequestCost cost;
   cost.request_bytes = wire;
   cost.disk_bytes = wire;
   cost.server_cpu = cfg_.update_cpu;
   cost.replicate = true;
-  cost.object_id =
-      entity_object_id(hash(table, entity.partition_key), entity.row_key);
+  cost.object_id = entity_object_id(part_hash, entity.row_key);
   cost.content_crc = entity_crc(entity);
   op.stage();
-  co_await cluster_.execute(client, hash(table, entity.partition_key), cost);
+  co_await cluster_.execute(client, part_hash, cost);
 
+  auto& rows = require_partition(table, entity.partition_key).rows;
   entity.etag = next_etag();
   entity.timestamp = cluster_.simulation().now();
-  Key key{entity.partition_key, entity.row_key};
-  t.entities[std::move(key)] = std::move(entity);
+  std::string row_key = entity.row_key;
+  rows.insert_or_assign(std::move(row_key), std::move(entity));
 }
 
 sim::Task<void> TableService::merge(netsim::Nic& client,
@@ -342,36 +359,39 @@ sim::Task<void> TableService::merge(netsim::Nic& client,
                                     std::string if_match) {
   obs::OpScope op(cluster_.simulation(), "table.merge");
   validate_entity(entity);
-  TableData& t = require_table(table);
-  admit(t, table, entity.partition_key);
+  admit(table, entity.partition_key);
+  const std::uint64_t part_hash =
+      cluster::partition_hash(table, entity.partition_key);
 
   const std::int64_t wire = entity.size() + cfg_.entity_envelope_bytes;
   op.set_bytes(wire);
-  co_await journal_write(table, entity.partition_key, wire);
+  co_await journal_write(part_hash, wire);
   // The merged result's checksum versions the entity; compute the candidate
   // from the current state (precondition checks re-run after the awaits).
   std::uint32_t merged_crc = entity_crc(entity);
-  if (auto pre = t.entities.find(Key{entity.partition_key, entity.row_key});
-      pre != t.entities.end()) {
-    TableEntity merged = pre->second;
-    for (const auto& [name, value] : entity.properties) {
-      merged.properties[name] = value;
+  {
+    const auto& rows = require_partition(table, entity.partition_key).rows;
+    if (const auto pre = rows.find(entity.row_key); pre != rows.end()) {
+      TableEntity merged = pre->second;
+      for (const auto& [name, value] : entity.properties) {
+        merged.properties[name] = value;
+      }
+      merged_crc = entity_crc(merged);
     }
-    merged_crc = entity_crc(merged);
   }
   cluster::RequestCost cost;
   cost.request_bytes = wire;
   cost.disk_bytes = wire;
   cost.server_cpu = cfg_.update_cpu;
   cost.replicate = true;
-  cost.object_id =
-      entity_object_id(hash(table, entity.partition_key), entity.row_key);
+  cost.object_id = entity_object_id(part_hash, entity.row_key);
   cost.content_crc = merged_crc;
   op.stage();
-  co_await cluster_.execute(client, hash(table, entity.partition_key), cost);
+  co_await cluster_.execute(client, part_hash, cost);
 
-  auto it = t.entities.find(Key{entity.partition_key, entity.row_key});
-  if (it == t.entities.end()) {
+  auto& rows = require_partition(table, entity.partition_key).rows;
+  const auto it = rows.find(entity.row_key);
+  if (it == rows.end()) {
     throw NotFoundError("entity not found: " + entity.partition_key + "/" +
                         entity.row_key);
   }
@@ -393,28 +413,29 @@ sim::Task<void> TableService::erase(netsim::Nic& client,
                                     std::string row_key,
                                     std::string if_match) {
   obs::OpScope op(cluster_.simulation(), "table.delete");
-  TableData& t = require_table(table);
-  admit(t, table, partition_key);
+  admit(table, partition_key);
+  const std::uint64_t part_hash = cluster::partition_hash(table, partition_key);
 
-  co_await journal_write(table, partition_key, 512);
+  co_await journal_write(part_hash, 512);
   cluster::RequestCost cost;
   cost.request_bytes = 512;
   cost.disk_bytes = 512;
   cost.server_cpu = cfg_.delete_cpu;
   cost.replicate = true;
-  cost.object_id = entity_object_id(hash(table, partition_key), row_key);
+  cost.object_id = entity_object_id(part_hash, row_key);
   cost.content_crc = 0;  // tombstone version
   op.stage();
-  co_await cluster_.execute(client, hash(table, partition_key), cost);
+  co_await cluster_.execute(client, part_hash, cost);
 
-  auto it = t.entities.find(Key{partition_key, row_key});
-  if (it == t.entities.end()) {
+  auto& rows = require_partition(table, partition_key).rows;
+  const auto it = rows.find(row_key);
+  if (it == rows.end()) {
     throw NotFoundError("entity not found: " + partition_key + "/" + row_key);
   }
   if (if_match != "*" && it->second.etag != if_match) {
     throw PreconditionFailedError("ETag mismatch on delete");
   }
-  t.entities.erase(it);
+  rows.erase(it);
 }
 
 sim::Task<void> TableService::execute_batch(netsim::Nic& client,
@@ -431,13 +452,13 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
   const std::string& pk = batch.operations().front().entity.partition_key;
   std::int64_t total_wire = cfg_.entity_envelope_bytes;
   {
-    std::set<std::string> rows;
+    std::set<std::string> row_keys;
     for (const auto& op : batch.operations()) {
       if (op.entity.partition_key != pk) {
         throw InvalidArgumentError(
             "entity group transactions must target a single partition");
       }
-      if (!rows.insert(op.entity.row_key).second) {
+      if (!row_keys.insert(op.entity.row_key).second) {
         throw InvalidArgumentError(
             "at most one operation per row key in a batch");
       }
@@ -455,12 +476,12 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
     throw InvalidArgumentError("batch payload exceeds 4 MB");
   }
 
-  TableData& t = require_table(table);
   // Every entity in the group counts against the partition's 500/s target,
   // atomically: the whole batch is admitted or rejected.
-  admit(t, table, pk, static_cast<std::int64_t>(batch.size()));
+  admit(table, pk, static_cast<std::int64_t>(batch.size()));
+  const std::uint64_t part_hash = cluster::partition_hash(table, pk);
 
-  co_await journal_write(table, pk, total_wire);
+  co_await journal_write(part_hash, total_wire);
   cluster::RequestCost cost;
   cost.request_bytes = total_wire;
   cost.disk_bytes = total_wire;
@@ -470,24 +491,24 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
   cost.replicate = true;
   batch_scope.set_bytes(total_wire);
   batch_scope.stage();
-  co_await cluster_.execute(client, hash(table, pk), cost);
+  co_await cluster_.execute(client, part_hash, cost);
 
   // Atomic commit: first verify every precondition against the current
   // state (no suspension points below), then apply every mutation. A
   // failure between the two loops leaves the table untouched.
+  auto& rows = require_partition(table, pk).rows;
   for (const auto& op : batch.operations()) {
-    const Key key{op.entity.partition_key, op.entity.row_key};
-    const auto it = t.entities.find(key);
+    const auto it = rows.find(op.entity.row_key);
     switch (op.kind) {
       case OpKind::kInsert:
-        if (it != t.entities.end()) {
+        if (it != rows.end()) {
           throw ConflictError("entity already exists: " + op.entity.row_key);
         }
         break;
       case OpKind::kUpdate:
       case OpKind::kMerge:
       case OpKind::kDelete:
-        if (it == t.entities.end()) {
+        if (it == rows.end()) {
           throw NotFoundError("entity not found: " + op.entity.row_key);
         }
         if (op.if_match != "*" && it->second.etag != op.if_match) {
@@ -499,8 +520,7 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
         break;
     }
   }
-  for (auto& op : batch.operations()) {
-    Key key{op.entity.partition_key, op.entity.row_key};
+  for (const auto& op : batch.operations()) {
     switch (op.kind) {
       case OpKind::kInsert:
       case OpKind::kUpdate:
@@ -508,11 +528,11 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
         TableEntity e = op.entity;
         e.etag = next_etag();
         e.timestamp = cluster_.simulation().now();
-        t.entities[std::move(key)] = std::move(e);
+        rows.insert_or_assign(op.entity.row_key, std::move(e));
         break;
       }
       case OpKind::kMerge: {
-        TableEntity& target = t.entities[key];
+        TableEntity& target = rows.find(op.entity.row_key)->second;
         for (const auto& [name, value] : op.entity.properties) {
           target.properties[name] = value;
         }
@@ -521,7 +541,7 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
         break;
       }
       case OpKind::kDelete:
-        t.entities.erase(key);
+        rows.erase(op.entity.row_key);
         break;
     }
   }

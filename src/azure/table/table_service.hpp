@@ -15,10 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -113,7 +116,9 @@ class TableBatch {
 class TableService {
  public:
   TableService(cluster::StorageCluster& cluster, const TableServiceConfig& cfg)
-      : cluster_(cluster), cfg_(cfg) {}
+      : cluster_(cluster),
+        cfg_(cfg),
+        journals_(static_cast<std::size_t>(cluster.server_count())) {}
 
   const TableServiceConfig& config() const noexcept { return cfg_; }
 
@@ -165,41 +170,55 @@ class TableService {
                                 TableBatch batch);
 
  private:
-  using Key = std::pair<std::string, std::string>;
-  struct PartitionState {
-    explicit PartitionState(sim::Simulation& sim)
+  // The store: table name -> partition key -> rows in RowKey order. A
+  // request resolves its partition before its first suspension and again
+  // before each later use; no reference into the store is held across a
+  // co_await, because a concurrent delete (of the row or of the whole
+  // table) may free it in between.
+  struct Partition {
+    explicit Partition(sim::Simulation& sim)
         : throttle(sim, limits::kPartitionEntitiesPerSec) {}
-    sim::WindowCounter throttle;
+    sim::WindowCounter throttle;  // the partition's 500 entities/s target
+    std::map<std::string, TableEntity, std::less<>> rows;
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
   };
   struct TableData {
-    std::map<Key, TableEntity> entities;
-    std::map<std::string, std::unique_ptr<PartitionState>> partitions;
+    std::unordered_map<std::string, Partition, KeyHash, std::equal_to<>>
+        partitions;
   };
 
-  TableData& require_table(std::string table);
-  PartitionState& partition_state(TableData& t, std::string pk);
-  void validate_entity(const TableEntity& e) const;
-  /// Charges `entities` against the partition's 500 entities/s target, or
-  /// throws ServerBusyError without charging any.
-  void admit(TableData& t, std::string table, std::string pk,
-             std::int64_t entities = 1);
-  std::uint64_t hash(std::string table, std::string pk) const {
-    return cluster::partition_hash(table, pk);
+  TableData& require_table(std::string_view table);
+  /// The partition's state, created on first use.
+  Partition& partition(TableData& t, std::string_view pk);
+  /// Re-resolves a partition after a suspension: NotFoundError if the table
+  /// was deleted meanwhile.
+  Partition& require_partition(std::string_view table, std::string_view pk) {
+    return partition(require_table(table), pk);
   }
+  void validate_entity(const TableEntity& e) const;
+  /// Resolves (table, pk) and charges `entities` against the partition's
+  /// 500 entities/s target, or throws ServerBusyError without charging any.
+  /// The returned partition is valid only until the caller's next co_await.
+  Partition& admit(std::string_view table, std::string_view pk,
+                   std::int64_t entities = 1);
   std::string next_etag() { return "W/\"" + std::to_string(++etag_counter_) + "\""; }
 
-  /// Journal write on the partition server owning (table, pk).
-  sim::Task<void> journal_write(std::string table,
-                                std::string pk, std::int64_t bytes);
+  /// Journal write on the partition server owning `part_hash`.
+  sim::Task<void> journal_write(std::uint64_t part_hash, std::int64_t bytes);
 
   sim::Task<void> metadata_op(netsim::Nic& client, std::uint64_t part_hash,
                               bool write);
 
   cluster::StorageCluster& cluster_;
   TableServiceConfig cfg_;
-  std::map<std::string, TableData> tables_;
+  std::map<std::string, TableData, std::less<>> tables_;
   /// One commit journal per partition server (created lazily).
-  std::map<int, std::unique_ptr<sim::FlowLimiter>> journals_;
+  std::vector<std::unique_ptr<sim::FlowLimiter>> journals_;
   std::uint64_t etag_counter_ = 0;
 };
 

@@ -19,11 +19,18 @@
 // min-heap; sift operations move 24-byte PODs, never payloads, and
 // steady-state scheduling performs no allocation at all (slab slots are
 // recycled through a free list whose capacity always covers the slab).
+// Beside the heap sits a same-instant lane: a FIFO ring for nodes pushed at
+// exactly the time of the last popped node, which therefore skip the sift.
 //
-// Ordering guarantee: the heap is a strict total order on (at, seq). The tag
+// Ordering guarantee: pops follow a strict total order on (at, seq). The tag
 // occupies the low bits of `key`, so comparing keys is exactly comparing
 // sequence numbers (seq is unique per event); same-timestamp events pop in
-// scheduling order and every run is deterministic.
+// scheduling order and every run is deterministic. The lane keeps that
+// order: its nodes are all at the lane instant T and arrive in seq order.
+// A heap node at T was pushed before the first pop at T (after it, pushes
+// at T go to the lane), so its seq is lower than any lane node's; pop()
+// therefore drains the heap's nodes at T first, then the lane, and only
+// then lets the heap move time forward.
 #pragma once
 
 #include <cassert>
@@ -104,19 +111,21 @@ class Event {
   };
 };
 
-/// 4-ary min-heap of (at, seq)-ordered POD nodes; stateful callables spill
-/// into a chunked, free-listed Event slab.
+/// 4-ary min-heap of (at, seq)-ordered POD nodes plus a same-instant FIFO
+/// lane; stateful callables spill into a chunked, free-listed Event slab.
 class EventQueue {
  public:
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
+  bool empty() const noexcept { return heap_.empty() && lane_size_ == 0; }
+  std::size_t size() const noexcept { return heap_.size() + lane_size_; }
 
   /// Virtual time of the next event. Precondition: !empty().
-  TimePoint min_time() const noexcept { return heap_.front().at; }
+  TimePoint min_time() const noexcept {
+    return lane_size_ != 0 ? lane_at_ : heap_.front().at;
+  }
 
   /// Pre-sizes the heap and payload slab for `n` simultaneously pending
   /// events (the slab only ever grows in whole chunks).
@@ -127,8 +136,8 @@ class EventQueue {
 
   void push_resume(TimePoint at, std::uint64_t seq,
                    std::coroutine_handle<> h) {
-    heap_push(Node{at, make_key(seq, kTagResume),
-                   reinterpret_cast<std::uintptr_t>(h.address())});
+    push(Node{at, make_key(seq, kTagResume),
+              reinterpret_cast<std::uintptr_t>(h.address())});
   }
 
   template <class F>
@@ -142,13 +151,13 @@ class EventQueue {
       // (Conditionally-supported function-pointer <-> integer round-trip;
       // exact on every platform this kernel targets.)
       void (*thunk)() = [] { D{}(); };
-      heap_push(Node{at, make_key(seq, kTagStateless),
-                     reinterpret_cast<std::uintptr_t>(thunk)});
+      push(Node{at, make_key(seq, kTagStateless),
+                reinterpret_cast<std::uintptr_t>(thunk)});
     } else {
       const std::uint32_t slot = alloc_slot();
       try {
         slot_at(slot).set_callable(std::forward<F>(fn));
-        heap_push(Node{at, make_key(seq, kTagSlot), slot});
+        push(Node{at, make_key(seq, kTagSlot), slot});
       } catch (...) {
         slot_at(slot).reset();
         free_.push_back(slot);  // capacity pre-reserved: cannot throw
@@ -165,11 +174,18 @@ class EventQueue {
 
   /// Removes the minimum (at, seq) node. Precondition: !empty().
   Popped pop() noexcept {
-    const Node top = heap_.front();
-    const Node last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(last);
-    return Popped{top.at, top.key, top.payload};
+    if (lane_size_ == 0 || (!heap_.empty() && heap_.front().at == lane_at_)) {
+      const Node top = heap_.front();
+      const Node last = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down(last);
+      lane_at_ = top.at;
+      return Popped{top.at, top.key, top.payload};
+    }
+    const Node n = lane_[lane_head_];
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_size_;
+    return Popped{n.at, n.key, n.payload};
   }
 
   /// Runs a popped node's payload; slab slots are recycled exactly once,
@@ -252,6 +268,28 @@ class EventQueue {
     slot_at(slot).invoke();
   }
 
+  void push(const Node& n) {
+    if (n.at != lane_at_) {
+      heap_push(n);
+      return;
+    }
+    if (lane_size_ == lane_.size()) grow_lane();
+    lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = n;
+    ++lane_size_;
+  }
+
+  /// Doubles the ring (a power of two) and unwraps it; the old ring is left
+  /// untouched if the allocation throws. Kept out of line so that push()
+  /// stays small enough to inline into every scheduling call.
+  [[gnu::noinline]] void grow_lane() {
+    std::vector<Node> ring(lane_.empty() ? 64 : lane_.size() * 2);
+    for (std::size_t i = 0; i < lane_size_; ++i) {
+      ring[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+    }
+    lane_ = std::move(ring);
+    lane_head_ = 0;
+  }
+
   void heap_push(const Node& n) {
     std::size_t i = heap_.size();
     heap_.push_back(n);  // placeholder; hole-based sift-up below
@@ -283,6 +321,12 @@ class EventQueue {
   }
 
   std::vector<Node> heap_;
+  // The same-instant lane: a FIFO ring of nodes at `lane_at_`, the time of
+  // the last node popped from the heap.
+  std::vector<Node> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+  TimePoint lane_at_ = 0;
   std::vector<std::unique_ptr<Event[]>> chunks_;
   std::vector<std::uint32_t> free_;
 };

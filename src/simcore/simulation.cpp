@@ -48,8 +48,8 @@ ProcessHandle Simulation::spawn(Task<void> task, std::string name) {
 
 bool Simulation::step() {
   if (queue_.empty()) return false;
-  // Pop-then-run: the node is fully removed from the heap before the payload
-  // executes, so the payload may freely schedule new events.
+  // Pop-then-run: the node is fully removed from the queue before the
+  // payload executes, so the payload may freely schedule new events.
   const auto popped = queue_.pop();
   now_ = popped.at;
   ++events_executed_;

@@ -239,6 +239,155 @@ TEST(SchedulerHeapTest, ReserveDoesNotDisturbExecution) {
   EXPECT_EQ(s.events_executed(), 2000u);
 }
 
+// ---------------------------------------------------- same-instant lane ----
+// Events pushed at the instant being executed bypass the heap; these pin that
+// the (at, seq) order is unchanged by it.
+
+TEST(SameInstantLaneTest, EventsScheduledBeforeTRunBeforeThoseScheduledAtT) {
+  Simulation s;
+  std::vector<std::string> order;
+  s.schedule_at(10, [&] {
+    order.push_back("a");
+    s.schedule_at(10, [&] {
+      order.push_back("a1");
+      s.schedule_at(10, [&] { order.push_back("a1x"); });
+    });
+    s.schedule_at(10, [&] { order.push_back("a2"); });
+  });
+  s.schedule_at(10, [&] {
+    order.push_back("b");
+    s.schedule_at(10, [&] { order.push_back("b1"); });
+    s.schedule_at(11, [&] { order.push_back("c1"); });
+  });
+  s.schedule_at(11, [&] { order.push_back("c"); });
+  s.schedule_at(10, [&] { order.push_back("d"); });
+  s.spawn([](Simulation& sim, std::vector<std::string>& o) -> Task<> {
+    co_await sim.delay(10);
+    o.push_back("p");
+    co_await sim.delay(0);
+    o.push_back("p0");
+  }(s, order));
+  s.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "d", "p", "a1", "a2",
+                                             "b1", "p0", "a1x", "c", "c1"}));
+}
+
+/// Self-rescheduling events and coroutines, most with zero delay. Every push
+/// records its (at, id) where id is its scheduling rank, i.e. its seq order.
+struct LaneHarness {
+  Simulation s;
+  sim::Random rng{0x1A4E5EEDull};
+  std::vector<TimePoint> at_of;  // indexed by id
+  std::vector<int> executed;
+  int zero_delay = 0;
+
+  int note(TimePoint at) {
+    if (at == s.now()) ++zero_delay;
+    at_of.push_back(at);
+    return static_cast<int>(at_of.size()) - 1;
+  }
+  Duration draw_delay() {
+    return rng.uniform(0, 9) < 7 ? 0 : rng.uniform(1, 3);
+  }
+  void schedule(TimePoint at) {
+    const int id = note(at);
+    s.schedule_at(at, [this, id] { fire(id); });
+  }
+  void fire(int id) {
+    executed.push_back(id);
+    if (at_of.size() >= 20'000) return;
+    for (auto k = rng.uniform(1, 2); k > 0; --k) {
+      schedule(s.now() + draw_delay());
+    }
+  }
+};
+
+Task<void> lane_sleeper(LaneHarness& h, int start_id, int hops) {
+  h.executed.push_back(start_id);
+  for (int i = 0; i < hops; ++i) {
+    const Duration d = h.draw_delay();
+    const int id = h.note(h.s.now() + d);
+    co_await h.s.delay(d);
+    h.executed.push_back(id);
+  }
+}
+
+TEST(SameInstantLaneTest, ZeroDelayHeavyRunMatchesReferenceOrder) {
+  LaneHarness h;
+  for (int p = 0; p < 8; ++p) h.s.spawn(lane_sleeper(h, h.note(0), 500));
+  for (int i = 0; i < 64; ++i) h.schedule(h.rng.uniform(0, 40));
+  h.s.run();
+
+  std::vector<int> reference(h.at_of.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    reference[i] = static_cast<int>(i);
+  }
+  std::stable_sort(reference.begin(), reference.end(), [&h](int a, int b) {
+    return h.at_of[static_cast<std::size_t>(a)] <
+           h.at_of[static_cast<std::size_t>(b)];
+  });
+  EXPECT_EQ(h.executed, reference);
+  EXPECT_EQ(h.s.events_executed(), h.at_of.size());
+  EXPECT_GT(h.zero_delay * 2, static_cast<int>(h.at_of.size()))
+      << "most pushes must land at the instant being executed";
+}
+
+TEST(SameInstantLaneTest, PushAtNowAfterRunUntilOrAdvanceToKeepsOrder) {
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(10, [&] { order.push_back(1); });
+  s.schedule_at(30, [&] {
+    order.push_back(6);
+    s.schedule_at(30, [&] { order.push_back(7); });
+  });
+  EXPECT_TRUE(s.run_until(20));  // last pop at 10, clock left at 20
+  s.schedule_at(s.now(), [&] {
+    order.push_back(2);
+    s.schedule_at(20, [&] { order.push_back(3); });
+  });
+  EXPECT_EQ(s.next_event_time(), 20);
+  EXPECT_TRUE(s.run_until(20));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+
+  s.advance_to(25);
+  s.schedule_at(s.now(), [&] {
+    order.push_back(4);
+    s.schedule_at(25, [&] { order.push_back(5); });
+  });
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(s.next_event_time(), 25);  // the lane's event precedes the heap's
+  EXPECT_TRUE(s.step());
+  EXPECT_TRUE(s.step());  // 6 at 30, which leaves 7 alone in the lane
+  EXPECT_EQ(s.next_event_time(), 30);
+  EXPECT_FALSE(s.run_until(30));
+  EXPECT_EQ(s.next_event_time(), Simulation::kNever);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(SameInstantLaneTest, ThrowingLanePayloadIsDestroyedOnceAndItsSlotReused) {
+  ProbeCounters pc;
+  const void* thrower_at = nullptr;
+  const void* next_at = nullptr;
+  {
+    Simulation s;
+    s.schedule_at(5, [&] {
+      s.schedule_at(5, [p = Probe(&pc), &thrower_at] {
+        thrower_at = &p;
+        throw std::runtime_error("lane");
+      });
+    });
+    EXPECT_THROW(s.run(), std::runtime_error);
+    EXPECT_EQ(s.events_executed(), 2u);
+    EXPECT_EQ(pc.ctor, pc.dtor);  // destroyed once, by the throw
+    // The free list is LIFO: the next payload lands in the recycled slot.
+    s.schedule_at(s.now(), [p = Probe(&pc), &next_at] { next_at = &p; });
+    s.run();
+  }
+  EXPECT_EQ(pc.ctor, pc.dtor);
+  ASSERT_NE(thrower_at, nullptr);
+  EXPECT_EQ(next_at, thrower_at);
+}
+
 // ------------------------------------------------------------ processes ----
 
 TEST(ProcessTest, SpawnRunsProcessToCompletion) {

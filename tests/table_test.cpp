@@ -295,6 +295,86 @@ TEST(TableTest, SeparatePartitionsThrottleIndependently) {
   EXPECT_EQ(busy, 0);
 }
 
+// ------------------------------------------- requests racing a delete ----
+
+/// A cloud whose point queries spend 500 ms on the server, so a write issued
+/// after a query starts commits while the query is still in flight.
+azure::CloudConfig slow_query_cloud() {
+  azure::CloudConfig cfg;
+  cfg.table.query_cpu = sim::millis(500);
+  return cfg;
+}
+
+TEST(TableTest, DeleteDuringInFlightQueryReturnsNotFound) {
+  // Regression: query found the row before its cluster round trip and read
+  // it after, so a delete landing in between handed back a freed row.
+  TestWorld w(slow_query_cloud());
+  azb_test::run(w, [](TestWorld& t) -> Task<> {
+    auto tbl = t.account.create_cloud_table_client().get_table_reference("t");
+    co_await tbl.create();
+    co_await tbl.insert(make_entity("pk", "rk"));
+    int answered = 0;
+    t.sim.spawn([](TestWorld& u, int& done) -> Task<> {
+      auto q = u.account.create_cloud_table_client().get_table_reference("t");
+      EXPECT_THROW(co_await q.query("pk", "rk"), azure::NotFoundError);
+      ++done;
+    }(t, answered));
+    co_await t.sim.delay(sim::millis(1));
+    co_await tbl.erase("pk", "rk");
+    EXPECT_EQ(answered, 0) << "the delete must land while the query is in "
+                              "flight";
+  });
+}
+
+TEST(TableTest, ReplaceDuringInFlightQueryReturnsTheReplacement) {
+  TestWorld w(slow_query_cloud());
+  azb_test::run(w, [](TestWorld& t) -> Task<> {
+    auto tbl = t.account.create_cloud_table_client().get_table_reference("t");
+    co_await tbl.create();
+    co_await tbl.insert(make_entity("pk", "rk", 128));
+    t.sim.spawn([](TestWorld& u) -> Task<> {
+      auto q = u.account.create_cloud_table_client().get_table_reference("t");
+      const TableEntity got = co_await q.query("pk", "rk");
+      EXPECT_EQ(std::get<Payload>(got.properties.at("data")).size(), 256);
+    }(t));
+    co_await t.sim.delay(sim::millis(1));
+    co_await tbl.update(make_entity("pk", "rk", 256));
+  });
+}
+
+TEST(TableTest, OpsInFlightWhenTheTableIsDeletedEndInNotFound) {
+  // Regression: every data op held its table across the journal write and
+  // the cluster round trip, so a delete_table landing in between left insert
+  // and execute_batch writing into a freed table.
+  TestWorld w;
+  azb_test::run(w, [](TestWorld& t) -> Task<> {
+    auto tbl = t.account.create_cloud_table_client().get_table_reference("t");
+    co_await tbl.create();
+    int failed = 0;
+    t.sim.spawn([](TestWorld& u, int& n) -> Task<> {
+      auto v = u.account.create_cloud_table_client().get_table_reference("t");
+      EXPECT_THROW(co_await v.insert(make_entity("pk", "a")),
+                   azure::NotFoundError);
+      ++n;
+    }(t, failed));
+    t.sim.spawn([](TestWorld& u, int& n) -> Task<> {
+      auto v = u.account.create_cloud_table_client().get_table_reference("t");
+      azure::TableBatch batch;
+      batch.insert(make_entity("pk", "b"));
+      batch.insert(make_entity("pk", "c"));
+      EXPECT_THROW(co_await v.execute_batch(std::move(batch)),
+                   azure::NotFoundError);
+      ++n;
+    }(t, failed));
+    co_await t.sim.delay(sim::millis(1));
+    co_await tbl.delete_table();
+    EXPECT_EQ(failed, 0) << "delete_table must land while both ops are in "
+                            "flight";
+    co_await t.sim.delay(sim::seconds(1));
+    EXPECT_EQ(failed, 2);
+  });
+}
+
 // ---------------------------------------------------------- timing model ----
 
 TEST(TableTimingTest, UpdateIsMostExpensiveQueryCheapest) {
