@@ -71,9 +71,10 @@ run_config() {
 }
 
 # TSan config: builds only the parallel-kernel suite and runs it under
-# ThreadSanitizer. This is the configuration that gates the hand-rolled
-# release/acquire protocol in src/simcore/parallel.{hpp,cpp} (mailbox
-# cursors, published eot bounds, in-flight accounting).
+# ThreadSanitizer. This is the configuration that gates the barrier hand-off
+# in src/simcore/parallel.{hpp,cpp}: each domain's outbox, staging heap and
+# simulation are written by the worker that owns the domain during a window
+# and read by the barrier's completion step between windows.
 run_tsan() {
   local dir="build-ci-tsan"
   echo "=== configure ${dir} (ThreadSanitizer) ==="

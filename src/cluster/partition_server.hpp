@@ -11,7 +11,6 @@
 #include "obs/observer.hpp"
 #include "simcore/resource.hpp"
 #include "simcore/simulation.hpp"
-#include "simcore/stats.hpp"
 #include "simcore/task.hpp"
 
 namespace cluster {

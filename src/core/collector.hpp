@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "simcore/stats.hpp"
 #include "simcore/time.hpp"
 
 namespace azurebench {

@@ -496,7 +496,7 @@ ShardedCloudResult run_sharded_cloud(const ShardedCloudConfig& cfg) {
 
   World w;
   w.cfg = cfg;
-  sim::Simulation::Options opt;
+  sim::par::Options opt;
   opt.domains = cfg.domains;
   opt.threads = cfg.threads;
   opt.lookahead = cfg.inter_domain_latency;

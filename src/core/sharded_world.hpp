@@ -6,9 +6,10 @@
 // CloudEnvironment (cluster + services), forked fault-plan seed, and
 // Observer — so shards share no mutable state. Cross-shard traffic (a
 // configurable fraction of each worker's ops targets a remote shard's
-// storage) rides netsim::DomainLink RPC through the deterministic mailbox
-// merge, and chaos mode adds a fleet-wide crash controller in domain 0 that
-// delivers crash/restart commands to victim shards as cross-domain events.
+// storage) rides netsim::DomainLink RPC through the kernel's lookahead
+// windows and deterministic (at, src, seq) merge, and chaos mode adds a
+// fleet-wide crash controller in domain 0 that delivers crash/restart
+// commands to victim shards as cross-domain events.
 //
 // The parity contract (tests/parallel_test.cpp): every output in
 // ShardedCloudResult is a function of (config, seed, domain count) only.

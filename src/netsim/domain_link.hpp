@@ -11,7 +11,7 @@
 // occupancy on a source-side pipe (inside the source domain's timeline),
 // then delivers a callable into the destination domain one link latency
 // later via ShardedSimulation::post — i.e. through the deterministic
-// (at, src, seq) mailbox merge. remote_call() builds request/response RPC on
+// (at, src, seq) merge. remote_call() builds request/response RPC on
 // top of a link pair: the caller suspends in its own domain while the served
 // coroutine runs entirely inside the destination domain.
 #pragma once
@@ -104,8 +104,8 @@ namespace detail {
 
 /// Rendezvous between a remote_call caller and its served coroutine. Lives
 /// in the caller's frame (source domain); the destination domain writes the
-/// result before posting the response, and the mailbox release/acquire pair
-/// orders that write before the caller's resume.
+/// result before posting the response, and the barrier that hands the
+/// response to the caller's domain orders that write before the resume.
 template <class T>
 struct RpcState {
   std::optional<T> value;

@@ -10,7 +10,7 @@
 //
 // Ownership model: every thread has an implicit default Arena (thread-local,
 // created on first use), and the parallel kernel binds an explicit per-domain
-// Arena for the extent of each execution round via FramePool::Scope. A block
+// Arena for each window it runs that domain via FramePool::Scope. A block
 // freed while a domain's arena is bound goes back to that domain's free list
 // only — free lists are never shared across threads, so domain workers can
 // allocate/recycle frames concurrently without synchronization, and a block
@@ -33,7 +33,7 @@ class FramePool {
 
   /// One independent set of free lists. Not thread-safe: an Arena must only
   /// be used by one thread at a time (the parallel kernel guarantees this by
-  /// binding each domain's arena only inside that domain's execution round).
+  /// binding each domain's arena only inside that domain's window).
   class Arena {
    public:
     Arena() = default;

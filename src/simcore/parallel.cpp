@@ -1,32 +1,19 @@
 #include "simcore/parallel.hpp"
 
-#include <algorithm>
-#include <chrono>
+#include <barrier>
+#include <thread>
 
 namespace sim::par {
 
 namespace {
 
-constexpr TimePoint kNever = Simulation::kNever;
-
-/// Multi-thread stall threshold: consecutive 2 ms idle-wait timeouts (summed
-/// across workers) with zero progress signals fleet-wide before the schedule
-/// is declared stalled. Scaled by the worker count in worker_loop, this is
-/// roughly two wall-clock seconds of every worker provably doing nothing —
-/// far beyond any transient (a worker mid-round publishes progress when it
-/// finishes, resetting the count), so it only fires on a real livelock.
-constexpr std::uint64_t kStallTimeoutsPerWorker = 1024;
-
-/// bound = t + lookahead, saturating at kNever.
-TimePoint bound_of(TimePoint t, Duration lookahead) noexcept {
-  if (t >= kNever - lookahead) return kNever;
-  return t + lookahead;
+TimePoint staged_min(const std::vector<detail::CrossEvent>& staging) noexcept {
+  return staging.empty() ? Simulation::kNever : staging.front().at;
 }
 
 }  // namespace
 
-ShardedSimulation::ShardedSimulation(const Simulation::Options& opt)
-    : opt_(opt) {
+ShardedSimulation::ShardedSimulation(const Options& opt) : opt_(opt) {
   if (opt.domains < 1) {
     throw std::invalid_argument("ShardedSimulation: domains must be >= 1");
   }
@@ -35,19 +22,13 @@ ShardedSimulation::ShardedSimulation(const Simulation::Options& opt)
         "ShardedSimulation: a positive lookahead (the minimum cross-domain "
         "link latency) is required when domains > 1");
   }
-  threads_ = opt.threads > 0 ? opt.threads : opt.domains;
-  if (threads_ > opt.domains) threads_ = opt.domains;
+  threads_ = std::min(opt.threads > 0 ? opt.threads : opt.domains,
+                      opt.domains);
   doms_.reserve(static_cast<std::size_t>(opt.domains));
   for (int d = 0; d < opt.domains; ++d) {
     doms_.push_back(std::make_unique<Domain>());
   }
-  mail_.reserve(doms_.size() * doms_.size());
-  for (std::size_t i = 0; i < doms_.size() * doms_.size(); ++i) {
-    mail_.push_back(std::make_unique<detail::Mailbox>());
-  }
 }
-
-ShardedSimulation::~ShardedSimulation() = default;
 
 std::uint64_t ShardedSimulation::events_executed() const {
   std::uint64_t total = 0;
@@ -55,9 +36,9 @@ std::uint64_t ShardedSimulation::events_executed() const {
   return total;
 }
 
-std::int64_t ShardedSimulation::mailbox_spills() const {
-  std::int64_t total = 0;
-  for (const auto& box : mail_) total += box->spilled();
+std::uint64_t ShardedSimulation::cross_events_delivered() const {
+  std::uint64_t total = 0;
+  for (const auto& dom : doms_) total += dom->delivered;
   return total;
 }
 
@@ -67,249 +48,96 @@ TimePoint ShardedSimulation::max_now() const {
   return t;
 }
 
-void ShardedSimulation::signal_progress() {
-  inert_timeouts_.store(0, std::memory_order_relaxed);
-  progress_version_.fetch_add(1, std::memory_order_release);
-  if (idle_waiters_.load(std::memory_order_acquire) == 0) return;
-  // A waiter between registering and parking holds the mutex; the empty
-  // critical section orders this notify after it reaches the wait, so the
-  // wakeup cannot be lost.
-  { const std::lock_guard<std::mutex> lock(progress_mu_); }
-  progress_cv_.notify_all();
-}
-
-// Termination: no message in flight AND every domain published "nothing
-// pending". Order matters — inflight is read first (acquire): if it reads 0,
-// every receiver that drained a message has already (release-)published the
-// non-empty flag covering it before decrementing, so a message anywhere in
-// the system is reflected in either the count or a flag.
-bool ShardedSimulation::quiescent() const {
-  if (inflight_.load(std::memory_order_acquire) != 0) return false;
-  for (const auto& dom : doms_) {
-    if (!dom->drained_empty.load(std::memory_order_acquire)) return false;
-  }
-  return true;
-}
-
-void ShardedSimulation::fail(int d, std::exception_ptr err) {
-  Domain& dom = *doms_[index(d)];
-  if (!dom.error) dom.error = std::move(err);
-  aborted_.store(true, std::memory_order_release);
-  done_.store(true, std::memory_order_release);
-  signal_progress();
-}
-
-bool ShardedSimulation::run_domain_round(int d) {
-  Domain& dom = *doms_[index(d)];
-
-  // (a) Safe horizon: the minimum bound published by every other domain,
-  // loaded BEFORE draining. A message not visible to the drain below was
-  // pushed after its sender (release-)stored the bound we just read, and
-  // every such message is stamped >= that bound (bounds are monotone), so
-  // executing strictly below `safe` can never miss an arrival.
-  TimePoint safe = kNever;
-  const int dcount = domains();
-  for (int s = 0; s < dcount; ++s) {
-    if (s == d) continue;
-    safe = std::min(safe, doms_[index(s)]->eot.load(std::memory_order_acquire));
-  }
-
-  // (b) Drain every inbound mailbox into the staging heap.
-  const std::size_t staged_before = dom.staging.size();
-  for (int s = 0; s < dcount; ++s) {
-    mail_[mailbox_index(s, d)]->drain(dom.staging);
-  }
-  const std::size_t drained = dom.staging.size() - staged_before;
-  for (std::size_t i = staged_before; i < dom.staging.size(); ++i) {
-    std::push_heap(dom.staging.begin(),
-                   dom.staging.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                   detail::CrossEventAfter{});
-  }
-
-  // (c)+(d) Publish this domain's earliest-output-time bound BEFORE
-  // executing anything. The bound covers sends caused by pending work
-  // (>= nt + lookahead) and sends caused by messages still in flight toward
-  // this domain (>= safe + lookahead) — see the fixed-point argument in the
-  // header. Only then is the drained count released to the termination
-  // check, so the check can never race past a staged message.
-  const TimePoint nt = std::min(dom.sim.next_event_time(), staged_min(dom));
-  const TimePoint eot = bound_of(std::min(nt, safe), opt_.lookahead);
-  const bool raised = eot != dom.eot.load(std::memory_order_relaxed);
-  dom.eot.store(eot, std::memory_order_release);
-  dom.drained_empty.store(nt == kNever, std::memory_order_release);
-  if (drained > 0) {
-    inflight_.fetch_sub(static_cast<std::int64_t>(drained),
-                        std::memory_order_release);
-  }
-
-  // (e) Execute everything strictly below the safe horizon, in (at, src,
-  // seq) order with cross-domain messages winning ties against local events
-  // at equal `at` (a message stamped T was emitted no later than
-  // T - lookahead, strictly before any local event created at T). Frames
-  // allocated and recycled during execution stay in this domain's arena.
-  std::uint64_t executed = 0;
-  {
-    const sim::detail::FramePool::Scope frames(dom.arena);
-    while (!aborted_.load(std::memory_order_relaxed)) {
+// Executes `dom` in merge order up to the horizon, its frames in its own
+// arena. A failure stops this domain's window only; the completion step then
+// ends the run.
+void ShardedSimulation::run_window(Domain& dom) {
+  const sim::detail::FramePool::Scope frames(dom.arena);
+  try {
+    for (;;) {
       const TimePoint lt = dom.sim.next_event_time();
-      const TimePoint mt = staged_min(dom);
-      const TimePoint t = std::min(lt, mt);
-      if (t >= safe) break;
-      try {
-        if (mt <= lt) {
-          std::pop_heap(dom.staging.begin(), dom.staging.end(),
-                        detail::CrossEventAfter{});
-          detail::CrossEvent ev = std::move(dom.staging.back());
-          dom.staging.pop_back();
-          dom.sim.advance_to(ev.at);
-          dom.sim.note_external_event();
-          cross_delivered_.fetch_add(1, std::memory_order_relaxed);
-          ev.fn();
-        } else {
-          dom.sim.step();
-        }
-      } catch (...) {
-        fail(d, std::current_exception());
-        return true;
+      const TimePoint mt = staged_min(dom.staging);
+      if (std::min(lt, mt) >= horizon_) return;
+      if (mt <= lt) {
+        std::pop_heap(dom.staging.begin(), dom.staging.end(),
+                      detail::CrossEventAfter{});
+        detail::CrossEvent ev = std::move(dom.staging.back());
+        dom.staging.pop_back();
+        dom.sim.advance_to(ev.at);
+        dom.sim.note_external_event();
+        ++dom.delivered;
+        ev.fn();
+      } else {
+        dom.sim.step();
       }
-      ++executed;
       if (dom.sim.failed()) {
-        fail(d, dom.sim.take_error());
-        return true;
+        dom.error = dom.sim.take_error();
+        return;
       }
     }
+  } catch (...) {
+    dom.error = std::current_exception();
   }
-
-  return executed > 0 || drained > 0 || raised;
 }
 
-void ShardedSimulation::worker_loop(int w) {
-  const int dcount = domains();
-  while (!done_.load(std::memory_order_acquire)) {
-    // Snapshot the progress version before sweeping: any progress published
-    // by another worker between now and a decision to sleep must turn that
-    // sleep into an immediate re-sweep (the wait predicate below).
-    const std::uint64_t seen =
-        progress_version_.load(std::memory_order_acquire);
-    bool progressed = false;
-    for (int d = w; d < dcount; d += threads_) {
-      // The try covers the whole round — drains and heap growth included,
-      // not just event execution — so an allocation failure surfaces as a
-      // shard error through fail() instead of escaping worker_loop and
-      // terminating the process via jthread.
+// The barrier's completion step. It runs alone, after every worker has
+// finished the window and before any is released, so it may touch every
+// domain: it hands each outbox to its destinations and picks the next
+// horizon, or ends the run when a domain failed or nothing is pending.
+void ShardedSimulation::end_window() noexcept {
+  for (auto& src : doms_) {
+    for (detail::CrossEvent& ev : src->outbox) {
+      Domain& dst = *doms_[ev.dst];
       try {
-        progressed = run_domain_round(d) || progressed;
+        stage(dst, std::move(ev));
       } catch (...) {
-        fail(d, std::current_exception());
-        return;
+        if (!dst.error) dst.error = std::current_exception();
       }
     }
-    // One signal per sweep, not per domain round: waiters re-read every
-    // published bound when they wake, so batching wakeups loses nothing and
-    // spares the futex round-trips that dominate on loaded hosts.
-    if (progressed) signal_progress();
-    // Check quiescence every sweep, not only on idle ones: the eot fixed
-    // point keeps "progressing" (creeping by lookahead increments) after
-    // the last real event, and must not mask termination.
-    if (quiescent()) {
-      done_.store(true, std::memory_order_release);
-      signal_progress();
-      break;
-    }
-    if (progressed) continue;
-    if (threads_ == 1) {
-      // Single-threaded execution of the sharded algorithm cannot stall:
-      // the domain holding the globally earliest event always clears its
-      // neighbours' bounds within a fixed-point sweep. A fully inert sweep
-      // that is not quiescent means the protocol (or a caller's lookahead
-      // promise) broke.
-      throw std::logic_error(
-          "ShardedSimulation: conservative schedule stalled (lookahead "
-          "violated?)");
-    }
-    // Idle: wait for another worker to publish progress. The predicate
-    // catches progress published while this worker was sweeping, so a
-    // signal is never lost; the timeout only bounds staleness if the
-    // progress accounting ever under-reports.
-    bool woke = false;
-    {
-      std::unique_lock<std::mutex> lock(progress_mu_);
-      idle_waiters_.fetch_add(1, std::memory_order_acq_rel);
-      woke = progress_cv_.wait_for(lock, std::chrono::milliseconds(2), [&] {
-        return progress_version_.load(std::memory_order_acquire) != seen ||
-               done_.load(std::memory_order_acquire);
-      });
-      idle_waiters_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    if (!woke) {
-      // Timed out with no progress published anywhere since this sweep
-      // began. Enough of these in a row (any signal_progress resets the
-      // count) means every worker is provably inert while the system is
-      // not quiescent — the multi-thread equivalent of the single-thread
-      // stall below, which would otherwise spin silently forever.
-      const std::uint64_t inert =
-          inert_timeouts_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (inert >= kStallTimeoutsPerWorker *
-                       static_cast<std::uint64_t>(threads_)) {
-        fail(w, std::make_exception_ptr(std::logic_error(
-                    "ShardedSimulation: conservative schedule stalled "
-                    "(lookahead violated?)")));
-        return;
-      }
-    }
+    src->outbox.clear();
   }
+  TimePoint t = Simulation::kNever;
+  bool failed = false;
+  for (const auto& dom : doms_) {
+    t = std::min({t, dom->sim.next_event_time(), staged_min(dom->staging)});
+    failed = failed || dom->error;
+  }
+  done_ = failed || t == Simulation::kNever;
+  const bool unbounded =
+      doms_.size() == 1 || t > Simulation::kNever - opt_.lookahead;
+  horizon_ = unbounded ? Simulation::kNever : t + opt_.lookahead;
 }
 
 void ShardedSimulation::run() {
-  done_.store(false, std::memory_order_release);
-  aborted_.store(false, std::memory_order_release);
-  // Pre-drain setup-time posts (no workers are running yet) and seed every
-  // published bound with the global minimum next-event time: the safe,
-  // conservative start of the fixed point. Seeding each domain with only
-  // its local bound would let an empty domain publish kNever while a
-  // message chain toward it is still in flight.
-  TimePoint global_min = kNever;
-  for (std::size_t d = 0; d < doms_.size(); ++d) {
-    Domain& dom = *doms_[d];
-    const std::size_t staged_before = dom.staging.size();
-    for (std::size_t s = 0; s < doms_.size(); ++s) {
-      mail_[s * doms_.size() + d]->drain(dom.staging);
+  // The first barrier delivers setup-time posts and opens the first window.
+  // The calling thread is worker 0; the helpers join when the scope closes.
+  std::barrier sync(threads_, [this]() noexcept { end_window(); });
+  const auto work = [this, &sync](int w) {
+    for (;;) {
+      sync.arrive_and_wait();
+      if (done_) return;
+      for (int d = w; d < domains(); d += threads_) {
+        run_window(*doms_[index(d)]);
+      }
     }
-    const std::size_t drained = dom.staging.size() - staged_before;
-    for (std::size_t i = staged_before; i < dom.staging.size(); ++i) {
-      std::push_heap(dom.staging.begin(),
-                     dom.staging.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                     detail::CrossEventAfter{});
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(static_cast<std::size_t>(threads_ - 1));
+    try {
+      for (int w = 1; w < threads_; ++w) helpers.emplace_back(work, w);
+    } catch (...) {
+      // The host refused a thread: run with the helpers that started. The
+      // dropped arrivals let them past the first barrier, and they read the
+      // smaller stride only after it.
+      const int started = static_cast<int>(helpers.size()) + 1;
+      for (int w = started; w < threads_; ++w) sync.arrive_and_drop();
+      threads_ = started;
     }
-    if (drained > 0) {
-      inflight_.fetch_sub(static_cast<std::int64_t>(drained),
-                          std::memory_order_release);
-    }
-    global_min =
-        std::min(global_min,
-                 std::min(dom.sim.next_event_time(), staged_min(dom)));
-  }
-  for (const auto& dom : doms_) {
-    const TimePoint nt =
-        std::min(dom->sim.next_event_time(), staged_min(*dom));
-    dom->eot.store(bound_of(global_min, opt_.lookahead),
-                   std::memory_order_release);
-    dom->drained_empty.store(nt == kNever, std::memory_order_release);
-  }
-  if (threads_ == 1) {
-    worker_loop(0);
-  } else {
-    std::vector<std::jthread> workers;
-    workers.reserve(static_cast<std::size_t>(threads_));
-    for (int w = 0; w < threads_; ++w) {
-      workers.emplace_back([this, w] { worker_loop(w); });
-    }
+    work(0);
   }
   for (auto& dom : doms_) {
-    if (dom->error) {
-      std::exception_ptr err = std::exchange(dom->error, nullptr);
-      std::rethrow_exception(err);
-    }
+    if (dom->error) std::rethrow_exception(std::exchange(dom->error, nullptr));
   }
 }
 

@@ -1,59 +1,38 @@
-// Sharded parallel DES kernel: domain-partitioned event queues synchronized
-// with conservative lookahead (Chandy–Misra–Bryant style).
+// Sharded parallel DES kernel: domain-partitioned event queues run in
+// lock-step lookahead windows.
 //
-// The simulation is split into `domains` logical shards. Each domain owns a
-// complete sequential sim::Simulation — its own 4-ary-heap event queue, its
-// own frame-pool arena, and (at the harness layer) its own forked RNG
-// streams — so domains share no mutable state and can execute concurrently.
-// Cross-domain interaction goes exclusively through post(): a callable
-// stamped (at, src_domain, seq) travels over a bounded SPSC mailbox and is
-// merged into the destination's timeline at `at`.
+// Each of `domains` shards owns a complete sequential sim::Simulation (event
+// queue, frame-pool arena, forked RNG streams), so domains share no state.
+// They interact only through post(): a callable stamped (at, src, seq) and
+// merged into the destination's timeline at `at`. Every cross-domain send
+// is at least `lookahead` in the future (the minimum inter-domain link
+// latency, netsim::min_link_latency). run() repeats one window:
 //
-// Synchronization is conservative and barrier-free. Every send must be at
-// least `lookahead` of virtual time in the future (lookahead is derived from
-// the minimum inter-domain link latency, netsim::min_link_latency), so each
-// domain can publish an earliest-output-time bound
+//   1. T = the earliest pending event or staged message over all domains;
+//   2. every domain executes everything stamped below T + lookahead;
+//   3. at a barrier, that window's cross-domain sends move from their
+//      senders' outboxes to their destinations' staging heaps.
 //
-//     eot(d) = min(next_event_time(d), min over s != d of eot(s)) + lookahead
+// During a window every domain clock is >= T, so every send is stamped
+// >= T + lookahead: nothing sent in a window is due inside it. With one
+// domain nothing crosses, so the horizon is unbounded. Windows jump straight
+// to the next pending event, however long the idle gap before it.
 //
-// before executing anything: no message it will ever emit — whether caused
-// by an event already queued locally or by a message it has not received
-// yet — can be stamped earlier. (The second min term is what makes the bound
-// transitively safe: a domain with an empty queue still cannot run ahead of
-// messages in flight toward it, and the per-round republication of this
-// fixed point plays the role of CMB null messages.) A domain may then safely
-// execute all events with
-//
-//     at < safe(d) = min over s != d of eot(s)
-//
-// in rounds, with no global barrier — each domain advances as far as its
-// neighbours' published bounds allow. Published bounds are monotone
-// non-decreasing, and a sender always pushes a message before (release-)
-// storing the bound covering it, so a receiver that loads bounds before
-// draining can never miss a message those bounds promise.
-//
-// Determinism contract: the merge order at a domain is the total order
-// (at, source, sequence), with cross-domain messages winning ties against
-// local events at equal `at` (a message stamped T was emitted at most
-// T - lookahead, strictly before any local event created at T). That order
-// is a function of the domain decomposition and the scenario only — never of
-// the number of worker threads or of wall-clock interleaving — so a
-// `threads=N` run is byte-identical to the `threads=1` run of the same
-// decomposition (see tests/parallel_test.cpp).
+// Determinism: a domain merges in (at, src, seq) order, messages first at
+// equal `at` (a message stamped T left its sender by T - lookahead, before
+// any local event created at T). That order depends on the decomposition
+// only, never on the thread count or on wall-clock interleaving, so
+// `threads=N` output is byte-identical to `threads=1` (parallel_test.cpp).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -63,14 +42,29 @@
 
 namespace sim::par {
 
+/// Execution options for ShardedSimulation.
+struct Options {
+  /// Number of logical event-queue shards. Outputs are a function of the
+  /// domain decomposition only, never of `threads`.
+  int domains = 1;
+  /// Worker threads driving the domains (0 = one per domain). `threads=1`
+  /// runs the same windows on the calling thread: the parity reference.
+  int threads = 0;
+  /// Conservative lookahead: the minimum virtual-time distance of any
+  /// cross-domain send, derived from the minimum inter-domain link
+  /// latency (netsim::min_link_latency). Must be > 0 when domains > 1.
+  Duration lookahead = 0;
+};
+
 namespace detail {
 
-/// One cross-domain message: run `fn` in the destination domain at `at`.
-/// (at, src, seq) is the deterministic merge key; seq counts sends per
-/// source domain, so the key is unique and decomposition-deterministic.
+/// One cross-domain message: run `fn` in domain `dst` at `at`. (at, src,
+/// seq) is the deterministic merge key; seq counts sends per source domain,
+/// so the key is unique and decomposition-deterministic.
 struct CrossEvent {
   TimePoint at = 0;
   std::uint32_t src = 0;
+  std::uint32_t dst = 0;
   std::uint64_t seq = 0;
   std::function<void()> fn;
 };
@@ -85,78 +79,16 @@ struct CrossEventAfter {
   }
 };
 
-/// Bounded single-producer single-consumer ring with a mutex-protected
-/// overflow spill. The spill keeps post() non-blocking when a burst
-/// overruns the ring — mandatory when one worker thread runs both endpoint
-/// domains (threads < domains), where blocking on a full ring would
-/// deadlock. Producer = the worker executing the source domain; consumer =
-/// the worker executing the destination domain (domain→worker assignment is
-/// static, so both roles are single-threaded).
-class Mailbox {
- public:
-  static constexpr std::size_t kRingCapacity = 1024;
-
-  Mailbox() : ring_(kRingCapacity) {}
-  Mailbox(const Mailbox&) = delete;
-  Mailbox& operator=(const Mailbox&) = delete;
-
-  void push(CrossEvent&& ev) {
-    const std::size_t t = tail_.load(std::memory_order_relaxed);
-    const std::size_t h = head_.load(std::memory_order_acquire);
-    if (t - h < ring_.size()) {
-      ring_[t % ring_.size()] = std::move(ev);
-      tail_.store(t + 1, std::memory_order_release);
-      return;
-    }
-    const std::lock_guard<std::mutex> lock(spill_mu_);
-    spill_.push_back(std::move(ev));
-    ++spilled_;
-    has_spill_.store(true, std::memory_order_release);
-  }
-
-  /// Moves every queued message into `out` (appending). Consumer-side only.
-  void drain(std::vector<CrossEvent>& out) {
-    const std::size_t t = tail_.load(std::memory_order_acquire);
-    std::size_t h = head_.load(std::memory_order_relaxed);
-    while (h != t) {
-      out.push_back(std::move(ring_[h % ring_.size()]));
-      ++h;
-    }
-    head_.store(h, std::memory_order_release);
-    if (has_spill_.load(std::memory_order_acquire)) {
-      const std::lock_guard<std::mutex> lock(spill_mu_);
-      for (CrossEvent& ev : spill_) out.push_back(std::move(ev));
-      spill_.clear();
-      has_spill_.store(false, std::memory_order_release);
-    }
-  }
-
-  /// Messages that overflowed into the spill so far (contention metric).
-  std::int64_t spilled() const noexcept { return spilled_; }
-
- private:
-  std::vector<CrossEvent> ring_;
-  alignas(64) std::atomic<std::size_t> head_{0};  // consumer cursor
-  alignas(64) std::atomic<std::size_t> tail_{0};  // producer cursor
-  std::mutex spill_mu_;
-  std::vector<CrossEvent> spill_;
-  std::atomic<bool> has_spill_{false};
-  std::int64_t spilled_ = 0;  // producer-side only
-};
-
 }  // namespace detail
 
-/// The parallel executor: owns one sim::Simulation per domain and drives
-/// them on std::jthreads under the conservative-lookahead protocol above.
-///
-/// Thread affinity is static — domain d is always executed by worker
-/// d % threads — so each domain's Simulation, frame arena, and mailbox
-/// endpoints stay single-threaded. All cross-thread visibility goes through
-/// the mailbox cursors and the published eot atomics (release/acquire).
+/// Owns one sim::Simulation per domain and drives them in the windows above.
+/// Thread affinity is static — worker w runs domains w, w + threads, … —
+/// so each domain's Simulation, frame arena, staging heap and outbox stay
+/// single-threaded within a window. The barrier between windows is the only
+/// synchronization: its completion step runs alone while every worker waits.
 class ShardedSimulation {
  public:
-  explicit ShardedSimulation(const Simulation::Options& opt);
-  ~ShardedSimulation();
+  explicit ShardedSimulation(const Options& opt);
   ShardedSimulation(const ShardedSimulation&) = delete;
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
 
@@ -190,36 +122,22 @@ class ShardedSimulation {
           "ShardedSimulation::post violates the conservative lookahead: "
           "cross-domain sends must be >= lookahead in the future");
     }
-    detail::CrossEvent ev{at, static_cast<std::uint32_t>(src), s.send_seq++,
+    detail::CrossEvent ev{at, static_cast<std::uint32_t>(src),
+                          static_cast<std::uint32_t>(dst), s.send_seq++,
                           std::function<void()>(std::forward<F>(fn))};
+    // A self-post is staged at once (only this domain's worker touches the
+    // heap): with one domain the window is unbounded, so it can be due
+    // inside it. Everything else waits in the outbox for the barrier.
     if (src == dst) {
-      // Self-posts must not take the mailbox path: mailboxes are drained
-      // only at round start, and the safe horizon is the minimum over the
-      // *other* domains' bounds, so a mailboxed self-post could sit
-      // undelivered while local events later than its stamp execute
-      // (generically up to now + 2*lookahead; unboundedly with a single
-      // domain). The posting thread owns this domain's staging heap, so
-      // staging the message directly keeps it in the same deterministic
-      // (at, src, seq) merge order while making it visible to the very
-      // next scheduling decision. No inflight accounting: it never leaves
-      // the domain, and the staged entry itself keeps the domain's
-      // drained_empty flag false until delivery.
-      s.staging.push_back(std::move(ev));
-      std::push_heap(s.staging.begin(), s.staging.end(),
-                     detail::CrossEventAfter{});
-      return;
+      stage(s, std::move(ev));
+    } else {
+      s.outbox.push_back(std::move(ev));
     }
-    // Count the message in flight before it becomes visible; the receiver
-    // uncounts it only after republishing a finite eot that covers it, so
-    // the termination check (inflight == 0 and all eots == never) can never
-    // observe a quiescent-looking system with a message still in the air.
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    mail_[mailbox_index(src, dst)]->push(std::move(ev));
   }
 
-  /// Runs every domain to completion (all queues empty, no messages in
-  /// flight). Rethrows the first shard failure, smallest domain id first.
-  /// Callable repeatedly: processes spawned after a run() extend the world.
+  /// Runs every domain to completion (all queues and staging heaps empty).
+  /// Rethrows the error of the smallest failing domain id. Callable
+  /// repeatedly: processes spawned after a run() extend the world.
   void run();
 
   /// Events executed across all domains, including delivered cross-domain
@@ -227,12 +145,7 @@ class ShardedSimulation {
   std::uint64_t events_executed() const;
 
   /// Cross-domain messages delivered so far.
-  std::uint64_t cross_events_delivered() const noexcept {
-    return cross_delivered_.load(std::memory_order_relaxed);
-  }
-
-  /// Messages that overflowed a mailbox ring into its spill.
-  std::int64_t mailbox_spills() const;
+  std::uint64_t cross_events_delivered() const;
 
   /// Largest domain clock — the virtual makespan of the run.
   TimePoint max_now() const;
@@ -242,62 +155,32 @@ class ShardedSimulation {
     Simulation sim;
     sim::detail::FramePool::Arena arena;
     std::vector<detail::CrossEvent> staging;  // heap, CrossEventAfter order
+    std::vector<detail::CrossEvent> outbox;   // this window's remote sends
     std::uint64_t send_seq = 0;               // stamps for sends FROM here
+    std::uint64_t delivered = 0;              // staged messages executed
     std::exception_ptr error{};
-    alignas(64) std::atomic<TimePoint> eot{0};
-    /// True when the domain had nothing pending (local or staged) at its
-    /// last bound publication. Termination is detected from these flags
-    /// plus the in-flight count — not from the eot fixed point, which
-    /// creeps upward in lookahead increments instead of reaching kNever.
-    std::atomic<bool> drained_empty{false};
   };
 
   std::size_t index(int d) const {
     assert(d >= 0 && d < domains() && "domain id out of range");
     return static_cast<std::size_t>(d);
   }
-  std::size_t mailbox_index(int src, int dst) const {
-    return index(src) * doms_.size() + index(dst);
+
+  static void stage(Domain& dom, detail::CrossEvent&& ev) {
+    dom.staging.push_back(std::move(ev));
+    std::push_heap(dom.staging.begin(), dom.staging.end(),
+                   detail::CrossEventAfter{});
   }
 
-  /// One execution round for domain `d`; returns true if it made progress
-  /// (drained, executed, or raised its published bound — the last counts
-  /// because the eot fixed point converges over rounds). Called only by
-  /// worker d % threads.
-  bool run_domain_round(int d);
+  void run_window(Domain& dom);
+  void end_window() noexcept;
 
-  /// Publishes domain `d`'s earliest-output-time bound from its current
-  /// next event (local queue merged with staged messages).
-  TimePoint staged_min(const Domain& dom) const noexcept {
-    return dom.staging.empty() ? Simulation::kNever : dom.staging.front().at;
-  }
-
-  void worker_loop(int w);
-  void signal_progress();
-  bool quiescent() const;
-  void fail(int d, std::exception_ptr err);
-
-  Simulation::Options opt_;
+  Options opt_;
   int threads_ = 1;
   std::vector<std::unique_ptr<Domain>> doms_;
-  std::vector<std::unique_ptr<detail::Mailbox>> mail_;  // [src * D + dst]
-  std::atomic<std::int64_t> inflight_{0};
-  std::atomic<std::uint64_t> cross_delivered_{0};
-  std::atomic<bool> done_{false};
-  std::atomic<bool> aborted_{false};
-  std::mutex progress_mu_;
-  std::condition_variable progress_cv_;
-  std::atomic<std::uint64_t> progress_version_{0};
-  /// Workers currently parked in the idle wait. signal_progress() skips the
-  /// mutex + notify entirely while this is zero, keeping the productive
-  /// round path free of futex traffic.
-  std::atomic<int> idle_waiters_{0};
-  /// Idle waits that timed out with no progress published anywhere since
-  /// the waiter's sweep began. Reset by every signal_progress(); reaching
-  /// the stall threshold turns a silent multi-thread livelock (a protocol
-  /// or lookahead violation) into the same logic_error the single-threaded
-  /// schedule raises.
-  std::atomic<std::uint64_t> inert_timeouts_{0};
+  /// Set by the completion step; workers read them after the barrier.
+  TimePoint horizon_ = 0;
+  bool done_ = false;
 };
 
 }  // namespace sim::par

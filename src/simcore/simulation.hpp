@@ -104,24 +104,6 @@ class ProcessHandle {
 /// world is expressed with coroutine processes, not host threads.
 class Simulation {
  public:
-  /// Execution options for the sharded parallel kernel (see
-  /// simcore/parallel.hpp). `domains == 1` — the default — is the plain
-  /// sequential engine; nothing in this class changes behaviour based on
-  /// these options, they are consumed by sim::par::ShardedSimulation.
-  struct Options {
-    /// Number of logical event-queue shards. Outputs are a function of the
-    /// domain decomposition only, never of `threads`.
-    int domains = 1;
-    /// Worker threads driving the domains (0 = one per domain). `threads=1`
-    /// executes the identical sharded algorithm sequentially and is the
-    /// parity reference for any `threads>1` run.
-    int threads = 0;
-    /// Conservative lookahead: the minimum virtual-time distance of any
-    /// cross-domain send, derived from the minimum inter-domain link
-    /// latency (netsim::min_link_latency). Must be > 0 when domains > 1.
-    Duration lookahead = 0;
-  };
-
   /// Sentinel "no pending event" timestamp.
   static constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
 
@@ -194,8 +176,7 @@ class Simulation {
   bool step();
 
   /// Timestamp of the earliest pending event, or kNever when the queue is
-  /// empty. The parallel kernel derives each domain's earliest-output-time
-  /// bound from this.
+  /// empty. The parallel kernel derives each window's horizon from this.
   TimePoint next_event_time() const noexcept {
     return queue_.empty() ? kNever : queue_.min_time();
   }
@@ -216,7 +197,7 @@ class Simulation {
   bool failed() const noexcept { return first_error_ != nullptr; }
 
   /// Claims the pending process failure (null if none). The parallel kernel
-  /// checks this after every step so a shard error aborts the whole run.
+  /// checks this after every step so a shard error ends the run.
   std::exception_ptr take_error() noexcept {
     return std::exchange(first_error_, nullptr);
   }

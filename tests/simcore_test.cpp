@@ -11,7 +11,6 @@
 #include "simcore/rate_limiter.hpp"
 #include "simcore/resource.hpp"
 #include "simcore/simulation.hpp"
-#include "simcore/stats.hpp"
 #include "simcore/sync.hpp"
 #include "simcore/task.hpp"
 #include "simcore/time.hpp"
@@ -955,52 +954,6 @@ TEST(RandomTest, ForkProducesIndependentStream) {
   sim::Random a(42);
   sim::Random b = a.fork();
   EXPECT_NE(a.next_u64(), b.next_u64());
-}
-
-// ---------------------------------------------------------------- stats ----
-
-TEST(StatsTest, OnlineStatsBasics) {
-  sim::OnlineStats st;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) st.add(v);
-  EXPECT_EQ(st.count(), 8);
-  EXPECT_DOUBLE_EQ(st.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(st.min(), 2.0);
-  EXPECT_DOUBLE_EQ(st.max(), 9.0);
-  EXPECT_NEAR(st.stddev(), 2.138089935, 1e-6);
-  EXPECT_DOUBLE_EQ(st.sum(), 40.0);
-}
-
-TEST(StatsTest, MergeMatchesCombinedStream) {
-  sim::OnlineStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    a.add(i);
-    all.add(i);
-  }
-  for (int i = 50; i < 120; ++i) {
-    b.add(i * 1.5);
-    all.add(i * 1.5);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(StatsTest, SamplesPercentiles) {
-  sim::Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(s.percentile(90), 90.1, 1e-9);
-}
-
-TEST(StatsTest, EmptySamplesAreSafe) {
-  sim::Samples s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.percentile(50), 0.0);
 }
 
 // ----------------------------------------------------------- formatting ----
