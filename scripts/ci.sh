@@ -34,10 +34,10 @@ run_config() {
   # (threads=N identical to threads=1) must hold under sanitizers too.
   echo "=== parallel ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L parallel
-  # The open-loop load suite re-runs by label (arrival statistics, admission
-  # window, session-pool lifecycle), including the saturation bench's smoke
-  # run, which proves the binary produces a byte-identical sweep
-  # (--selfcheck runs the populations twice and compares).
+  # The open-loop load suite (load_test) re-runs by label: arrival
+  # statistics, the admission window and the session-pool lifecycle. The
+  # saturation sweep itself is four golden-pinned specs,
+  # scenarios/saturation_*.json (label `golden`).
   echo "=== load ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L load
   # The geo-replication suite re-runs by label (bounded-staleness shipping,

@@ -85,8 +85,8 @@ struct RetryPolicy {
     return p;
   }
 
-  /// The open-loop session policy (the scenario runner's load phase and
-  /// bench_ext_load): ServerBusy only (SlowDown included), 4 attempts,
+  /// The open-loop session policy (the scenario runner's load phase, and
+  /// so every generic spec): ServerBusy only (SlowDown included), 4 attempts,
   /// 250 ms doubling capped at 1 s. A session that exhausts it dead-letters
   /// as a throttle failure, and any other error is the session's outcome.
   /// Seed the jitter (±0.2%, about ±0.5 ms on the first backoff) with the

@@ -1,6 +1,6 @@
-// Declarative scenario DSL (ROADMAP item 3): one JSON spec file describes a
-// whole benchmark — service mix, key/size distributions, arrival process,
-// think time, fault plan, and cluster shape — and a single generic driver
+// Declarative scenario DSL: one JSON spec file describes a whole benchmark
+// — service mix, key/size distributions, arrival process, think time, fault
+// plan, and cluster shape — and a single generic driver
 // (bench/bench_scenario.cpp) interprets it deterministically. Experiments
 // become data: adding a workload is writing a file under scenarios/, not a
 // new binary.
@@ -10,7 +10,7 @@
 // invalid service/op combinations are *typed* errors (ScenarioError) that
 // carry the JSON path plus the line/column of the offending token — a spec
 // typo fails loudly at load time, never silently at run time (the same
-// philosophy as the bench_util flag-parsing sweep in this PR).
+// philosophy as the bench flag parser in bench/strict_parse.hpp).
 //
 // Two modes:
 //  * figure mode — `"figure": {"id": "fig4", ...}` replays one of the six
@@ -78,8 +78,8 @@ struct ScenarioMixEntry {
   /// "mixed" resolves per op via the scenario-level read_ratio.
   std::string op = "mixed";
   /// Relative weight, > 0 and finite. A zero weight is rejected at parse
-  /// time (delete the entry instead): silently-dead mix entries were the
-  /// class of bug this PR's boundary sweep exists to kill.
+  /// time (delete the entry instead): a silently dead mix entry is the
+  /// class of bug the strict schema exists to kill.
   double weight = 1.0;
 };
 

@@ -1,4 +1,4 @@
-// Backend-agnostic storage driver layer (ROADMAP item 4, arbiter-style):
+// Backend-agnostic storage driver layer (arbiter-style):
 // one uniform interface over simulated backends with genuinely different
 // contracts. The scenario runner (bench/scenario_runner.hpp) speaks only
 // this interface; which backend serves a spec is data (`"backend"` key),
