@@ -17,6 +17,9 @@
 
 namespace {
 
+// Callback path: schedule_at runs each callable in a one-shot coroutine
+// frame from the frame pool. No workload schedules callbacks; their events
+// are all resumes (BM_ScheduleResume).
 void BM_EventDispatch(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -31,9 +34,9 @@ void BM_EventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventDispatch)->Arg(1'000)->Arg(100'000);
 
-// Raw coroutine-resume path: schedule_resume stores the handle directly in
-// the heap node, so this measures pure push/pop/resume with no callable
-// wrapper and no slab traffic.
+// Raw coroutine-resume path, the one every workload event takes:
+// schedule_resume stores the handle directly in the heap node, so this
+// measures pure push/pop/resume with no frame allocated.
 void BM_ScheduleResume(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -49,7 +52,8 @@ void BM_ScheduleResume(benchmark::State& state) {
 BENCHMARK(BM_ScheduleResume)->Arg(1'000)->Arg(100'000);
 
 // Heap stress: a large pending set with random timestamps keeps the 4-ary
-// heap at full depth, so sift costs (not dispatch) dominate.
+// heap at full depth, so sift costs dominate; each event is a callback, so
+// its frame's allocation counts too.
 void BM_HeapStress(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
   std::vector<sim::TimePoint> stamps(static_cast<std::size_t>(events));

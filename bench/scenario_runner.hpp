@@ -60,6 +60,7 @@ struct ScenarioRunResult {
   std::vector<MixStat> per_entry;  ///< parallel to Scenario::mix
   double duration_s = 0;           ///< virtual time of the last completion
   double ops_per_sec = 0;
+  std::uint64_t simulated_events = 0;  ///< kernel events, set-up included
 };
 
 namespace detail {
@@ -369,7 +370,7 @@ inline ScenarioRunResult run_generic_scenario(const framework::Scenario& sc,
       d.s, ecfg,
       [&d](framework::LoadEngine::Session& sess) { return d.session(sess); });
 
-  d.s.spawn(d.setup(engine), "scenario-setup");
+  d.s.spawn(d.setup(engine));
   d.s.run();
 
   ScenarioRunResult r;
@@ -379,6 +380,7 @@ inline ScenarioRunResult run_generic_scenario(const framework::Scenario& sc,
   r.ops_per_sec = r.duration_s > 0
                       ? static_cast<double>(r.stats.completed) / r.duration_s
                       : 0;
+  r.simulated_events = d.s.events_executed();
   return r;
 }
 

@@ -103,7 +103,7 @@ void GeoCluster::enable_faults(faults::FaultPlan& plan) {
   faults_ = &plan;
   for (auto& region : regions_) region->enable_faults(plan);
   if (plan.config().region_faults_enabled() && region_count() > 1) {
-    sim_.spawn(region_driver(), "geo-region-driver");
+    sim_.spawn(region_driver());
   }
 }
 
@@ -314,7 +314,7 @@ void GeoCluster::arm_shipping(int region, int bucket) {
     return;
   }
   pending = 1;
-  sim_.spawn(ship_loop(region, bucket), "geo-ship");
+  sim_.spawn(ship_loop(region, bucket));
 }
 
 sim::Task<void> GeoCluster::ship_loop(int region, int bucket) {

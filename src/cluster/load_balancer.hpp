@@ -44,7 +44,7 @@ class LoadBalancer {
         decision_rng_(rng_.fork()) {}
 
   /// Spawns the master process. Call at most once, before Simulation::run.
-  void start() { cluster_.simulation().spawn(run(), "partition-balancer"); }
+  void start() { cluster_.simulation().spawn(run()); }
 
   std::int64_t epochs() const noexcept { return epochs_; }
   std::int64_t moves() const noexcept { return moves_; }

@@ -114,9 +114,9 @@ class StorageCluster {
         scrub_gates_.push_back(std::make_unique<sim::Gate>(sim_));
       }
       for (int i = 0; i < static_cast<int>(servers_.size()); ++i) {
-        sim_.spawn(scrubber(i), "scrubber");
+        sim_.spawn(scrubber(i));
       }
-      sim_.spawn(crash_driver(), "fault-crash-driver");
+      sim_.spawn(crash_driver());
     }
   }
   faults::FaultPlan* fault_plan() const noexcept { return faults_; }
@@ -158,7 +158,7 @@ class StorageCluster {
       // the crash driver already exhausted its schedule and released them
       // (scrub_shutdown_): setting an exited scrubber's gate would silently
       // skip the scrub, so run it as a one-shot instead.
-      sim_.spawn(post_restart_scrub(s), "scrub-once");
+      sim_.spawn(post_restart_scrub(s));
     }
   }
 
@@ -463,8 +463,7 @@ class StorageCluster {
         }
         for (int r = 0; r < store_.replicas_per_object(); ++r) {
           if (!entry->replica_good(r)) {
-            sim_.spawn(repair_replica(*entry, r, /*scrub=*/false),
-                       "read-repair");
+            sim_.spawn(repair_replica(*entry, r, /*scrub=*/false));
           }
         }
       }

@@ -212,6 +212,7 @@ QueueSeparateResult run_queue_separate_benchmark(
     result.points.push_back(point);
   }
   result.barrier_seconds = sim::to_seconds(shared.barrier_time);
+  result.simulated_events = simulation.events_executed();
   result.storage_transactions = env.storage_cluster().total_requests();
   result.virtual_seconds = sim::to_seconds(simulation.now());
   return result;
@@ -250,6 +251,7 @@ QueueSharedResult run_queue_shared_benchmark(const QueueSharedConfig& cfg) {
                             totals.get_ops / w};
     result.points.push_back(point);
   }
+  result.simulated_events = simulation.events_executed();
   return result;
 }
 

@@ -39,6 +39,7 @@ struct QueueSizePoint {
 struct QueueSeparateResult {
   std::vector<QueueSizePoint> points;
   double barrier_seconds = 0;
+  std::uint64_t simulated_events = 0;
   /// Usage accounting (for the operating-cost model).
   std::int64_t storage_transactions = 0;
   double virtual_seconds = 0;
@@ -80,6 +81,7 @@ struct QueueThinkPoint {
 
 struct QueueSharedResult {
   std::vector<QueueThinkPoint> points;
+  std::uint64_t simulated_events = 0;
 };
 
 QueueSharedResult run_queue_shared_benchmark(const QueueSharedConfig& cfg);

@@ -568,16 +568,14 @@ ShardedCloudResult run_sharded_cloud(const ShardedCloudConfig& cfg) {
       Shard& sh = w.shard[static_cast<std::size_t>(home)];
       ShardedWorkerStats& st = w.stats[static_cast<std::size_t>(i)];
       if (cfg.mode == ShardedCloudConfig::Mode::kQueue) {
-        sh.sim->spawn(queue_worker(w, home, i, st),
-                      "worker-" + std::to_string(i));
+        sh.sim->spawn(queue_worker(w, home, i, st));
       } else {
-        sh.sim->spawn(table_worker(w, home, i, st),
-                      "worker-" + std::to_string(i));
+        sh.sim->spawn(table_worker(w, home, i, st));
       }
     }
   }
   if (cfg.chaos && cfg.total_crashes > 0) {
-    w.shard[0].sim->spawn(chaos_controller(w), "chaos-controller");
+    w.shard[0].sim->spawn(chaos_controller(w));
   }
 
   const auto wall_start = std::chrono::steady_clock::now();

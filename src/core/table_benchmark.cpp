@@ -153,6 +153,7 @@ TableBenchResult run_table_benchmark(const TableBenchConfig& cfg) {
   }
   result.barrier_seconds = sim::to_seconds(shared.barrier_time);
   result.server_busy_retries = shared.retries;
+  result.simulated_events = simulation.events_executed();
   result.storage_transactions = env.storage_cluster().total_requests();
   result.virtual_seconds = sim::to_seconds(simulation.now());
   return result;

@@ -45,6 +45,7 @@ struct TableBenchResult {
   std::vector<TableSizePoint> points;
   double barrier_seconds = 0;
   std::int64_t server_busy_retries = 0;
+  std::uint64_t simulated_events = 0;
   /// Usage accounting (for the operating-cost model).
   std::int64_t storage_transactions = 0;
   double virtual_seconds = 0;

@@ -15,7 +15,6 @@
 #include <cassert>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "azure/cloud_storage_account.hpp"
@@ -113,8 +112,7 @@ class Deployment {
  private:
   void start_one(RoleContext& ctx, EntryPoint entry) {
     done_.add();
-    env_.simulation().spawn(run_role(ctx, std::move(entry)),
-                            role_name(ctx));
+    env_.simulation().spawn(run_role(ctx, std::move(entry)));
   }
 
   sim::Task<void> run_role(RoleContext& ctx, EntryPoint entry) {
@@ -124,11 +122,6 @@ class Deployment {
     // the closure provably outlives the role's coroutine).
     co_await entry(ctx);
     done_.done();
-  }
-
-  static std::string role_name(const RoleContext& ctx) {
-    return (ctx.kind() == RoleKind::kWeb ? "web-" : "worker-") +
-           std::to_string(ctx.id());
   }
 
   azure::CloudEnvironment& env_;

@@ -36,7 +36,7 @@ LoadEngine::LoadEngine(sim::Simulation& sim, LoadEngineConfig cfg,
 }
 
 void LoadEngine::start() {
-  sim_.spawn(generator(), "load-generator");
+  sim_.spawn(generator());
 }
 
 sim::Task<void> LoadEngine::generator() {

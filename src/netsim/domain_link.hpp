@@ -147,8 +147,7 @@ sim::Task<T> remote_call(DomainLink& request, DomainLink& response,
       [&st, &response, response_bytes, make = std::move(make)]() mutable {
         response.source_sim().spawn(
             detail::rpc_serve<T, Make>(&st, &response, response_bytes,
-                                       std::move(make)),
-            "rpc-serve");
+                                       std::move(make)));
       });
   // Delivery is at least one link latency in the future, so the caller is
   // always suspended here before the serving domain can post the response.

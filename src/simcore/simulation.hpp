@@ -1,15 +1,14 @@
 // The discrete-event simulation engine: a virtual clock plus an ordered
-// event queue of resumable callbacks.
+// event queue of coroutine resumes.
 //
 // Processes are `sim::Task<void>` coroutines registered with `spawn()`.
 // Same-timestamp events run in scheduling order (a monotonically increasing
 // sequence number breaks ties), which makes every run deterministic.
 //
-// The event core is allocation-free in steady state: coroutine resumptions
-// (delay(), Gate/Resource/FlowLimiter wakeups) are stored as bare handles,
-// callbacks live in the event slab's inline storage (see event.hpp), process
-// bookkeeping blocks are pooled across spawns, and coroutine frames come from
-// a size-bucketed free list (frame_pool.hpp).
+// The event core is allocation-free in steady state: every event is a bare
+// coroutine handle in the queue (see event.hpp), and coroutine frames come
+// from a size-bucketed free list (frame_pool.hpp). A callback scheduled with
+// schedule_at() runs in a one-shot coroutine frame from that pool.
 #pragma once
 
 #include <cassert>
@@ -17,10 +16,8 @@
 #include <cstdint>
 #include <exception>
 #include <limits>
-#include <memory>
-#include <string>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "simcore/event.hpp"
 #include "simcore/frame_pool.hpp"
@@ -33,22 +30,11 @@ class Observer;  // see obs/observer.hpp; forward-declared to avoid a cycle
 
 namespace sim {
 
-class Simulation;
-
 namespace detail {
 
-/// State shared between a running root process and its ProcessHandle(s).
-/// Recycled through Simulation's state pool when no handles are left, so the
-/// joiners vector keeps its capacity across spawns.
-struct ProcessState {
-  bool done = false;
-  std::exception_ptr error{};
-  std::vector<std::coroutine_handle<>> joiners;
-  std::string name;
-};
-
-/// Fire-and-forget coroutine wrapper used by Simulation::spawn. The frame
-/// destroys itself at final_suspend.
+/// One-shot coroutine wrapper around a root process or a scheduled callback.
+/// It starts suspended; the event queue owns it until its first resume, and
+/// it destroys itself when it returns.
 struct Detached {
   struct promise_type {
     void* operator new(std::size_t n) { return FramePool::allocate(n); }
@@ -70,35 +56,6 @@ struct Detached {
 
 }  // namespace detail
 
-/// A joinable reference to a spawned root process.
-class ProcessHandle {
- public:
-  ProcessHandle() = default;
-
-  bool done() const { return state_ && state_->done; }
-  const std::string& name() const { return state_->name; }
-
-  /// Awaitable: suspends the caller until the process finishes. Rethrows
-  /// nothing itself — process failures are surfaced by Simulation::run().
-  auto join() noexcept {
-    struct Awaiter {
-      std::shared_ptr<detail::ProcessState> st;
-      bool await_ready() const noexcept { return st->done; }
-      void await_suspend(std::coroutine_handle<> h) {
-        st->joiners.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{state_};
-  }
-
- private:
-  friend class Simulation;
-  ProcessHandle(std::shared_ptr<detail::ProcessState> s)
-      : state_(std::move(s)) {}
-  std::shared_ptr<detail::ProcessState> state_;
-};
-
 /// The simulation engine. Not thread-safe by design: a simulation is a
 /// single-threaded deterministic event loop; parallelism inside the modeled
 /// world is expressed with coroutine processes, not host threads.
@@ -114,16 +71,20 @@ class Simulation {
   /// Current virtual time.
   TimePoint now() const noexcept { return now_; }
 
-  /// Pre-sizes the event heap and payload slab for `n` simultaneously
-  /// pending events (optional; the queue grows on demand either way).
+  /// Pre-sizes the event heap for `n` simultaneously pending events
+  /// (optional; the queue grows on demand either way).
   void reserve(std::size_t n) { queue_.reserve(n); }
 
-  /// Schedules an arbitrary callback at `at` (must be >= now()). Callables
-  /// up to detail::Event::kInlineCapacity bytes are stored inline.
+  /// Schedules `fn()` at `at` (must be >= now()). The callable runs in a
+  /// one-shot coroutine frame; an exception it throws fails the run the way
+  /// a root process's does.
   template <class F>
   void schedule_at(TimePoint at, F&& fn) {
+    using D = std::decay_t<F>;
+    static_assert(std::is_invocable_v<D&>,
+                  "scheduled callbacks must be invocable with no arguments");
     assert(at >= now_ && "cannot schedule into the past");
-    queue_.push_callable(at, next_seq_++, std::forward<F>(fn));
+    push_new_frame(at, run_callback<D>(std::forward<F>(fn)).handle);
   }
 
   /// Schedules a callback `delay` from now.
@@ -132,12 +93,10 @@ class Simulation {
     schedule_at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
   }
 
-  /// Schedules resumption of a suspended coroutine. This is the kernel's
-  /// hot path: the handle is stored directly in the event node, no callable
-  /// wrapper is materialized.
+  /// Schedules resumption of a suspended coroutine.
   void schedule_resume(TimePoint at, std::coroutine_handle<> h) {
     assert(at >= now_ && "cannot schedule into the past");
-    queue_.push_resume(at, next_seq_++, h);
+    queue_.push(at, next_seq_++, h, /*owned=*/false);
   }
 
   /// Awaitable that suspends the caller for `d` of virtual time.
@@ -162,10 +121,10 @@ class Simulation {
   }
 
   /// Registers a root process; it starts at the current virtual time.
-  ProcessHandle spawn(Task<void> task, std::string name = {});
+  void spawn(Task<void> task);
 
-  /// Runs until the event queue is empty (or a process failed).
-  /// Rethrows the first exception that escaped any root process.
+  /// Runs until the event queue is empty (or a process failed). Rethrows the
+  /// first exception that escaped any root process or callback.
   void run();
 
   /// Runs until virtual time would exceed `t`; the clock is left at
@@ -193,16 +152,17 @@ class Simulation {
   /// events_executed(), keeping the statistic decomposition-independent.
   void note_external_event() noexcept { ++events_executed_; }
 
-  /// True when a root process failed and run() has not yet rethrown.
+  /// True when a root process or callback failed and run() has not yet
+  /// rethrown.
   bool failed() const noexcept { return first_error_ != nullptr; }
 
-  /// Claims the pending process failure (null if none). The parallel kernel
+  /// Claims the pending failure (null if none). The parallel kernel
   /// checks this after every step so a shard error ends the run.
   std::exception_ptr take_error() noexcept {
     return std::exchange(first_error_, nullptr);
   }
 
-  /// Number of events executed so far (for kernel microbenchmarks).
+  /// Number of events executed so far.
   std::uint64_t events_executed() const noexcept { return events_executed_; }
 
   /// Number of still-live root processes.
@@ -218,9 +178,32 @@ class Simulation {
   obs::Observer* observer() const noexcept { return observer_; }
 
  private:
-  detail::Detached run_process(Task<void> task,
-                               std::shared_ptr<detail::ProcessState> st);
-  std::shared_ptr<detail::ProcessState> acquire_state(std::string name);
+  detail::Detached run_process(Task<void> task);
+
+  template <class F>
+  detail::Detached run_callback(F fn) {
+    try {
+      fn();
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    co_return;  // makes this a coroutine, with `fn` in its frame
+  }
+
+  /// Queues the first resume of a frame that has never run; the queue owns
+  /// it from here on.
+  void push_new_frame(TimePoint at, std::coroutine_handle<> h) {
+    try {
+      queue_.push(at, next_seq_++, h, /*owned=*/true);
+    } catch (...) {
+      h.destroy();
+      throw;
+    }
+  }
+
+  void fail(std::exception_ptr e) noexcept {
+    if (!first_error_) first_error_ = std::move(e);
+  }
 
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -228,7 +211,6 @@ class Simulation {
   int live_processes_ = 0;
   std::exception_ptr first_error_{};
   detail::EventQueue queue_;
-  std::vector<std::shared_ptr<detail::ProcessState>> state_pool_;
   obs::Observer* observer_ = nullptr;
 };
 

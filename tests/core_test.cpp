@@ -211,6 +211,29 @@ TEST(QueueBenchmarkTest, SharedQueueThinkTimeReducesPerOpTime) {
   EXPECT_EQ(result.points[0].put.ops, 2'560 / 64);
 }
 
+TEST(QueueBenchmarkTest, DeterministicAcrossRuns) {
+  azurebench::QueueSeparateConfig sep;
+  sep.workers = 2;
+  sep.total_messages = 20;
+  sep.message_sizes = {4 << 10};
+  const auto sa = azurebench::run_queue_separate_benchmark(sep);
+  const auto sb = azurebench::run_queue_separate_benchmark(sep);
+  EXPECT_EQ(sa.points[0].get.seconds, sb.points[0].get.seconds);
+  EXPECT_GT(sa.simulated_events, 0u);
+  EXPECT_EQ(sa.simulated_events, sb.simulated_events);
+
+  azurebench::QueueSharedConfig sh;
+  sh.workers = 4;
+  sh.total_messages = 40;
+  sh.messages_per_round = 40;
+  sh.think_seconds = {1};
+  const auto ha = azurebench::run_queue_shared_benchmark(sh);
+  const auto hb = azurebench::run_queue_shared_benchmark(sh);
+  EXPECT_EQ(ha.points[0].get.seconds, hb.points[0].get.seconds);
+  EXPECT_GT(ha.simulated_events, 0u);
+  EXPECT_EQ(ha.simulated_events, hb.simulated_events);
+}
+
 TEST(QueueBenchmarkTest, SharedSlowerThanSeparatePerOp) {
   azurebench::QueueSeparateConfig sep;
   sep.workers = 8;
@@ -266,6 +289,8 @@ TEST(TableBenchmarkTest, DeterministicAcrossRuns) {
   const auto b = azurebench::run_table_benchmark(small_table_config(4));
   EXPECT_EQ(a.points[0].insert.seconds, b.points[0].insert.seconds);
   EXPECT_EQ(a.points[1].update.seconds, b.points[1].update.seconds);
+  EXPECT_GT(a.simulated_events, 0u);
+  EXPECT_EQ(a.simulated_events, b.simulated_events);
 }
 
 

@@ -351,8 +351,7 @@ TEST(LoadEngine, AdmissionWindowExactlyFullBoundary) {
         EXPECT_EQ(hh.engine->pending(), 1);
         done = true;
         co_return;
-      }(h, checked),
-      "driver");
+      }(h, checked));
   h.s.run();
   ASSERT_TRUE(checked);
   EXPECT_EQ(h.engine->stats().peak_in_flight, 4);
@@ -370,8 +369,7 @@ TEST(LoadEngine, BacklogExactlyFullShedsTheNextArrival) {
         EXPECT_FALSE(hh.engine->offer());    // window + backlog full -> shed
         EXPECT_EQ(hh.engine->pending(), 3);
         co_return;
-      }(h),
-      "driver");
+      }(h));
   h.s.run();
   EXPECT_EQ(h.engine->stats().offered, 6);
   EXPECT_EQ(h.engine->stats().admitted, 5);
@@ -385,8 +383,7 @@ TEST(LoadEngine, BackfillIsFifoByArrivalOrder) {
       [](ManualHarness& hh) -> sim::Task<void> {
         for (int i = 0; i < 10; ++i) EXPECT_TRUE(hh.engine->offer());
         co_return;
-      }(h),
-      "driver");
+      }(h));
   h.s.run();
   const std::vector<std::int64_t> expect = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   EXPECT_EQ(h.completion_order, expect);

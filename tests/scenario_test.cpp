@@ -719,6 +719,8 @@ TEST(ScenarioReplay, GenericRunIsBytewiseDeterministic) {
   EXPECT_EQ(benchscn::canonical_report(sc, r1),
             benchscn::canonical_report(sc, r2));
   EXPECT_EQ(r1.stats, r2.stats);
+  EXPECT_GT(r1.simulated_events, 0u);
+  EXPECT_EQ(r1.simulated_events, r2.simulated_events);
 }
 
 TEST(ScenarioReplay, ObsExportReplaysByteIdentically) {
@@ -741,6 +743,7 @@ TEST(ScenarioReplay, ObserverDoesNotPerturbTheRun) {
   const auto plain = benchscn::run_generic_scenario(sc, nullptr);
   EXPECT_EQ(benchscn::canonical_report(sc, observed),
             benchscn::canonical_report(sc, plain));
+  EXPECT_EQ(observed.simulated_events, plain.simulated_events);
 }
 
 TEST(ScenarioReplay, AccountingInvariantsHold) {
