@@ -30,6 +30,11 @@ run_config() {
   # actual rebalance end-to-end in this configuration.
   echo "=== partition ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L partition
+  # The integrity suite re-runs by label: the replica fan-out, the ledger
+  # writes and the post-restart scrub are coroutine paths whose lifetime
+  # bugs only the sanitizer configuration catches.
+  echo "=== integrity ${dir} ==="
+  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L integrity
   # The parallel-kernel suite re-runs by label: the byte-parity contract
   # (threads=N identical to threads=1) must hold under sanitizers too.
   echo "=== parallel ${dir} ==="

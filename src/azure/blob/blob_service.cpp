@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "azure/common/checksum.hpp"
+#include "azure/common/metadata_op.hpp"
 #include "obs/observer.hpp"
 
 namespace azure {
@@ -14,6 +15,9 @@ namespace lim = azure::limits;
 /// Service salt for integrity object ids (keeps blob objects distinct from
 /// queue/table objects that might share a partition hash).
 constexpr std::uint64_t kBlobObjectSalt = 0xB10B'0B1E'C751'D000ull;
+
+/// Span of every container and blob metadata request.
+constexpr std::string_view kMetaSpan = "blob.meta";
 
 /// Slice [from, from+len) out of a payload, preserving synthetic-ness.
 Payload payload_slice(const Payload& p, std::int64_t from, std::int64_t len) {
@@ -40,22 +44,10 @@ BlobService::BlobRuntime::BlobRuntime(sim::Simulation& sim,
 
 // ------------------------------------------------------------ containers ----
 
-sim::Task<void> BlobService::metadata_op(netsim::Nic& client,
-                                         std::uint64_t part_hash, bool write) {
-  obs::OpScope op(cluster_.simulation(), "blob.meta");
-  cluster::RequestCost cost;
-  cost.request_bytes = 256;
-  cost.response_bytes = 256;
-  cost.server_cpu = cfg_.metadata_cpu;
-  cost.replicate = write;
-  cost.disk_bytes = write ? 512 : 0;
-  op.stage();
-  co_await cluster_.execute(client, part_hash, cost);
-}
-
 sim::Task<void> BlobService::create_container(netsim::Nic& client,
                                               std::string container) {
-  co_await metadata_op(client, cluster::partition_hash(container), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(container),
+                       true, kMetaSpan);
   auto [it, inserted] = containers_.try_emplace(container);
   if (!inserted) {
     throw ConflictError("container already exists: " + container);
@@ -64,13 +56,15 @@ sim::Task<void> BlobService::create_container(netsim::Nic& client,
 
 sim::Task<void> BlobService::create_container_if_not_exists(
     netsim::Nic& client, std::string container) {
-  co_await metadata_op(client, cluster::partition_hash(container), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(container),
+                       true, kMetaSpan);
   containers_.try_emplace(container);
 }
 
 sim::Task<void> BlobService::delete_container(netsim::Nic& client,
                                               std::string container) {
-  co_await metadata_op(client, cluster::partition_hash(container), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(container),
+                       true, kMetaSpan);
   if (containers_.erase(container) == 0) {
     throw NotFoundError("container not found: " + container);
   }
@@ -78,13 +72,15 @@ sim::Task<void> BlobService::delete_container(netsim::Nic& client,
 
 sim::Task<bool> BlobService::container_exists(netsim::Nic& client,
                                               std::string container) {
-  co_await metadata_op(client, cluster::partition_hash(container), false);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(container),
+                       false, kMetaSpan);
   co_return containers_.count(container) > 0;
 }
 
 sim::Task<std::vector<std::string>> BlobService::list_blobs(
     netsim::Nic& client, std::string container) {
-  co_await metadata_op(client, cluster::partition_hash(container), false);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(container),
+                       false, kMetaSpan);
   auto& c = require_container(container);
   std::vector<std::string> names;
   names.reserve(c.blobs.size());
@@ -140,40 +136,163 @@ BlobService::BlobData& BlobService::make_blob(std::string container,
   return blob;
 }
 
-sim::Task<int> BlobService::read_stream_acquire(BlobData& blob,
-                                                double amount) {
-  const int idx = blob.rt->next_read++ %
-                  static_cast<int>(blob.rt->read_streams.size());
-  co_await blob.rt->read_streams[static_cast<std::size_t>(idx)]->acquire(
-      amount);
-  co_return idx;
+BlobService::BlobData& BlobService::writable_blob(const std::string& container,
+                                                  const std::string& name,
+                                                  WriteKind kind,
+                                                  std::int64_t offset,
+                                                  std::int64_t bytes) {
+  if (kind == WriteKind::kUpload && bytes > lim::kMaxSingleShotUploadBytes) {
+    throw InvalidArgumentError(
+        "block blobs over 64 MB must be uploaded as blocks");
+  }
+  if (kind == WriteKind::kBlock) {
+    if (bytes > lim::kMaxBlockBytes) {
+      throw InvalidArgumentError("block exceeds 4 MB");
+    }
+    if (bytes <= 0) throw InvalidArgumentError("block must not be empty");
+  }
+  if (kind != WriteKind::kPage) {
+    return make_blob(container, name, BlobProperties::Kind::kBlock);
+  }
+  BlobData& blob = require_blob(container, name, BlobProperties::Kind::kPage);
+  if (offset % lim::kPageAlignment != 0 || bytes % lim::kPageAlignment != 0) {
+    throw InvalidArgumentError("page writes must be 512-aligned");
+  }
+  if (bytes <= 0 || bytes > lim::kMaxPageWriteBytes) {
+    throw InvalidArgumentError("page write must be in (0, 4 MB]");
+  }
+  if (offset < 0 || offset + bytes > blob.page_max_size) {
+    throw InvalidArgumentError("page write beyond blob size");
+  }
+  return blob;
 }
 
-sim::Task<void> BlobService::chunk_read(netsim::Nic& client, BlobData& blob,
-                                        std::uint64_t part_hash,
-                                        std::int64_t bytes,
-                                        sim::Duration extra_overhead,
-                                        obs::TraceContext trace) {
-  // The chunk occupies the serving replica's stream for the payload time
-  // plus the per-chunk server work (index walk, range assembly).
-  const double overhead_bytes =
-      cfg_.replica_read_bytes_per_sec * sim::to_seconds(extra_overhead);
-  co_await read_stream_acquire(blob,
-                               static_cast<double>(bytes) + overhead_bytes);
+sim::Task<void> BlobService::write(netsim::Nic& client, std::string container,
+                                   std::string name, WriteKind kind,
+                                   std::string block_id, std::int64_t offset,
+                                   Payload data) {
+  obs::OpScope op(cluster_.simulation(),
+                  kind == WriteKind::kUpload  ? "blob.upload"
+                  : kind == WriteKind::kBlock ? "blob.put_block"
+                                              : "blob.put_page",
+                  data.size());
+  BlobData& blob = writable_blob(container, name, kind, offset, data.size());
+  co_await blob.rt->write_stream.acquire(static_cast<double>(data.size()));
+  // A single-shot upload is versioned by its one block's checksum. Staged
+  // blocks are physically written and replicated, so staging folds the
+  // staged block into the current version, and page-blob versions chain
+  // each write's (offset, payload checksum) the same way.
+  const std::uint32_t data_crc = payload_crc(data);
+  const std::uint32_t new_crc =
+      kind == WriteKind::kUpload
+          ? Crc32c().update("<single-shot>").update_u64(data_crc).value()
+          : static_cast<std::uint32_t>(mix_u64(
+                blob.content_crc,
+                mix_u64(kind == WriteKind::kBlock
+                            ? Crc32c::of(block_id)
+                            : static_cast<std::uint64_t>(offset),
+                        data_crc)));
+  cluster::RequestCost cost;
+  cost.request_bytes = data.size();
+  cost.disk_bytes = data.size();
+  cost.server_cpu = cfg_.write_cpu;
+  cost.replicate = true;
+  cost.object_id = object_id(hash(container, name));
+  cost.content_crc = new_crc;
+  if (kind == WriteKind::kPage) {
+    cost.object_bytes = std::max(blob.page_extent, offset + data.size());
+  }
+  op.stage();
+  co_await cluster_.execute(client, hash(container, name), cost);
+
+  switch (kind) {
+    case WriteKind::kUpload:
+      blob.committed.clear();
+      blob.committed_size = data.size();
+      blob.committed.push_back(
+          BlockInfo{"<single-shot>", std::move(data), data_crc});
+      blob.uncommitted.clear();
+      blob.etag = next_etag();
+      break;
+    case WriteKind::kBlock: {
+      // Appending to the blob's block index is serialized per blob — this
+      // is what caps concurrent PutBlock ingest below the page-blob path.
+      const sim::TimePoint commit_start = cluster_.simulation().now();
+      auto lease = co_await blob.rt->block_index.acquire();
+      co_await cluster_.simulation().delay(cfg_.block_commit_time);
+      if (obs::Observer* const o = op.observer(); o != nullptr) {
+        o->emit(obs::SpanKind::kLogCommit, op.ctx(), commit_start,
+                cluster_.simulation().now(), o->label("blob.block_index"));
+      }
+      blob.uncommitted[block_id] = std::move(data);
+      break;
+    }
+    case WriteKind::kPage:
+      store_pages(blob, offset, std::move(data));
+      blob.etag = next_etag();
+      break;
+  }
+  blob.content_crc = new_crc;
+}
+
+void BlobService::store_pages(BlobData& blob, std::int64_t offset,
+                              Payload data) {
+  // Overlap resolution: trim/split any existing ranges under [lo, hi).
+  const std::int64_t lo = offset;
+  const std::int64_t hi = offset + data.size();
+  auto it = blob.pages.lower_bound(lo);
+  if (it != blob.pages.begin()) {
+    auto prev = std::prev(it);
+    const std::int64_t pend = prev->first + prev->second.size();
+    if (pend > lo) {
+      // prev overlaps from the left: keep its prefix, maybe its suffix.
+      Payload whole = std::move(prev->second);
+      const std::int64_t pstart = prev->first;
+      blob.pages.erase(prev);
+      blob.pages[pstart] = payload_slice(whole, 0, lo - pstart);
+      if (pend > hi) {
+        blob.pages[hi] = payload_slice(whole, hi - pstart, pend - hi);
+      }
+    }
+  }
+  it = blob.pages.lower_bound(lo);
+  while (it != blob.pages.end() && it->first < hi) {
+    const std::int64_t pstart = it->first;
+    const std::int64_t pend = pstart + it->second.size();
+    if (pend <= hi) {
+      it = blob.pages.erase(it);
+    } else {
+      Payload whole = std::move(it->second);
+      blob.pages.erase(it);
+      blob.pages[hi] = payload_slice(whole, hi - pstart, pend - hi);
+      break;
+    }
+  }
+  blob.page_extent = std::max(blob.page_extent, hi);
+  blob.pages[lo] = std::move(data);
+}
+
+sim::Task<void> BlobService::read(netsim::Nic& client, BlobData& blob,
+                                  std::uint64_t part_hash, double stream_bytes,
+                                  std::int64_t bytes, obs::OpScope& op,
+                                  bool whole_blob) {
+  const int stream = blob.rt->next_read++ %
+                     static_cast<int>(blob.rt->read_streams.size());
+  co_await blob.rt->read_streams[static_cast<std::size_t>(stream)]->acquire(
+      stream_bytes);
   cluster::RequestCost cost;
   cost.request_bytes = 256;
   cost.response_bytes = bytes;
   cost.server_cpu = cfg_.read_cpu;
   cost.object_id = object_id(part_hash);
-  if (obs::Observer* const o = cluster_.simulation().observer();
-      o != nullptr) {
-    o->set_ambient(trace);
-  }
+  op.stage();
   const cluster::ExecResult r =
       co_await cluster_.execute(client, part_hash, cost);
+  if (whole_blob) op.set_server(r.served_by);
   if (r.response_corrupted) {
-    throw ChecksumMismatchError(
-        "downloaded chunk failed its Content-MD5 check");
+    if (whole_blob) op.set_error();
+    throw ChecksumMismatchError("downloaded blob data failed its Content-MD5 "
+                                "check");
   }
 }
 
@@ -183,33 +302,8 @@ sim::Task<void> BlobService::upload_block_blob(netsim::Nic& client,
                                                std::string container,
                                                std::string name,
                                                Payload data) {
-  obs::OpScope op(cluster_.simulation(), "blob.upload", data.size());
-  if (data.size() > lim::kMaxSingleShotUploadBytes) {
-    throw InvalidArgumentError(
-        "block blobs over 64 MB must be uploaded as blocks");
-  }
-  require_container(container);
-  BlobData& blob = make_blob(container, name, BlobProperties::Kind::kBlock);
-  co_await blob.rt->write_stream.acquire(static_cast<double>(data.size()));
-  const std::uint32_t block_crc = payload_crc(data);
-  const std::uint32_t new_crc =
-      Crc32c().update("<single-shot>").update_u64(block_crc).value();
-  cluster::RequestCost cost;
-  cost.request_bytes = data.size();
-  cost.disk_bytes = data.size();
-  cost.server_cpu = cfg_.write_cpu;
-  cost.replicate = true;
-  cost.object_id = object_id(hash(container, name));
-  cost.content_crc = new_crc;
-  op.stage();
-  co_await cluster_.execute(client, hash(container, name), cost);
-  blob.committed.clear();
-  blob.committed_size = data.size();
-  blob.committed.push_back(
-      BlockInfo{"<single-shot>", std::move(data), block_crc});
-  blob.uncommitted.clear();
-  blob.content_crc = new_crc;
-  blob.etag = next_etag();
+  return write(client, std::move(container), std::move(name),
+               WriteKind::kUpload, {}, 0, std::move(data));
 }
 
 sim::Task<void> BlobService::put_block(netsim::Nic& client,
@@ -217,44 +311,8 @@ sim::Task<void> BlobService::put_block(netsim::Nic& client,
                                        std::string name,
                                        std::string block_id,
                                        Payload data) {
-  obs::OpScope op(cluster_.simulation(), "blob.put_block", data.size());
-  if (data.size() > lim::kMaxBlockBytes) {
-    throw InvalidArgumentError("block exceeds 4 MB");
-  }
-  if (data.size() <= 0) {
-    throw InvalidArgumentError("block must not be empty");
-  }
-  require_container(container);
-  BlobData& blob = make_blob(container, name, BlobProperties::Kind::kBlock);
-  co_await blob.rt->write_stream.acquire(static_cast<double>(data.size()));
-  // Staged blocks are physically written and replicated, so staging advances
-  // the blob's version checksum (folding the staged block into the current
-  // version).
-  const std::uint32_t new_crc = static_cast<std::uint32_t>(mix_u64(
-      blob.content_crc,
-      mix_u64(Crc32c::of(block_id), payload_crc(data))));
-  cluster::RequestCost cost;
-  cost.request_bytes = data.size();
-  cost.disk_bytes = data.size();
-  cost.server_cpu = cfg_.write_cpu;
-  cost.replicate = true;
-  cost.object_id = object_id(hash(container, name));
-  cost.content_crc = new_crc;
-  op.stage();
-  co_await cluster_.execute(client, hash(container, name), cost);
-  {
-    // Appending to the blob's block index is serialized per blob — this is
-    // what caps concurrent PutBlock ingest below the page-blob path.
-    const sim::TimePoint commit_start = cluster_.simulation().now();
-    auto lease = co_await blob.rt->block_index.acquire();
-    co_await cluster_.simulation().delay(cfg_.block_commit_time);
-    if (obs::Observer* const o = op.observer(); o != nullptr) {
-      o->emit(obs::SpanKind::kLogCommit, op.ctx(), commit_start,
-              cluster_.simulation().now(), o->label("blob.block_index"));
-    }
-  }
-  blob.uncommitted[block_id] = std::move(data);
-  blob.content_crc = new_crc;
+  return write(client, std::move(container), std::move(name),
+               WriteKind::kBlock, std::move(block_id), 0, std::move(data));
 }
 
 sim::Task<void> BlobService::put_block_list(
@@ -331,8 +389,9 @@ sim::Task<Payload> BlobService::get_block(netsim::Nic& client,
   }
   const Payload data = blob.committed[static_cast<std::size_t>(index)].data;
   op.set_bytes(data.size());
-  co_await chunk_read(client, blob, hash(container, name), data.size(),
-                      cfg_.chunk_read_overhead, op.ctx());
+  co_await read(client, blob, hash(container, name),
+                chunk_stream_bytes(data.size(), cfg_.chunk_read_overhead),
+                data.size(), op, /*whole_blob=*/false);
   co_return data;
 }
 
@@ -343,21 +402,8 @@ sim::Task<Payload> BlobService::download_block_blob(
   BlobData& blob = require_blob(container, name, BlobProperties::Kind::kBlock);
   const std::int64_t total = blob.committed_size;
   op.set_bytes(total);
-  co_await read_stream_acquire(blob, static_cast<double>(total));
-  cluster::RequestCost cost;
-  cost.request_bytes = 256;
-  cost.response_bytes = total;
-  cost.server_cpu = cfg_.read_cpu;
-  cost.object_id = object_id(hash(container, name));
-  op.stage();
-  const cluster::ExecResult r =
-      co_await cluster_.execute(client, hash(container, name), cost);
-  op.set_server(r.served_by);
-  if (r.response_corrupted) {
-    op.set_error();
-    throw ChecksumMismatchError(
-        "downloaded blob failed its Content-MD5 check");
-  }
+  co_await read(client, blob, hash(container, name),
+                static_cast<double>(total), total, op, /*whole_blob=*/true);
 
   // Assemble the content: synthetic unless any block carries real bytes.
   bool any_real = false;
@@ -387,8 +433,9 @@ sim::Task<Payload> BlobService::download_range(netsim::Nic& client,
   if (offset < 0 || length <= 0 || offset + length > blob.committed_size) {
     throw InvalidArgumentError("range read outside committed content");
   }
-  co_await chunk_read(client, blob, hash(container, name), length,
-                      cfg_.chunk_read_overhead, op.ctx());
+  co_await read(client, blob, hash(container, name),
+                chunk_stream_bytes(length, cfg_.chunk_read_overhead), length,
+                op, /*whole_blob=*/false);
 
   // Assemble the range across committed block boundaries.
   bool any_real = false;
@@ -416,7 +463,8 @@ sim::Task<Payload> BlobService::download_range(netsim::Nic& client,
 sim::Task<BlobService::BlockListing> BlobService::get_block_list(
     netsim::Nic& client, std::string container, std::string name) {
   BlobData& blob = require_blob(container, name, BlobProperties::Kind::kBlock);
-  co_await metadata_op(client, hash(container, name), false);
+  co_await metadata_op(cluster_, client, hash(container, name), false,
+                       kMetaSpan);
   BlockListing listing;
   listing.committed.reserve(blob.committed.size());
   for (const auto& b : blob.committed) {
@@ -442,7 +490,8 @@ sim::Task<void> BlobService::create_page_blob(netsim::Nic& client,
     throw InvalidArgumentError("page blob size must be 512-aligned");
   }
   require_container(container);
-  co_await metadata_op(client, hash(container, name), true);
+  co_await metadata_op(cluster_, client, hash(container, name), true,
+                       kMetaSpan);
   BlobData& blob = make_blob(container, name, BlobProperties::Kind::kPage);
   blob.page_max_size = max_size;
   blob.pages.clear();
@@ -453,73 +502,8 @@ sim::Task<void> BlobService::put_page(netsim::Nic& client,
                                       std::string container,
                                       std::string name,
                                       std::int64_t offset, Payload data) {
-  obs::OpScope op(cluster_.simulation(), "blob.put_page", data.size());
-  BlobData& blob = require_blob(container, name, BlobProperties::Kind::kPage);
-  if (offset % lim::kPageAlignment != 0 ||
-      data.size() % lim::kPageAlignment != 0) {
-    throw InvalidArgumentError("page writes must be 512-aligned");
-  }
-  if (data.size() <= 0 || data.size() > lim::kMaxPageWriteBytes) {
-    throw InvalidArgumentError("page write must be in (0, 4 MB]");
-  }
-  if (offset < 0 || offset + data.size() > blob.page_max_size) {
-    throw InvalidArgumentError("page write beyond blob size");
-  }
-
-  co_await blob.rt->write_stream.acquire(static_cast<double>(data.size()));
-  // Page-blob versions chain: each write folds (offset, payload checksum)
-  // into the previous version's checksum.
-  const std::uint32_t new_crc = static_cast<std::uint32_t>(
-      mix_u64(blob.content_crc,
-              mix_u64(static_cast<std::uint64_t>(offset), payload_crc(data))));
-  cluster::RequestCost cost;
-  cost.request_bytes = data.size();
-  cost.disk_bytes = data.size();
-  cost.server_cpu = cfg_.write_cpu;
-  cost.replicate = true;
-  cost.object_id = object_id(hash(container, name));
-  cost.content_crc = new_crc;
-  cost.object_bytes = blob.page_extent > offset + data.size()
-                          ? blob.page_extent
-                          : offset + data.size();
-  op.stage();
-  co_await cluster_.execute(client, hash(container, name), cost);
-  blob.content_crc = new_crc;
-
-  // Overlap resolution: trim/split any existing ranges under [lo, hi).
-  const std::int64_t lo = offset;
-  const std::int64_t hi = offset + data.size();
-  auto it = blob.pages.lower_bound(lo);
-  if (it != blob.pages.begin()) {
-    auto prev = std::prev(it);
-    const std::int64_t pend = prev->first + prev->second.size();
-    if (pend > lo) {
-      // prev overlaps from the left: keep its prefix, maybe its suffix.
-      Payload whole = std::move(prev->second);
-      const std::int64_t pstart = prev->first;
-      blob.pages.erase(prev);
-      blob.pages[pstart] = payload_slice(whole, 0, lo - pstart);
-      if (pend > hi) {
-        blob.pages[hi] = payload_slice(whole, hi - pstart, pend - hi);
-      }
-    }
-  }
-  it = blob.pages.lower_bound(lo);
-  while (it != blob.pages.end() && it->first < hi) {
-    const std::int64_t pstart = it->first;
-    const std::int64_t pend = pstart + it->second.size();
-    if (pend <= hi) {
-      it = blob.pages.erase(it);
-    } else {
-      Payload whole = std::move(it->second);
-      blob.pages.erase(it);
-      blob.pages[hi] = payload_slice(whole, hi - pstart, pend - hi);
-      break;
-    }
-  }
-  blob.page_extent = std::max(blob.page_extent, hi);
-  blob.pages[lo] = std::move(data);
-  blob.etag = next_etag();
+  return write(client, std::move(container), std::move(name),
+               WriteKind::kPage, {}, offset, std::move(data));
 }
 
 sim::Task<Payload> BlobService::get_page(netsim::Nic& client,
@@ -534,8 +518,9 @@ sim::Task<Payload> BlobService::get_page(netsim::Nic& client,
   }
   const sim::Duration overhead =
       cfg_.chunk_read_overhead + (random ? cfg_.page_lookup_overhead : 0);
-  co_await chunk_read(client, blob, hash(container, name), length, overhead,
-                      op.ctx());
+  co_await read(client, blob, hash(container, name),
+                chunk_stream_bytes(length, overhead), length, op,
+                /*whole_blob=*/false);
 
   // Assemble [offset, offset+length): zero-fill unwritten gaps.
   bool any_real = false;
@@ -573,23 +558,9 @@ sim::Task<Payload> BlobService::download_page_blob(
   BlobData& blob = require_blob(container, name, BlobProperties::Kind::kPage);
   const std::int64_t extent = blob.page_extent;
   op.set_bytes(extent);
-  const double effective =
-      static_cast<double>(extent) / cfg_.page_stream_factor;
-  co_await read_stream_acquire(blob, effective);
-  cluster::RequestCost cost;
-  cost.request_bytes = 256;
-  cost.response_bytes = extent;
-  cost.server_cpu = cfg_.read_cpu;
-  cost.object_id = object_id(hash(container, name));
-  op.stage();
-  const cluster::ExecResult r =
-      co_await cluster_.execute(client, hash(container, name), cost);
-  op.set_server(r.served_by);
-  if (r.response_corrupted) {
-    op.set_error();
-    throw ChecksumMismatchError(
-        "downloaded page blob failed its Content-MD5 check");
-  }
+  co_await read(client, blob, hash(container, name),
+                static_cast<double>(extent) / cfg_.page_stream_factor, extent,
+                op, /*whole_blob=*/true);
   if (extent == 0) co_return Payload{};
   bool any_real = false;
   for (const auto& [off, p] : blob.pages) {
@@ -611,7 +582,8 @@ sim::Task<Payload> BlobService::download_page_blob(
 sim::Task<void> BlobService::delete_blob(netsim::Nic& client,
                                          std::string container,
                                          std::string name) {
-  co_await metadata_op(client, hash(container, name), true);
+  co_await metadata_op(cluster_, client, hash(container, name), true,
+                       kMetaSpan);
   auto& c = require_container(container);
   auto it = c.blobs.find(name);
   if (it == c.blobs.end() || it->second.deleted) {
@@ -634,7 +606,8 @@ sim::Task<void> BlobService::delete_blob(netsim::Nic& client,
 sim::Task<bool> BlobService::blob_exists(netsim::Nic& client,
                                          std::string container,
                                          std::string name) {
-  co_await metadata_op(client, hash(container, name), false);
+  co_await metadata_op(cluster_, client, hash(container, name), false,
+                       kMetaSpan);
   auto it = containers_.find(container);
   if (it == containers_.end()) co_return false;
   const auto bit = it->second.blobs.find(name);
@@ -644,7 +617,8 @@ sim::Task<bool> BlobService::blob_exists(netsim::Nic& client,
 sim::Task<BlobProperties> BlobService::get_properties(
     netsim::Nic& client, std::string container,
     std::string name) {
-  co_await metadata_op(client, hash(container, name), false);
+  co_await metadata_op(cluster_, client, hash(container, name), false,
+                       kMetaSpan);
   auto& c = require_container(container);
   auto it = c.blobs.find(name);
   if (it == c.blobs.end() || it->second.deleted) {

@@ -65,7 +65,6 @@ struct BlobServiceConfig {
   /// Fixed CPU costs.
   sim::Duration write_cpu = sim::micros(500);
   sim::Duration read_cpu = sim::micros(300);
-  sim::Duration metadata_cpu = sim::micros(300);
 };
 
 /// Blob properties snapshot returned to clients.
@@ -237,26 +236,46 @@ class BlobService {
     return cluster::partition_hash(container, name);
   }
 
-  /// Acquires the next replica read stream for `amount` effective bytes.
-  sim::Task<int> read_stream_acquire(BlobData& blob, double amount);
-
   /// Per-blob integrity object id (salted so blob/queue/table objects with
   /// colliding partition hashes stay distinct; never 0, which means
   /// "untracked" to the cluster).
   std::uint64_t object_id(std::uint64_t part_hash) const;
 
-  /// Chunk-wise read core shared by get_block/get_page. Throws
-  /// ChecksumMismatchError when the response payload arrived corrupt.
-  /// `trace` is the calling operation's span context (chunk reads suspend
-  /// before reaching the cluster, so the ambient slot cannot carry it).
-  sim::Task<void> chunk_read(netsim::Nic& client, BlobData& blob,
-                             std::uint64_t part_hash, std::int64_t bytes,
-                             sim::Duration extra_overhead,
-                             obs::TraceContext trace = {});
+  /// The three ways a blob write stores its payload.
+  enum class WriteKind { kUpload, kBlock, kPage };
 
-  /// Simple metadata request (create/delete/exists/list).
-  sim::Task<void> metadata_op(netsim::Nic& client, std::uint64_t part_hash,
-                              bool write);
+  /// The one body behind upload_block_blob, put_block and put_page (`kind`):
+  /// wait for the blob's write stream, run the replicated, integrity-tracked
+  /// write, then store `data` as the whole blob, as the staged block
+  /// `block_id`, or as the pages at `offset`.
+  sim::Task<void> write(netsim::Nic& client, std::string container,
+                        std::string name, WriteKind kind,
+                        std::string block_id, std::int64_t offset,
+                        Payload data);
+  /// Checks a `kind` write of `bytes` and returns the blob it writes
+  /// (created or reset for a block-blob write).
+  BlobData& writable_blob(const std::string& container,
+                          const std::string& name, WriteKind kind,
+                          std::int64_t offset, std::int64_t bytes);
+  /// Stores `data` at `offset` of a page blob, trimming or splitting the
+  /// ranges it overwrites.
+  static void store_pages(BlobData& blob, std::int64_t offset, Payload data);
+
+  /// Read-stream occupancy of a chunk-wise read (GetBlock, a range read or
+  /// GetPage): the payload plus `overhead` of per-chunk server work (index
+  /// walk, range assembly) at stream speed.
+  double chunk_stream_bytes(std::int64_t bytes, sim::Duration overhead) const {
+    return static_cast<double>(bytes) +
+           cfg_.replica_read_bytes_per_sec * sim::to_seconds(overhead);
+  }
+  /// The read preamble every blob read shares: occupy the blob's next
+  /// replica read stream for `stream_bytes`, then fetch `bytes` through the
+  /// cluster under `op`. Throws ChecksumMismatchError when the response
+  /// arrived corrupt. A whole-blob download (`whole_blob`) also records the
+  /// serving server and the failure on `op`.
+  sim::Task<void> read(netsim::Nic& client, BlobData& blob,
+                       std::uint64_t part_hash, double stream_bytes,
+                       std::int64_t bytes, obs::OpScope& op, bool whole_blob);
 
   cluster::StorageCluster& cluster_;
   BlobServiceConfig cfg_;

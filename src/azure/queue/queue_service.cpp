@@ -1,8 +1,11 @@
 #include "azure/queue/queue_service.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <type_traits>
 
 #include "azure/common/checksum.hpp"
+#include "azure/common/metadata_op.hpp"
 #include "obs/observer.hpp"
 
 namespace azure {
@@ -11,6 +14,13 @@ namespace lim = azure::limits;
 namespace {
 /// Service salt for integrity object ids.
 constexpr std::uint64_t kQueueObjectSalt = 0x0CEE'CEE0'51EE'7000ull;
+
+/// Span of every queue lifecycle request.
+constexpr std::string_view kMetaSpan = "queue.meta";
+
+std::string receipt(std::uint64_t serial) {
+  return "pr-" + std::to_string(serial);
+}
 }  // namespace
 
 // --------------------------------------------------------------- helpers ----
@@ -90,25 +100,48 @@ std::size_t QueueService::pick_visible(QueueData& q) {
   return first;
 }
 
-sim::Task<void> QueueService::metadata_op(netsim::Nic& client,
-                                          std::uint64_t part_hash,
-                                          bool write) {
-  obs::OpScope op(cluster_.simulation(), "queue.meta");
-  cluster::RequestCost cost;
-  cost.request_bytes = 256;
-  cost.response_bytes = 256;
-  cost.server_cpu = sim::micros(300);
-  cost.replicate = write;
-  cost.disk_bytes = write ? 512 : 0;
-  op.stage();
-  co_await cluster_.execute(client, part_hash, cost);
+const QueueService::StoredMessage* QueueService::first_visible(
+    const QueueData& q) const {
+  const sim::TimePoint now = cluster_.simulation().now();
+  for (const StoredMessage& m : q.messages) {
+    if (m.visible_from <= now) return &m;
+  }
+  return nullptr;
+}
+
+std::deque<QueueService::StoredMessage>::iterator QueueService::find_by_receipt(
+    QueueData& q, const std::string& name, std::uint64_t id,
+    const std::string& pop_receipt) {
+  auto it = std::find_if(q.messages.begin(), q.messages.end(),
+                         [id](const StoredMessage& m) { return m.id == id; });
+  if (it == q.messages.end()) {
+    throw NotFoundError("message not found in queue: " + name);
+  }
+  if (receipt(it->receipt_serial) != pop_receipt) {
+    throw PreconditionFailedError(
+        "pop receipt no longer valid (message was re-gotten)");
+  }
+  return it;
+}
+
+QueueMessage QueueService::to_message(const StoredMessage& m,
+                                      bool with_receipt) {
+  QueueMessage out;
+  out.id = m.id;
+  out.body = m.body;
+  if (with_receipt) out.pop_receipt = receipt(m.receipt_serial);
+  out.insertion_time = m.insertion_time;
+  out.expiration_time = m.expiration_time;
+  out.dequeue_count = m.dequeue_count;
+  return out;
 }
 
 // ------------------------------------------------------- queue lifecycle ----
 
 sim::Task<void> QueueService::create_queue(netsim::Nic& client,
                                            std::string name) {
-  co_await metadata_op(client, cluster::partition_hash(name), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(name), true,
+                       kMetaSpan);
   auto [it, inserted] = queues_.try_emplace(name, nullptr);
   if (!inserted) throw ConflictError("queue already exists: " + name);
   it->second = std::make_unique<QueueData>(cluster_.simulation());
@@ -116,14 +149,16 @@ sim::Task<void> QueueService::create_queue(netsim::Nic& client,
 
 sim::Task<void> QueueService::create_queue_if_not_exists(
     netsim::Nic& client, std::string name) {
-  co_await metadata_op(client, cluster::partition_hash(name), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(name), true,
+                       kMetaSpan);
   auto [it, inserted] = queues_.try_emplace(name, nullptr);
   if (inserted) it->second = std::make_unique<QueueData>(cluster_.simulation());
 }
 
 sim::Task<void> QueueService::delete_queue(netsim::Nic& client,
                                            std::string name) {
-  co_await metadata_op(client, cluster::partition_hash(name), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(name), true,
+                       kMetaSpan);
   if (queues_.erase(name) == 0) {
     throw NotFoundError("queue not found: " + name);
   }
@@ -131,13 +166,15 @@ sim::Task<void> QueueService::delete_queue(netsim::Nic& client,
 
 sim::Task<bool> QueueService::queue_exists(netsim::Nic& client,
                                            std::string name) {
-  co_await metadata_op(client, cluster::partition_hash(name), false);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(name), false,
+                       kMetaSpan);
   co_return queues_.count(name) > 0;
 }
 
 sim::Task<void> QueueService::clear_queue(netsim::Nic& client,
                                           std::string name) {
-  co_await metadata_op(client, cluster::partition_hash(name), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(name), true,
+                       kMetaSpan);
   require_queue(name).messages.clear();
 }
 
@@ -146,318 +183,225 @@ sim::Task<void> QueueService::clear_queue(netsim::Nic& client,
 sim::Task<void> QueueService::put_message(netsim::Nic& client,
                                           std::string name,
                                           Payload body, sim::Duration ttl) {
-  obs::OpScope op(cluster_.simulation(), "queue.put");
-  if (body.size() > lim::kMaxMessagePayloadBytes) {
-    throw InvalidArgumentError(
-        "message payload exceeds 49,152 usable bytes (64 KB encoded)");
-  }
-  QueueData& q = require_queue(name);
-  admit(q, name);
-
-  const std::int64_t wire = encoded_size(body.size());
-  const std::uint64_t oid = object_id(cluster::partition_hash(name));
-  cluster::RequestCost cost;
-  cost.request_bytes = wire;
-  cost.disk_bytes = wire;
-  cost.server_cpu = cfg_.put_cpu;
-  cost.replicate = true;  // inserts synchronize across the 3 replicas
-  cost.object_id = oid;
-  cost.content_crc = next_state_crc(q, oid);
-  op.set_bytes(wire);
-  op.stage();
-  co_await cluster_.execute(client, cluster::partition_hash(name), cost);
-  ++q.mutation_serial;
-  {
-    const sim::TimePoint commit_start = cluster_.simulation().now();
-    auto lock = co_await q.commit_lock.acquire();
-    co_await cluster_.simulation().delay(cfg_.put_commit_time);
-    if (obs::Observer* const o = op.observer(); o != nullptr) {
-      o->emit(obs::SpanKind::kLogCommit, op.ctx(), commit_start,
-              cluster_.simulation().now(), o->label("queue.put"));
-    }
-  }
-
-  const sim::TimePoint now = cluster_.simulation().now();
-  const sim::Duration kMaxTtl = lim::kMessageTtlSeconds * sim::kSecond;
-  const sim::Duration effective_ttl =
-      (ttl <= 0 || ttl > kMaxTtl) ? kMaxTtl : ttl;
-  expire(q);
-  StoredMessage m;
-  m.id = next_id_++;
-  m.body = std::move(body);
-  m.insertion_time = now;
-  m.expiration_time = now + effective_ttl;
-  m.visible_from = now;
-  q.min_expiration = std::min(q.min_expiration, m.expiration_time);
-  q.messages.push_back(std::move(m));
+  return message_op<void>(MessageOp::kPut, client, std::move(name),
+                          std::move(body), ttl, 0, {});
 }
 
 sim::Task<std::optional<QueueMessage>> QueueService::get_message(
     netsim::Nic& client, std::string name,
     sim::Duration visibility_timeout) {
-  obs::OpScope op(cluster_.simulation(), "queue.get");
-  QueueData& q = require_queue(name);
-  admit(q, name);
-
-  // The server must locate the message, mark it invisible, and synchronize
-  // that state change across all replicas — the most expensive operation.
-  // Timing uses an *estimate* of the message about to be served; the actual
-  // claim happens atomically after all awaits, so concurrent consumers can
-  // never receive the same message.
-  expire(q);
-  const sim::TimePoint probe_now = cluster_.simulation().now();
-  const StoredMessage* estimate = nullptr;
-  for (const StoredMessage& m : q.messages) {
-    if (m.visible_from <= probe_now) {
-      estimate = &m;
-      break;
-    }
-  }
-  const bool probably_found = estimate != nullptr;
-  const std::int64_t wire =
-      probably_found ? encoded_size(estimate->body.size()) : 256;
-
-  sim::Duration cpu = cfg_.get_cpu;
-  if (probably_found && cfg_.model_16k_get_anomaly) {
-    const std::int64_t sz = estimate->body.size();
-    if (sz >= 12 * 1024 && sz < 24 * 1024) {
-      cpu = static_cast<sim::Duration>(static_cast<double>(cpu) *
-                                       cfg_.get_16k_anomaly_factor);
-    }
-  }
-  estimate = nullptr;  // invalidated by the awaits below
-
-  const std::uint64_t oid = object_id(cluster::partition_hash(name));
-  cluster::RequestCost cost;
-  cost.request_bytes = 256;
-  cost.response_bytes = wire;
-  cost.server_cpu = cpu;
-  cost.disk_bytes = probably_found ? 512 : 0;
-  cost.replicate = probably_found;  // visibility state must reach all copies
-  cost.object_id = oid;
-  if (probably_found) cost.content_crc = next_state_crc(q, oid);
-  op.set_bytes(wire);
-  op.stage();
-  const cluster::ExecResult r =
-      co_await cluster_.execute(client, cluster::partition_hash(name), cost);
-  op.set_server(r.served_by);
-  if (r.response_corrupted) {
-    // The message body failed its end-to-end check client-side. The claim
-    // below never happens, so the message stays hidden until its visibility
-    // timeout expires and is redelivered intact.
-    op.set_error();
-    throw ChecksumMismatchError("GetMessage response failed checksum");
-  }
-  if (probably_found) {
-    ++q.mutation_serial;
-    const sim::TimePoint commit_start = cluster_.simulation().now();
-    auto lock = co_await q.commit_lock.acquire();
-    co_await cluster_.simulation().delay(cfg_.get_commit_time);
-    if (obs::Observer* const o = op.observer(); o != nullptr) {
-      o->emit(obs::SpanKind::kLogCommit, op.ctx(), commit_start,
-              cluster_.simulation().now(), o->label("queue.get"));
-    }
-  }
-
-  // Atomic claim (no suspension points from here to the state change).
-  expire(q);
-  const std::size_t idx = pick_visible(q);
-  if (idx >= q.messages.size()) co_return std::nullopt;
-  StoredMessage& m = q.messages[idx];
-  const sim::TimePoint now = cluster_.simulation().now();
-  const sim::Duration vis = visibility_timeout > 0
-                                ? visibility_timeout
-                                : cfg_.default_visibility_timeout;
-  m.visible_from = now + vis;
-  ++m.dequeue_count;
-  if (m.dequeue_count > 1) {
-    ++redeliveries_;
-    if (obs::Observer* const o = op.observer(); o != nullptr) {
-      o->metrics().counter("queue.redeliveries").add(1);
-    }
-  }
-  m.receipt_serial = next_receipt_++;
-
-  QueueMessage out;
-  out.id = m.id;
-  out.body = m.body;
-  out.pop_receipt = "pr-" + std::to_string(m.receipt_serial);
-  out.insertion_time = m.insertion_time;
-  out.expiration_time = m.expiration_time;
-  out.dequeue_count = m.dequeue_count;
-  co_return out;
+  return message_op<std::optional<QueueMessage>>(
+      MessageOp::kGet, client, std::move(name), std::nullopt,
+      visibility_timeout, 0, {});
 }
 
 sim::Task<std::optional<QueueMessage>> QueueService::peek_message(
     netsim::Nic& client, std::string name) {
-  obs::OpScope op(cluster_.simulation(), "queue.peek");
-  QueueData& q = require_queue(name);
-  admit(q, name);
-
-  expire(q);
-  const sim::TimePoint probe_now = cluster_.simulation().now();
-  std::int64_t wire = 256;
-  for (const StoredMessage& m : q.messages) {
-    if (m.visible_from <= probe_now) {
-      wire = encoded_size(m.body.size());
-      break;
-    }
-  }
-
-  cluster::RequestCost cost;
-  cost.request_bytes = 256;
-  cost.response_bytes = wire;
-  cost.server_cpu = cfg_.peek_cpu;
-  cost.replicate = false;  // pure read: no server-side synchronization
-  cost.object_id = object_id(cluster::partition_hash(name));
-  op.set_bytes(wire);
-  op.stage();
-  const cluster::ExecResult r =
-      co_await cluster_.execute(client, cluster::partition_hash(name), cost);
-  op.set_server(r.served_by);
-  if (r.response_corrupted) {
-    op.set_error();
-    throw ChecksumMismatchError("PeekMessage response failed checksum");
-  }
-
-  // Re-pick after the awaits: the deque may have changed meanwhile.
-  expire(q);
-  const std::size_t idx = pick_visible(q);
-  if (idx >= q.messages.size()) co_return std::nullopt;
-  const StoredMessage& m = q.messages[idx];
-  QueueMessage out;
-  out.id = m.id;
-  out.body = m.body;
-  out.insertion_time = m.insertion_time;
-  out.expiration_time = m.expiration_time;
-  out.dequeue_count = m.dequeue_count;
-  co_return out;
+  return message_op<std::optional<QueueMessage>>(
+      MessageOp::kPeek, client, std::move(name), std::nullopt, 0, 0, {});
 }
 
 sim::Task<void> QueueService::delete_message(netsim::Nic& client,
                                              std::string name,
                                              std::uint64_t id,
                                              std::string pop_receipt) {
-  obs::OpScope op(cluster_.simulation(), "queue.delete");
-  QueueData& q = require_queue(name);
-  admit(q, name);
-
-  const std::uint64_t oid = object_id(cluster::partition_hash(name));
-  cluster::RequestCost cost;
-  cost.request_bytes = 256;
-  cost.server_cpu = cfg_.delete_cpu;
-  cost.disk_bytes = 512;
-  cost.replicate = true;
-  cost.object_id = oid;
-  cost.content_crc = next_state_crc(q, oid);
-  op.stage();
-  co_await cluster_.execute(client, cluster::partition_hash(name), cost);
-  ++q.mutation_serial;
-  {
-    const sim::TimePoint commit_start = cluster_.simulation().now();
-    auto lock = co_await q.commit_lock.acquire();
-    co_await cluster_.simulation().delay(cfg_.delete_commit_time);
-    if (obs::Observer* const o = op.observer(); o != nullptr) {
-      o->emit(obs::SpanKind::kLogCommit, op.ctx(), commit_start,
-              cluster_.simulation().now(), o->label("queue.delete"));
-    }
-  }
-
-  // Sweep at the atomic point get/peek use: a message whose TTL lapsed is
-  // gone (Azure answers 404) even if no other operation has swept it yet.
-  expire(q);
-  auto it = std::find_if(q.messages.begin(), q.messages.end(),
-                         [id](const StoredMessage& m) { return m.id == id; });
-  if (it == q.messages.end()) {
-    throw NotFoundError("message not found in queue: " + name);
-  }
-  if ("pr-" + std::to_string(it->receipt_serial) != pop_receipt) {
-    throw PreconditionFailedError(
-        "pop receipt no longer valid (message was re-gotten)");
-  }
-  q.messages.erase(it);
+  return message_op<void>(MessageOp::kDelete, client, std::move(name),
+                          std::nullopt, 0, id, std::move(pop_receipt));
 }
 
 sim::Task<QueueMessage> QueueService::update_message(
     netsim::Nic& client, std::string name, std::uint64_t id,
     std::string pop_receipt, sim::Duration visibility_timeout,
     std::optional<Payload> new_body) {
-  obs::OpScope op(cluster_.simulation(), "queue.update");
-  if (new_body && new_body->size() > lim::kMaxMessagePayloadBytes) {
+  return message_op<QueueMessage>(MessageOp::kUpdate, client,
+                                  std::move(name), std::move(new_body),
+                                  visibility_timeout, id,
+                                  std::move(pop_receipt));
+}
+
+sim::Task<std::int64_t> QueueService::get_message_count(netsim::Nic& client,
+                                                         std::string name) {
+  return message_op<std::int64_t>(MessageOp::kCount, client, std::move(name),
+                                  std::nullopt, 0, 0, {});
+}
+
+template <class R>
+sim::Task<R> QueueService::message_op(MessageOp kind, netsim::Nic& client,
+                                      std::string name,
+                                      std::optional<Payload> body,
+                                      sim::Duration duration, std::uint64_t id,
+                                      std::string pop_receipt) {
+  static constexpr std::string_view kSpans[] = {
+      "queue.put",    "queue.get",    "queue.peek",
+      "queue.delete", "queue.update", "queue.count"};
+  const std::string_view span = kSpans[static_cast<int>(kind)];
+  obs::OpScope op(cluster_.simulation(), span);
+  if (body && body->size() > lim::kMaxMessagePayloadBytes) {
     throw InvalidArgumentError(
         "message payload exceeds 49,152 usable bytes (64 KB encoded)");
   }
   QueueData& q = require_queue(name);
   admit(q, name);
 
-  const std::int64_t wire =
-      new_body ? encoded_size(new_body->size()) : 256;
-  const std::uint64_t oid = object_id(cluster::partition_hash(name));
-  cluster::RequestCost cost;
-  cost.request_bytes = wire;
-  cost.disk_bytes = new_body ? wire : 512;
-  cost.server_cpu = cfg_.put_cpu;
-  cost.replicate = true;  // visibility/content change reaches all copies
-  cost.object_id = oid;
-  cost.content_crc = next_state_crc(q, oid);
-  op.set_bytes(wire);
-  op.stage();
-  co_await cluster_.execute(client, cluster::partition_hash(name), cost);
-  ++q.mutation_serial;
-  {
-    const sim::TimePoint commit_start = cluster_.simulation().now();
-    auto lock = co_await q.commit_lock.acquire();
-    co_await cluster_.simulation().delay(cfg_.put_commit_time);
-    if (obs::Observer* const o = op.observer(); o != nullptr) {
-      o->emit(obs::SpanKind::kLogCommit, op.ctx(), commit_start,
-              cluster_.simulation().now(), o->label("queue.update"));
-    }
-  }
-
-  expire(q);  // a lapsed message is not found, as in delete_message
-  auto it = std::find_if(q.messages.begin(), q.messages.end(),
-                         [id](const StoredMessage& m) { return m.id == id; });
-  if (it == q.messages.end()) {
-    throw NotFoundError("message not found in queue: " + name);
-  }
-  if ("pr-" + std::to_string(it->receipt_serial) != pop_receipt) {
-    throw PreconditionFailedError(
-        "pop receipt no longer valid (message was re-gotten)");
-  }
-  it->visible_from = cluster_.simulation().now() + visibility_timeout;
-  if (new_body) it->body = std::move(*new_body);
-  it->receipt_serial = next_receipt_++;
-
-  QueueMessage out;
-  out.id = it->id;
-  out.body = it->body;
-  out.pop_receipt = "pr-" + std::to_string(it->receipt_serial);
-  out.insertion_time = it->insertion_time;
-  out.expiration_time = it->expiration_time;
-  out.dequeue_count = it->dequeue_count;
-  co_return out;
-}
-
-sim::Task<std::int64_t> QueueService::get_message_count(
-    netsim::Nic& client, std::string name) {
-  obs::OpScope op(cluster_.simulation(), "queue.count");
-  QueueData& q = require_queue(name);
-  admit(q, name);
+  // A mutation synchronizes across the replicas and appends to the queue's
+  // message log; a get mutates only when a message is visible, and a peek
+  // or count never does.
+  bool mutates = kind != MessageOp::kPeek && kind != MessageOp::kCount;
   cluster::RequestCost cost;
   cost.request_bytes = 256;
-  cost.response_bytes = 256;
-  cost.server_cpu = sim::micros(500);
-  cost.object_id = object_id(cluster::partition_hash(name));
+  sim::Duration commit_time = cfg_.put_commit_time;
+  switch (kind) {
+    case MessageOp::kPut:
+      cost.request_bytes = encoded_size(body->size());
+      cost.disk_bytes = cost.request_bytes;
+      cost.server_cpu = cfg_.put_cpu;
+      op.set_bytes(cost.request_bytes);
+      break;
+    case MessageOp::kGet: {
+      // The server must locate the message, mark it invisible, and
+      // synchronize that state change across all replicas — the most
+      // expensive operation. Timing uses an *estimate* of the message about
+      // to be served; the actual claim happens atomically after all awaits,
+      // so concurrent consumers can never receive the same message.
+      expire(q);
+      const StoredMessage* estimate = first_visible(q);
+      mutates = estimate != nullptr;
+      cost.response_bytes = mutates ? encoded_size(estimate->body.size()) : 256;
+      cost.server_cpu = cfg_.get_cpu;
+      if (mutates && cfg_.model_16k_get_anomaly) {
+        const std::int64_t sz = estimate->body.size();
+        if (sz >= 12 * 1024 && sz < 24 * 1024) {
+          cost.server_cpu = static_cast<sim::Duration>(
+              static_cast<double>(cost.server_cpu) *
+              cfg_.get_16k_anomaly_factor);
+        }
+      }
+      cost.disk_bytes = mutates ? 512 : 0;
+      commit_time = cfg_.get_commit_time;
+      op.set_bytes(cost.response_bytes);
+      break;
+    }
+    case MessageOp::kPeek: {
+      // A pure read: no server-side synchronization, so the cheapest op.
+      expire(q);
+      const StoredMessage* const estimate = first_visible(q);
+      cost.response_bytes =
+          estimate != nullptr ? encoded_size(estimate->body.size()) : 256;
+      cost.server_cpu = cfg_.peek_cpu;
+      op.set_bytes(cost.response_bytes);
+      break;
+    }
+    case MessageOp::kCount:
+      cost.response_bytes = 256;
+      cost.server_cpu = sim::micros(500);
+      break;
+    case MessageOp::kDelete:
+      cost.server_cpu = cfg_.delete_cpu;
+      cost.disk_bytes = 512;
+      commit_time = cfg_.delete_commit_time;
+      break;
+    case MessageOp::kUpdate:
+      if (body) cost.request_bytes = encoded_size(body->size());
+      cost.disk_bytes = body ? cost.request_bytes : 512;
+      cost.server_cpu = cfg_.put_cpu;
+      op.set_bytes(cost.request_bytes);
+      break;
+  }
+  const std::uint64_t oid = object_id(cluster::partition_hash(name));
+  cost.replicate = mutates;
+  cost.object_id = oid;
+  if (mutates) cost.content_crc = next_state_crc(q, oid);
   op.stage();
   const cluster::ExecResult r =
       co_await cluster_.execute(client, cluster::partition_hash(name), cost);
-  op.set_server(r.served_by);
-  if (r.response_corrupted) {
-    op.set_error();
-    throw ChecksumMismatchError("GetMessageCount response failed checksum");
+  if (kind == MessageOp::kGet || kind == MessageOp::kPeek ||
+      kind == MessageOp::kCount) {
+    op.set_server(r.served_by);
+    if (r.response_corrupted) {
+      // The response failed its end-to-end check client-side. A get's
+      // claim below never happens, so the message stays hidden until its
+      // visibility timeout expires and is redelivered intact.
+      op.set_error();
+      throw ChecksumMismatchError(std::string(span) +
+                                  " response failed checksum");
+    }
   }
+  if (mutates) {
+    ++q.mutation_serial;
+    const sim::TimePoint commit_start = cluster_.simulation().now();
+    auto lock = co_await q.commit_lock.acquire();
+    co_await cluster_.simulation().delay(commit_time);
+    if (obs::Observer* const o = op.observer(); o != nullptr) {
+      o->emit(obs::SpanKind::kLogCommit, op.ctx(), commit_start,
+              cluster_.simulation().now(), o->label(span));
+    }
+  }
+
+  // The atomic point (no suspension from here to the state change). A
+  // message whose TTL lapsed is gone (Azure answers 404) even if no other
+  // operation has swept it yet.
   expire(q);
-  co_return static_cast<std::int64_t>(q.messages.size());
+  const sim::TimePoint now = cluster_.simulation().now();
+  std::optional<QueueMessage> out;
+  switch (kind) {
+    case MessageOp::kPut: {
+      const sim::Duration max_ttl = lim::kMessageTtlSeconds * sim::kSecond;
+      StoredMessage m;
+      m.id = next_id_++;
+      m.body = std::move(*body);
+      m.insertion_time = now;
+      m.expiration_time =
+          now + ((duration <= 0 || duration > max_ttl) ? max_ttl : duration);
+      m.visible_from = now;
+      q.min_expiration = std::min(q.min_expiration, m.expiration_time);
+      q.messages.push_back(std::move(m));
+      break;
+    }
+    case MessageOp::kGet: {
+      const std::size_t idx = pick_visible(q);
+      if (idx >= q.messages.size()) break;
+      StoredMessage& m = q.messages[idx];
+      m.visible_from =
+          now + (duration > 0 ? duration : cfg_.default_visibility_timeout);
+      ++m.dequeue_count;
+      if (m.dequeue_count > 1) {
+        ++redeliveries_;
+        if (obs::Observer* const o = op.observer(); o != nullptr) {
+          o->metrics().counter("queue.redeliveries").add(1);
+        }
+      }
+      m.receipt_serial = next_receipt_++;
+      out = to_message(m, /*with_receipt=*/true);
+      break;
+    }
+    case MessageOp::kPeek: {
+      const std::size_t idx = pick_visible(q);
+      if (idx < q.messages.size()) {
+        out = to_message(q.messages[idx], /*with_receipt=*/false);
+      }
+      break;
+    }
+    case MessageOp::kCount:
+      break;
+    case MessageOp::kDelete:
+      q.messages.erase(find_by_receipt(q, name, id, pop_receipt));
+      break;
+    case MessageOp::kUpdate: {
+      const auto it = find_by_receipt(q, name, id, pop_receipt);
+      it->visible_from = now + duration;
+      if (body) it->body = std::move(*body);
+      it->receipt_serial = next_receipt_++;
+      out = to_message(*it, /*with_receipt=*/true);
+      break;
+    }
+  }
+  if constexpr (std::is_same_v<R, QueueMessage>) {
+    co_return std::move(*out);
+  } else if constexpr (std::is_same_v<R, std::int64_t>) {
+    co_return static_cast<std::int64_t>(q.messages.size());
+  } else if constexpr (!std::is_void_v<R>) {
+    co_return out;
+  }
 }
 
 }  // namespace azure

@@ -180,9 +180,30 @@ class QueueService {
   /// Index of the visible message a consumer sees first (with the FIFO
   /// scramble), or npos.
   std::size_t pick_visible(QueueData& q);
+  /// The oldest visible message, which a get or peek is timed for, or
+  /// nullptr.
+  const StoredMessage* first_visible(const QueueData& q) const;
+  /// Message `id` of `q`. Throws NotFoundError when it is gone and
+  /// PreconditionFailedError when `pop_receipt` is no longer its receipt.
+  std::deque<StoredMessage>::iterator find_by_receipt(
+      QueueData& q, const std::string& name, std::uint64_t id,
+      const std::string& pop_receipt);
+  /// The client's view of `m`; `with_receipt` adds its current pop receipt.
+  static QueueMessage to_message(const StoredMessage& m, bool with_receipt);
 
-  sim::Task<void> metadata_op(netsim::Nic& client, std::uint64_t part_hash,
-                              bool write);
+  /// The message operations, in the order of their span names.
+  enum class MessageOp { kPut, kGet, kPeek, kDelete, kUpdate, kCount };
+  /// The one body behind every message operation (`kind`; R is its public
+  /// result type): admit the request, run it through the cluster, append a
+  /// mutation to the queue's serialized message log, then apply it at the
+  /// atomic point. `body` is the new message or content, `duration` the TTL
+  /// or visibility timeout, and `id` and `pop_receipt` name the message a
+  /// delete or update acts on.
+  template <class R>
+  sim::Task<R> message_op(MessageOp kind, netsim::Nic& client,
+                          std::string name, std::optional<Payload> body,
+                          sim::Duration duration, std::uint64_t id,
+                          std::string pop_receipt);
 
   /// Per-queue integrity object id (salted partition hash; never 0).
   std::uint64_t object_id(std::uint64_t part_hash) const;

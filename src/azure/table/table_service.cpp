@@ -4,6 +4,7 @@
 #include <set>
 
 #include "azure/common/checksum.hpp"
+#include "azure/common/metadata_op.hpp"
 #include "obs/observer.hpp"
 
 namespace azure {
@@ -15,6 +16,9 @@ namespace {
 
 /// Service salt for integrity object ids.
 constexpr std::uint64_t kTableObjectSalt = 0x7AB1'E7AB'1E7A'B000ull;
+
+/// Span of every table lifecycle request.
+constexpr std::string_view kMetaSpan = "table.meta";
 
 std::int64_t property_size(const PropertyValue& v) {
   struct Sizer {
@@ -124,8 +128,7 @@ TableService::Partition& TableService::admit(std::string_view table,
   return p;
 }
 
-sim::Task<void> TableService::journal_write(std::uint64_t part_hash,
-                                            std::int64_t bytes) {
+sim::FlowLimiter& TableService::journal(std::uint64_t part_hash) {
   // Routed through the partition map: when the balancer (or crash failover)
   // moves the partition's bucket, its log appends follow it to the new
   // serving server's journal rather than staying pinned to the static home.
@@ -136,28 +139,15 @@ sim::Task<void> TableService::journal_write(std::uint64_t part_hash,
         cluster_.simulation(), cfg_.journal_bytes_per_sec,
         /*burst=*/32 * 1024.0);
   }
-  co_await journal->acquire(static_cast<double>(bytes));
-}
-
-sim::Task<void> TableService::metadata_op(netsim::Nic& client,
-                                          std::uint64_t part_hash,
-                                          bool write) {
-  obs::OpScope op(cluster_.simulation(), "table.meta");
-  cluster::RequestCost cost;
-  cost.request_bytes = 256;
-  cost.response_bytes = 256;
-  cost.server_cpu = sim::micros(300);
-  cost.replicate = write;
-  cost.disk_bytes = write ? 512 : 0;
-  op.stage();
-  co_await cluster_.execute(client, part_hash, cost);
+  return *journal;
 }
 
 // ------------------------------------------------------- table lifecycle ----
 
 sim::Task<void> TableService::create_table(netsim::Nic& client,
                                            std::string name) {
-  co_await metadata_op(client, cluster::partition_hash(name), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(name), true,
+                       kMetaSpan);
   auto [it, inserted] = tables_.try_emplace(name);
   (void)it;
   if (!inserted) throw ConflictError("table already exists: " + name);
@@ -165,13 +155,15 @@ sim::Task<void> TableService::create_table(netsim::Nic& client,
 
 sim::Task<void> TableService::create_table_if_not_exists(
     netsim::Nic& client, std::string name) {
-  co_await metadata_op(client, cluster::partition_hash(name), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(name), true,
+                       kMetaSpan);
   tables_.try_emplace(name);
 }
 
 sim::Task<void> TableService::delete_table(netsim::Nic& client,
                                            std::string name) {
-  co_await metadata_op(client, cluster::partition_hash(name), true);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(name), true,
+                       kMetaSpan);
   if (tables_.erase(name) == 0) {
     throw NotFoundError("table not found: " + name);
   }
@@ -179,7 +171,8 @@ sim::Task<void> TableService::delete_table(netsim::Nic& client,
 
 sim::Task<bool> TableService::table_exists(netsim::Nic& client,
                                            std::string name) {
-  co_await metadata_op(client, cluster::partition_hash(name), false);
+  co_await metadata_op(cluster_, client, cluster::partition_hash(name), false,
+                       kMetaSpan);
   co_return tables_.count(name) > 0;
 }
 
@@ -188,7 +181,44 @@ sim::Task<bool> TableService::table_exists(netsim::Nic& client,
 sim::Task<void> TableService::insert(netsim::Nic& client,
                                      std::string table,
                                      TableEntity entity) {
-  obs::OpScope op(cluster_.simulation(), "table.insert");
+  return write_entity(client, std::move(table), std::move(entity), {},
+                      TableBatch::OpKind::kInsert);
+}
+
+sim::Task<void> TableService::update(netsim::Nic& client,
+                                     std::string table,
+                                     TableEntity entity,
+                                     std::string if_match) {
+  return write_entity(client, std::move(table), std::move(entity),
+                      std::move(if_match), TableBatch::OpKind::kUpdate);
+}
+
+sim::Task<void> TableService::insert_or_replace(netsim::Nic& client,
+                                                std::string table,
+                                                TableEntity entity) {
+  return write_entity(client, std::move(table), std::move(entity), {},
+                      TableBatch::OpKind::kInsertOrReplace);
+}
+
+sim::Task<void> TableService::merge(netsim::Nic& client,
+                                    std::string table,
+                                    TableEntity entity,
+                                    std::string if_match) {
+  return write_entity(client, std::move(table), std::move(entity),
+                      std::move(if_match), TableBatch::OpKind::kMerge);
+}
+
+sim::Task<void> TableService::write_entity(netsim::Nic& client,
+                                           std::string table,
+                                           TableEntity entity,
+                                           std::string if_match,
+                                           TableBatch::OpKind kind) {
+  using OpKind = TableBatch::OpKind;
+  obs::OpScope op(cluster_.simulation(),
+                  kind == OpKind::kInsert   ? "table.insert"
+                  : kind == OpKind::kUpdate ? "table.update"
+                  : kind == OpKind::kMerge  ? "table.merge"
+                                            : "table.insert_or_replace");
   validate_entity(entity);
   admit(table, entity.partition_key);
   const std::uint64_t part_hash =
@@ -196,27 +226,68 @@ sim::Task<void> TableService::insert(netsim::Nic& client,
 
   const std::int64_t wire = entity.size() + cfg_.entity_envelope_bytes;
   op.set_bytes(wire);
-  co_await journal_write(part_hash, wire);
+  co_await journal(part_hash).acquire(static_cast<double>(wire));
+  // A merge versions the merged result: its candidate checksum comes from
+  // the current state (the precondition checks re-run after the awaits).
+  std::uint32_t crc = entity_crc(entity);
+  if (kind == OpKind::kMerge) {
+    const auto& rows = require_partition(table, entity.partition_key).rows;
+    if (const auto pre = rows.find(entity.row_key); pre != rows.end()) {
+      TableEntity merged = pre->second;
+      for (const auto& [name, value] : entity.properties) {
+        merged.properties[name] = value;
+      }
+      crc = entity_crc(merged);
+    }
+  }
   cluster::RequestCost cost;
   cost.request_bytes = wire;
   cost.disk_bytes = wire;
-  cost.server_cpu = cfg_.insert_cpu;
+  // Update, merge and replace pay an ETag check + read-modify-write.
+  cost.server_cpu =
+      kind == OpKind::kInsert ? cfg_.insert_cpu : cfg_.update_cpu;
   cost.replicate = true;
   cost.object_id = entity_object_id(part_hash, entity.row_key);
-  cost.content_crc = entity_crc(entity);
+  cost.content_crc = crc;
   op.stage();
   co_await cluster_.execute(client, part_hash, cost);
 
   auto& rows = require_partition(table, entity.partition_key).rows;
   const auto it = rows.lower_bound(entity.row_key);
-  if (it != rows.end() && it->first == entity.row_key) {
+  const bool exists = it != rows.end() && it->first == entity.row_key;
+  if (kind == OpKind::kInsert && exists) {
     throw ConflictError("entity already exists: " + entity.partition_key +
                         "/" + entity.row_key);
   }
+  if (kind == OpKind::kUpdate || kind == OpKind::kMerge) {
+    if (!exists) {
+      throw NotFoundError("entity not found: " + entity.partition_key + "/" +
+                          entity.row_key);
+    }
+    if (if_match != "*" && it->second.etag != if_match) {
+      throw PreconditionFailedError(kind == OpKind::kUpdate
+                                        ? "ETag mismatch on update"
+                                        : "ETag mismatch on merge");
+    }
+  }
+  if (kind == OpKind::kMerge) {
+    for (auto& [name, value] : entity.properties) {
+      it->second.properties[name] = value;
+    }
+    // Validate the merged result still fits the limits.
+    validate_entity(it->second);
+    it->second.etag = next_etag();
+    it->second.timestamp = cluster_.simulation().now();
+    co_return;
+  }
   entity.etag = next_etag();
   entity.timestamp = cluster_.simulation().now();
-  std::string row_key = entity.row_key;
-  rows.emplace_hint(it, std::move(row_key), std::move(entity));
+  if (exists) {
+    it->second = std::move(entity);
+  } else {
+    std::string row_key = entity.row_key;
+    rows.emplace_hint(it, std::move(row_key), std::move(entity));
+  }
 }
 
 sim::Task<TableEntity> TableService::query(netsim::Nic& client,
@@ -287,126 +358,6 @@ sim::Task<std::vector<TableEntity>> TableService::query_partition(
   co_return out;
 }
 
-sim::Task<void> TableService::update(netsim::Nic& client,
-                                     std::string table,
-                                     TableEntity entity,
-                                     std::string if_match) {
-  obs::OpScope op(cluster_.simulation(), "table.update");
-  validate_entity(entity);
-  admit(table, entity.partition_key);
-  const std::uint64_t part_hash =
-      cluster::partition_hash(table, entity.partition_key);
-
-  const std::int64_t wire = entity.size() + cfg_.entity_envelope_bytes;
-  op.set_bytes(wire);
-  co_await journal_write(part_hash, wire);
-  cluster::RequestCost cost;
-  cost.request_bytes = wire;
-  cost.disk_bytes = wire;
-  cost.server_cpu = cfg_.update_cpu;  // ETag check + read-modify-write
-  cost.replicate = true;
-  cost.object_id = entity_object_id(part_hash, entity.row_key);
-  cost.content_crc = entity_crc(entity);
-  op.stage();
-  co_await cluster_.execute(client, part_hash, cost);
-
-  auto& rows = require_partition(table, entity.partition_key).rows;
-  const auto it = rows.find(entity.row_key);
-  if (it == rows.end()) {
-    throw NotFoundError("entity not found: " + entity.partition_key + "/" +
-                        entity.row_key);
-  }
-  if (if_match != "*" && it->second.etag != if_match) {
-    throw PreconditionFailedError("ETag mismatch on update");
-  }
-  entity.etag = next_etag();
-  entity.timestamp = cluster_.simulation().now();
-  it->second = std::move(entity);
-}
-
-sim::Task<void> TableService::insert_or_replace(netsim::Nic& client,
-                                                std::string table,
-                                                TableEntity entity) {
-  obs::OpScope op(cluster_.simulation(), "table.insert_or_replace");
-  validate_entity(entity);
-  admit(table, entity.partition_key);
-  const std::uint64_t part_hash =
-      cluster::partition_hash(table, entity.partition_key);
-
-  const std::int64_t wire = entity.size() + cfg_.entity_envelope_bytes;
-  op.set_bytes(wire);
-  co_await journal_write(part_hash, wire);
-  cluster::RequestCost cost;
-  cost.request_bytes = wire;
-  cost.disk_bytes = wire;
-  cost.server_cpu = cfg_.update_cpu;
-  cost.replicate = true;
-  cost.object_id = entity_object_id(part_hash, entity.row_key);
-  cost.content_crc = entity_crc(entity);
-  op.stage();
-  co_await cluster_.execute(client, part_hash, cost);
-
-  auto& rows = require_partition(table, entity.partition_key).rows;
-  entity.etag = next_etag();
-  entity.timestamp = cluster_.simulation().now();
-  std::string row_key = entity.row_key;
-  rows.insert_or_assign(std::move(row_key), std::move(entity));
-}
-
-sim::Task<void> TableService::merge(netsim::Nic& client,
-                                    std::string table,
-                                    TableEntity entity,
-                                    std::string if_match) {
-  obs::OpScope op(cluster_.simulation(), "table.merge");
-  validate_entity(entity);
-  admit(table, entity.partition_key);
-  const std::uint64_t part_hash =
-      cluster::partition_hash(table, entity.partition_key);
-
-  const std::int64_t wire = entity.size() + cfg_.entity_envelope_bytes;
-  op.set_bytes(wire);
-  co_await journal_write(part_hash, wire);
-  // The merged result's checksum versions the entity; compute the candidate
-  // from the current state (precondition checks re-run after the awaits).
-  std::uint32_t merged_crc = entity_crc(entity);
-  {
-    const auto& rows = require_partition(table, entity.partition_key).rows;
-    if (const auto pre = rows.find(entity.row_key); pre != rows.end()) {
-      TableEntity merged = pre->second;
-      for (const auto& [name, value] : entity.properties) {
-        merged.properties[name] = value;
-      }
-      merged_crc = entity_crc(merged);
-    }
-  }
-  cluster::RequestCost cost;
-  cost.request_bytes = wire;
-  cost.disk_bytes = wire;
-  cost.server_cpu = cfg_.update_cpu;
-  cost.replicate = true;
-  cost.object_id = entity_object_id(part_hash, entity.row_key);
-  cost.content_crc = merged_crc;
-  op.stage();
-  co_await cluster_.execute(client, part_hash, cost);
-
-  auto& rows = require_partition(table, entity.partition_key).rows;
-  const auto it = rows.find(entity.row_key);
-  if (it == rows.end()) {
-    throw NotFoundError("entity not found: " + entity.partition_key + "/" +
-                        entity.row_key);
-  }
-  if (if_match != "*" && it->second.etag != if_match) {
-    throw PreconditionFailedError("ETag mismatch on merge");
-  }
-  for (auto& [name, value] : entity.properties) {
-    it->second.properties[name] = value;
-  }
-  // Validate the merged result still fits the limits.
-  validate_entity(it->second);
-  it->second.etag = next_etag();
-  it->second.timestamp = cluster_.simulation().now();
-}
-
 sim::Task<void> TableService::erase(netsim::Nic& client,
                                     std::string table,
                                     std::string partition_key,
@@ -416,7 +367,7 @@ sim::Task<void> TableService::erase(netsim::Nic& client,
   admit(table, partition_key);
   const std::uint64_t part_hash = cluster::partition_hash(table, partition_key);
 
-  co_await journal_write(part_hash, 512);
+  co_await journal(part_hash).acquire(512.0);
   cluster::RequestCost cost;
   cost.request_bytes = 512;
   cost.disk_bytes = 512;
@@ -481,7 +432,7 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
   admit(table, pk, static_cast<std::int64_t>(batch.size()));
   const std::uint64_t part_hash = cluster::partition_hash(table, pk);
 
-  co_await journal_write(part_hash, total_wire);
+  co_await journal(part_hash).acquire(static_cast<double>(total_wire));
   cluster::RequestCost cost;
   cost.request_bytes = total_wire;
   cost.disk_bytes = total_wire;

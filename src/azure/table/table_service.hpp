@@ -208,11 +208,15 @@ class TableService {
                    std::int64_t entities = 1);
   std::string next_etag() { return "W/\"" + std::to_string(++etag_counter_) + "\""; }
 
-  /// Journal write on the partition server owning `part_hash`.
-  sim::Task<void> journal_write(std::uint64_t part_hash, std::int64_t bytes);
+  /// The commit journal of the partition server serving `part_hash`.
+  sim::FlowLimiter& journal(std::uint64_t part_hash);
 
-  sim::Task<void> metadata_op(netsim::Nic& client, std::uint64_t part_hash,
-                              bool write);
+  /// The one body behind insert, update, insert_or_replace and merge
+  /// (`kind`): admit the entity, journal it, replicate it, then apply it to
+  /// the stored row. `if_match` guards update and merge.
+  sim::Task<void> write_entity(netsim::Nic& client, std::string table,
+                               TableEntity entity, std::string if_match,
+                               TableBatch::OpKind kind);
 
   cluster::StorageCluster& cluster_;
   TableServiceConfig cfg_;

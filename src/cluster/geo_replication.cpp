@@ -623,8 +623,8 @@ sim::Task<void> GeoCluster::force_region_restore(int region) {
   verify_chain(region);
   co_await geo_scrub(region);
   co_await catch_up_region(region);
-  if (cfg_.auto_failback && region == initial_primary_ &&
-      primary_ != region && region_up(region)) {
+  if (region == initial_primary_ && primary_ != region &&
+      region_up(region)) {
     primary_ = region;
     ++geo_version_;
     ++region_failbacks_;

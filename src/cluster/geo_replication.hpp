@@ -97,10 +97,6 @@ struct GeoConfig {
   /// Promotion cost paid when a region fails over (used when no fault plan
   /// is armed; an armed plan's region_failover_latency takes precedence).
   sim::Duration failover_latency = sim::millis(100);
-
-  /// After a failed-over original primary returns and catches up, hand the
-  /// primary role back to it (a second geo-map bump + redirect round).
-  bool auto_failback = true;
 };
 
 /// What a geo read reports beyond the stamp-level ExecResult.
@@ -149,8 +145,8 @@ class GeoCluster {
   /// Brings `region` back: chain-CRC verification of its applied log
   /// prefix, ledger reconciliation (geo scrub) against the current
   /// authority, synchronous catch-up shipping of everything it missed, and
-  /// — when it was the original primary and auto_failback is set — handing
-  /// the primary role back.
+  /// — when it was the original primary — handing the primary role back (a
+  /// second geo-map bump and redirect round).
   sim::Task<void> force_region_restore(int region);
 
   /// One ledger-reconciliation pass: converges `region`'s replica store to
@@ -215,7 +211,7 @@ class GeoCluster {
   std::int64_t redeliveries() const noexcept { return redeliveries_; }
   /// Primary promotions (region failovers) executed.
   std::int64_t region_failovers() const noexcept { return region_failovers_; }
-  /// Primary roles handed back after catch-up (auto_failback).
+  /// Primary roles handed back to the original primary after catch-up.
   std::int64_t region_failbacks() const noexcept { return region_failbacks_; }
   /// Clients redirected because their cached geo map predated a failover.
   std::int64_t stale_geo_redirects() const noexcept {

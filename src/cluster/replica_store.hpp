@@ -8,10 +8,11 @@
 // ledger. It costs nothing when fault injection is off — the cluster only
 // touches it for integrity-tracked requests under an armed plan.
 //
-// Placement mirrors the write path: the object's home (primary) partition
-// server holds replica 0, and replica r lives on server (home + r) % N —
-// the same ring order the failover and replication paths walk, so "the next
-// healthy server" is exactly "the next replica".
+// Placement: the object's home (its bucket's default owner) holds replica
+// 0, and replica r lives on server (home + r) % N. A tracked write fans out
+// along this ring whichever server serves it, and crash failover walks the
+// same ring order, so off a down home "the next healthy server" is exactly
+// "the next replica".
 //
 // A replica copy is GOOD when it holds the committed generation, its stored
 // checksum matches the committed checksum, and it is not torn. The committed
@@ -42,6 +43,15 @@ class ReplicaStore {
     /// Guards against concurrent repairs of the same copy (read-repair
     /// racing the scrubber).
     bool repairing = false;
+
+    /// Records that this copy now holds generation `g` with checksum `c`. A
+    /// torn copy holds a partial record whose stored checksum cannot
+    /// validate.
+    void land(std::uint64_t g, std::uint32_t c, bool is_torn) noexcept {
+      gen = g;
+      crc = is_torn ? c ^ 0x5A5A5A5Au : c;
+      torn = is_torn;
+    }
   };
 
   struct Entry {

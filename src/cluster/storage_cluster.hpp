@@ -100,24 +100,15 @@ class StorageCluster {
 
   /// Arms fault injection: link faults on the network, plus — when the plan
   /// schedules server crashes — a driver process that crashes and restarts
-  /// partition servers per the plan's precomputed schedule, and one
-  /// anti-entropy scrubber per partition server that re-verifies and repairs
-  /// that server's replicas after each restart. Requests routed to a down
-  /// primary fail over to the next healthy server; a crash while a request
-  /// is in flight resets the client's connection.
+  /// partition servers per the plan's precomputed schedule. Every restart
+  /// is followed by an anti-entropy scrub of that server's replicas.
+  /// Requests routed to a down primary fail over to the next healthy
+  /// server; a crash while a request is in flight resets the client's
+  /// connection.
   void enable_faults(faults::FaultPlan& plan) {
     faults_ = &plan;
     network_.set_fault_plan(&plan);
-    if (plan.config().server_faults_enabled()) {
-      scrub_gates_.reserve(servers_.size());
-      for (std::size_t i = 0; i < servers_.size(); ++i) {
-        scrub_gates_.push_back(std::make_unique<sim::Gate>(sim_));
-      }
-      for (int i = 0; i < static_cast<int>(servers_.size()); ++i) {
-        sim_.spawn(scrubber(i));
-      }
-      sim_.spawn(crash_driver());
-    }
+    if (plan.config().server_faults_enabled()) sim_.spawn(crash_driver());
   }
   faults::FaultPlan* fault_plan() const noexcept { return faults_; }
 
@@ -137,11 +128,10 @@ class StorageCluster {
   }
 
   /// Restarts server `s`: marks it up, records the restart, fails its
-  /// pre-crash buckets back, and triggers the post-restart anti-entropy
-  /// scrub — via the parked per-server scrubber when the plan armed one
-  /// and it is still running, else (externally driven crashes, or restarts
-  /// after the plan's own schedule released the scrubbers) as a one-shot
-  /// delayed pass.
+  /// pre-crash buckets back and, under an armed plan, starts the
+  /// post-restart anti-entropy scrub: any replica the server hosts may have
+  /// missed commits (stale) or been torn by the crash. Plan-driven and
+  /// external restarts take the same path.
   void restart_server(int s) {
     PartitionServer& victim = server(s);
     victim.restart();
@@ -149,17 +139,7 @@ class StorageCluster {
       faults_->record(faults::FaultKind::kServerRestart, victim.index());
     }
     fail_back(victim.index());
-    if (!scrub_shutdown_ && static_cast<std::size_t>(s) < scrub_gates_.size()) {
-      // Wake the restarted server's scrubber: any replica it hosts may have
-      // missed commits (stale) or been torn by the crash.
-      scrub_gates_[static_cast<std::size_t>(s)]->set();
-    } else if (faults_ != nullptr) {
-      // No parked scrubber to wake — either the plan never armed one, or
-      // the crash driver already exhausted its schedule and released them
-      // (scrub_shutdown_): setting an exited scrubber's gate would silently
-      // skip the scrub, so run it as a one-shot instead.
-      sim_.spawn(post_restart_scrub(s));
-    }
+    if (faults_ != nullptr) sim_.spawn(post_restart_scrub(s));
   }
 
   /// The integrity ledger (which generation/checksum each replica of each
@@ -352,9 +332,11 @@ class StorageCluster {
         }
       }
     }
-    // Replica placement is anchored to the hash-derived default owner and
-    // never follows the map: moves and failovers reassign the *serving*
-    // role, not the stored copies.
+    // A tracked object's replicas are anchored to the hash-derived default
+    // owner: moves and failovers reassign the *serving* role, not its
+    // ledger copies, so a tracked write fans out along the home ring. Every
+    // other replicated write fans out to the serving server's ring
+    // successors (see replicate()).
     const int home = map_.default_owner(bucket);
     PartitionServer* primary = &server(map_.owner(bucket));
     if (!primary->up()) {
@@ -472,24 +454,20 @@ class StorageCluster {
     // Synchronous replication: payload flows from the primary to each of the
     // other replicas in parallel; the request acks when the slowest commits.
     std::uint64_t attempt_gen = 0;
-    const bool will_replicate =
-        (tracked_write && entry != nullptr) ||
-        (cost.replicate && cfg_.replicas > 1);
-    obs::SpanHandle replication_span{};
-    if (o != nullptr && will_replicate) {
-      replication_span = o->begin(trace, sim_.now());
-    }
-    if (tracked_write && entry != nullptr) {
+    if (tracked_write) {
       entry->next_gen = std::max(entry->next_gen, entry->committed_gen) + 1;
       attempt_gen = entry->next_gen;
-      co_await replicate_tracked(*primary, *entry, cost, attempt_gen,
-                                 replication_span.ctx);
-    } else if (cost.replicate && cfg_.replicas > 1) {
-      co_await replicate(*primary, cost.disk_bytes, replication_span.ctx);
     }
-    if (o != nullptr && will_replicate) {
-      o->end(replication_span, obs::SpanKind::kReplication, 0,
-             primary->index(), cost.disk_bytes, /*error=*/false, sim_.now());
+    if (tracked_write || (cost.replicate && cfg_.replicas > 1)) {
+      obs::SpanHandle replication_span{};
+      if (o != nullptr) replication_span = o->begin(trace, sim_.now());
+      co_await replicate(*primary, tracked_write ? entry : nullptr, cost,
+                         attempt_gen, replication_span.ctx);
+      if (o != nullptr) {
+        o->end(replication_span, obs::SpanKind::kReplication, 0,
+               primary->index(), cost.disk_bytes, /*error=*/false,
+               sim_.now());
+      }
     }
 
     // A crash while the request was being served kills the connection: the
@@ -497,22 +475,14 @@ class StorageCluster {
     // client cannot know whether the mutation was applied (here it was not —
     // services apply state only after execute() returns).
     if (faults_ != nullptr && !primary->up()) {
-      if (tracked_write && entry != nullptr) {
+      if (tracked_write) {
         // The local append raced the crash: the primary's own copy may be
         // torn, and the fan-out copies hold an unacknowledged generation.
-        // Neither is committed — the scrubber converges them back.
+        // Neither is committed — the scrub converges them back.
         const int lr = store_.replica_on(*entry, primary->index());
         if (lr >= 0) {
-          auto& rep = entry->replicas[static_cast<std::size_t>(lr)];
-          rep.gen = attempt_gen;
-          if (faults_->draw_torn_write()) {
-            rep.crc = cost.content_crc ^ 0x5A5A5A5Au;
-            rep.torn = true;
-            faults_->record(faults::FaultKind::kTornWrite, primary->index());
-          } else {
-            rep.crc = cost.content_crc;
-            rep.torn = false;
-          }
+          entry->replicas[static_cast<std::size_t>(lr)].land(
+              attempt_gen, cost.content_crc, crash_tears(primary->index()));
         }
       }
       if (o != nullptr) {
@@ -526,14 +496,12 @@ class StorageCluster {
     // The write is now acknowledged: advance the committed generation and
     // mark the primary's local copy clean. A concurrent later write may
     // already have committed a higher generation — never regress it.
-    if (tracked_write && entry != nullptr) {
+    if (tracked_write) {
       const int lr = store_.replica_on(*entry, primary->index());
       if (lr >= 0) {
         auto& rep = entry->replicas[static_cast<std::size_t>(lr)];
         if (rep.gen <= attempt_gen) {
-          rep.gen = attempt_gen;
-          rep.crc = cost.content_crc;
-          rep.torn = false;
+          rep.land(attempt_gen, cost.content_crc, false);
         }
       }
       if (attempt_gen > entry->committed_gen) {
@@ -596,14 +564,7 @@ class StorageCluster {
       if (entry == nullptr) continue;
       auto& rep = entry->replicas[static_cast<std::size_t>(r)];
       if (rep.gen > gen) continue;  // a later apply already landed here
-      rep.gen = gen;
-      if (torn && r == 0) {
-        rep.crc = crc ^ 0x5A5A5A5Au;
-        rep.torn = true;
-      } else {
-        rep.crc = crc;
-        rep.torn = false;
-      }
+      rep.land(gen, crc, torn && r == 0);
     }
     if (entry != nullptr && gen > entry->committed_gen) {
       entry->committed_gen = gen;
@@ -713,69 +674,41 @@ class StorageCluster {
     return cfg;
   }
 
-  sim::Task<void> replicate(PartitionServer& primary, std::int64_t bytes,
-                            obs::TraceContext trace = {}) {
+  /// Fans the payload out to the other replicas in parallel and waits for
+  /// the slowest commit. The ring starts at the object's home for a tracked
+  /// write (`entry`, whose ledger copies live there whoever serves it) and
+  /// at the serving server otherwise; the serving server itself is skipped.
+  /// With no move or failover both rings are the same.
+  sim::Task<void> replicate(PartitionServer& primary,
+                            ReplicaStore::Entry* entry,
+                            const RequestCost& cost, std::uint64_t gen,
+                            obs::TraceContext trace) {
     sim::WaitGroup wg(sim_);
-    const int fanout = cfg_.replicas - 1;
-    for (int k = 1; k <= fanout; ++k) {
-      PartitionServer& replica =
-          server((primary.index() + k) % cfg_.partition_servers);
+    const int first = entry != nullptr ? entry->home : primary.index();
+    for (int r = 0; r < cfg_.replicas; ++r) {
+      const int s = (first + r) % cfg_.partition_servers;
+      if (s == primary.index()) continue;
       wg.add();
-      sim_.spawn(replica_send(primary, replica, bytes, wg, trace));
+      sim_.spawn(replica_send(primary, server(s), entry, r, cost.disk_bytes,
+                              gen, cost.content_crc, wg, trace));
     }
     co_await wg.wait();
   }
 
+  /// Ships one copy to `target` and, for a tracked write, records in the
+  /// ledger which generation replica `r` landed — torn when `target`
+  /// crashed mid-commit.
   sim::Task<void> replica_send(PartitionServer& primary,
-                               PartitionServer& replica, std::int64_t bytes,
-                               sim::WaitGroup& wg,
-                               obs::TraceContext trace = {}) {
-    if (faults_ != nullptr && !replica.up()) {
+                               PartitionServer& target,
+                               ReplicaStore::Entry* entry, int r,
+                               std::int64_t bytes, std::uint64_t gen,
+                               std::uint32_t crc, sim::WaitGroup& wg,
+                               obs::TraceContext trace) {
+    if (faults_ != nullptr && !target.up()) {
       // A down replica does not block the commit: the stream layer seals
       // its extent and re-routes the append to a healthy extent node, for
-      // the price of the failover latency (Calder et al., SOSP'11 §4).
-      co_await sim_.delay(cfg_.replica_commit_latency +
-                          faults_->config().failover_latency);
-      wg.done();
-      co_return;
-    }
-    if (bytes > 0) co_await primary.nic().send(bytes);
-    co_await sim_.delay(network_.config().propagation);
-    co_await replica.replica_commit(bytes, trace);
-    wg.done();
-  }
-
-  /// Tracked analogue of replicate(): fans the payload out to the object's
-  /// replica set (same ring order, so the event sequence is identical to
-  /// replicate() when the primary has not failed over), recording which
-  /// generation each copy landed — including torn copies when a replica
-  /// crashes mid-commit.
-  sim::Task<void> replicate_tracked(PartitionServer& primary,
-                                    ReplicaStore::Entry& entry,
-                                    const RequestCost& cost,
-                                    std::uint64_t attempt_gen,
-                                    obs::TraceContext trace = {}) {
-    sim::WaitGroup wg(sim_);
-    for (int r = 0; r < store_.replicas_per_object(); ++r) {
-      if (store_.server_of(entry, r) == primary.index()) continue;
-      wg.add();
-      sim_.spawn(replica_send_tracked(primary, entry, r, cost.disk_bytes,
-                                      attempt_gen, cost.content_crc, wg,
-                                      trace));
-    }
-    co_await wg.wait();
-  }
-
-  sim::Task<void> replica_send_tracked(PartitionServer& primary,
-                                       ReplicaStore::Entry& entry, int r,
-                                       std::int64_t bytes,
-                                       std::uint64_t attempt_gen,
-                                       std::uint32_t crc, sim::WaitGroup& wg,
-                                       obs::TraceContext trace = {}) {
-    PartitionServer& target = server(store_.server_of(entry, r));
-    if (!target.up()) {
-      // Stream-layer re-route (see replica_send); this copy stays on its old
-      // generation — stale until repaired.
+      // the price of the failover latency (Calder et al., SOSP'11 §4). A
+      // tracked copy stays on its old generation — stale until repaired.
       co_await sim_.delay(cfg_.replica_commit_latency +
                           faults_->config().failover_latency);
       wg.done();
@@ -784,24 +717,24 @@ class StorageCluster {
     if (bytes > 0) co_await primary.nic().send(bytes);
     co_await sim_.delay(network_.config().propagation);
     co_await target.replica_commit(bytes, trace);
-    auto& rep = entry.replicas[static_cast<std::size_t>(r)];
-    if (rep.gen > attempt_gen) {
-      // A concurrent later write already landed here; don't regress.
-      wg.done();
-      co_return;
-    }
-    rep.gen = attempt_gen;
-    if (!target.up() && faults_->draw_torn_write()) {
-      // Crash mid-append: the extent holds a partial record whose checksum
-      // cannot validate.
-      rep.crc = crc ^ 0x5A5A5A5Au;
-      rep.torn = true;
-      faults_->record(faults::FaultKind::kTornWrite, target.index());
-    } else {
-      rep.crc = crc;
-      rep.torn = false;
+    if (entry != nullptr) {
+      // A concurrent later write may already have landed here; don't
+      // regress it.
+      auto& rep = entry->replicas[static_cast<std::size_t>(r)];
+      if (rep.gen <= gen) {
+        rep.land(gen, crc, !target.up() && crash_tears(target.index()));
+      }
     }
     wg.done();
+  }
+
+  /// Whether a write that a crash of server `s` just interrupted lands torn
+  /// (a partial record whose checksum cannot validate) rather than not at
+  /// all. Draws once from the plan's torn stream and logs a torn landing.
+  bool crash_tears(int s) {
+    if (!faults_->draw_torn_write()) return false;
+    faults_->record(faults::FaultKind::kTornWrite, s);
+    return true;
   }
 
   /// Copies the committed content back onto replica `r` of `entry`. The
@@ -819,29 +752,13 @@ class StorageCluster {
     rep.repairing = false;
     if (!target.up()) co_return;  // crashed mid-repair; copy stays bad
     if (entry.replica_good(r)) co_return;  // a concurrent write converged it
-    rep.gen = entry.committed_gen;
-    rep.crc = entry.committed_crc;
-    rep.torn = false;
+    rep.land(entry.committed_gen, entry.committed_crc, false);
     if (scrub) {
       ++scrub_repairs_;
       faults_->record(faults::FaultKind::kScrubRepair, target.index());
     } else {
       ++read_repairs_;
       faults_->record(faults::FaultKind::kReadRepair, target.index());
-    }
-  }
-
-  /// Per-server anti-entropy loop: parked on a gate the crash driver sets
-  /// after each restart of this server, then (after a settling delay)
-  /// verifies every replica the server hosts and repairs the bad ones.
-  sim::Task<void> scrubber(int s) {
-    sim::Gate& gate = *scrub_gates_[static_cast<std::size_t>(s)];
-    for (;;) {
-      co_await gate.wait();
-      gate.reset();
-      if (scrub_shutdown_) co_return;
-      co_await sim_.delay(cfg_.scrub_delay);
-      co_await scrub_server(s);
     }
   }
 
@@ -922,8 +839,8 @@ class StorageCluster {
     }
   }
 
-  /// One-shot settling-delay + scrub pass, for restarts driven from outside
-  /// the plan's own crash schedule (no parked scrubber to wake).
+  /// Post-restart anti-entropy: after a settling delay, verifies every
+  /// replica server `s` hosts and repairs the bad ones.
   sim::Task<void> post_restart_scrub(int s) {
     co_await sim_.delay(cfg_.scrub_delay);
     co_await scrub_server(s);
@@ -940,12 +857,6 @@ class StorageCluster {
       co_await sim_.delay(faults_->config().server_downtime);
       restart_server(victim);
     }
-    // Schedule exhausted: release every parked scrubber so no coroutine is
-    // left suspended on a gate when the simulation drains (Gate asserts it
-    // has no waiters at destruction, and a forever-suspended frame leaks
-    // under ASan).
-    scrub_shutdown_ = true;
-    for (auto& gate : scrub_gates_) gate->set();
   }
 
   sim::Simulation& sim_;
@@ -1003,8 +914,6 @@ class StorageCluster {
 
   // Integrity state (quiescent unless a fault plan is armed).
   ReplicaStore store_;
-  std::vector<std::unique_ptr<sim::Gate>> scrub_gates_;
-  bool scrub_shutdown_ = false;
   std::int64_t request_checksum_rejects_ = 0;
   std::int64_t response_corruptions_ = 0;
   std::int64_t read_mismatches_ = 0;

@@ -91,15 +91,11 @@ struct FaultConfig {
 
   // ------------------------------------- geo link faults (per batch) ----
   // Inter-region links are long-haul: they lose whole replication batches
-  // (the shipper redelivers next round) and suffer latency spikes, but
-  // intra-batch corruption is already covered by the end-to-end checksums
-  // the entries carry. One draw per shipped batch, from a dedicated stream.
+  // (the shipper redelivers next round), but intra-batch corruption is
+  // already covered by the end-to-end checksums the entries carry. One draw
+  // per shipped batch, from a dedicated stream.
   /// Probability that a shipped replication batch is lost in transit.
   double geo_drop_probability = 0;
-  /// Probability of a latency spike on a shipped batch's path.
-  double geo_latency_spike_probability = 0;
-  /// Mean of the (exponential) geo latency-spike duration.
-  sim::Duration geo_latency_spike_mean = sim::millis(50);
 
   bool link_faults_enabled() const noexcept {
     return drop_probability > 0 || duplicate_probability > 0 ||
@@ -108,7 +104,7 @@ struct FaultConfig {
   bool server_faults_enabled() const noexcept { return server_crashes > 0; }
   bool region_faults_enabled() const noexcept { return region_outages > 0; }
   bool geo_link_faults_enabled() const noexcept {
-    return geo_drop_probability > 0 || geo_latency_spike_probability > 0;
+    return geo_drop_probability > 0;
   }
   bool enabled() const noexcept {
     return link_faults_enabled() || server_faults_enabled() ||
@@ -152,8 +148,6 @@ enum class FaultKind : std::uint8_t {
   /// A shipped inter-region replication batch was lost in transit (the
   /// shipper redelivers it next round). detail = payload bytes.
   kGeoBatchDrop,
-  /// A shipped batch hit a latency spike on the inter-region link.
-  kGeoLatencySpike,
 };
 
 /// One injected fault, as recorded in the plan's log. The log is part of
@@ -279,30 +273,15 @@ class FaultPlan {
   }
 
   /// Consulted once per shipped inter-region replication batch. Draws
-  /// exactly one uniform value from the dedicated geo stream (the two
-  /// probabilities partition [0, 1)); non-kNone outcomes are logged.
+  /// exactly one uniform value from the dedicated geo stream; a drop is
+  /// logged.
   LinkFault draw_geo_link_fault(std::int64_t bytes) {
     if (!cfg_.geo_link_faults_enabled()) return LinkFault::kNone;
-    const double u = geo_rng_.next_double();
-    double edge = cfg_.geo_drop_probability;
-    if (u < edge) {
+    if (geo_rng_.next_double() < cfg_.geo_drop_probability) {
       record(FaultKind::kGeoBatchDrop, bytes);
       return LinkFault::kDrop;
     }
-    edge += cfg_.geo_latency_spike_probability;
-    if (u < edge) {
-      record(FaultKind::kGeoLatencySpike, bytes);
-      return LinkFault::kLatencySpike;
-    }
     return LinkFault::kNone;
-  }
-
-  /// Duration of the geo latency spike just drawn (call only after
-  /// draw_geo_link_fault returned kLatencySpike; consumes one geo draw).
-  sim::Duration draw_geo_spike_duration() {
-    const auto d = static_cast<sim::Duration>(geo_rng_.exponential(
-        static_cast<double>(cfg_.geo_latency_spike_mean)));
-    return d > 0 ? d : sim::kNanosecond;
   }
 
   /// The precomputed region-outage schedule, executed by the geo layer's

@@ -47,7 +47,6 @@ class GeoLink {
   /// Ships `bytes` across the link. Returns false when the geo fault stream
   /// dropped the batch — the occupancy is paid (the bytes left the sending
   /// region) but the batch never arrives, and the caller must redeliver.
-  /// A latency spike adds its drawn duration to the propagation delay.
   sim::Task<bool> carry(std::int64_t bytes, faults::FaultPlan* plan) {
     faults::LinkFault fault = faults::LinkFault::kNone;
     if (plan != nullptr) fault = plan->draw_geo_link_fault(bytes);
@@ -59,12 +58,7 @@ class GeoLink {
       }
       co_return false;
     }
-    sim::Duration propagation = cfg_.latency;
-    if (fault == faults::LinkFault::kLatencySpike) {
-      propagation += plan->draw_geo_spike_duration();
-      ++spiked_batches_;
-    }
-    co_await sim_.delay(propagation);
+    co_await sim_.delay(cfg_.latency);
     ++batches_;
     bytes_moved_ += bytes;
     if (obs::Observer* const o = sim_.observer(); o != nullptr) {
@@ -82,7 +76,6 @@ class GeoLink {
   std::int64_t batches() const noexcept { return batches_; }
   std::int64_t bytes_moved() const noexcept { return bytes_moved_; }
   std::int64_t dropped_batches() const noexcept { return dropped_batches_; }
-  std::int64_t spiked_batches() const noexcept { return spiked_batches_; }
 
  private:
   sim::Simulation& sim_;
@@ -91,7 +84,6 @@ class GeoLink {
   std::int64_t batches_ = 0;
   std::int64_t bytes_moved_ = 0;
   std::int64_t dropped_batches_ = 0;
-  std::int64_t spiked_batches_ = 0;
 };
 
 }  // namespace netsim

@@ -334,10 +334,9 @@ TEST(IntegrityRepairTest, CrashDuringScrubNeverDamagesHealthyState) {
   EXPECT_EQ(cluster.scrub_repairs(), 1);
 }
 
-// Regression: once the plan's crash driver exhausts its schedule it
-// releases the parked scrubbers (they exit). An externally driven restart
-// after that used to set the dead scrubber's gate — silently skipping the
-// post-restart scrub; it must fall through to the one-shot pass instead.
+// Regression: every restart under an armed plan is scrubbed, the plan's
+// own last restart included, and so is an externally driven restart after
+// the plan's schedule ran out.
 TEST(IntegrityRepairTest, ExternalRestartAfterCrashScheduleStillScrubs) {
   azure::CloudConfig cfg;
   cfg.faults.server_crashes = 1;
@@ -345,13 +344,14 @@ TEST(IntegrityRepairTest, ExternalRestartAfterCrashScheduleStillScrubs) {
   cfg.faults.server_downtime = sim::millis(100);
   TestWorld w(cfg);
   auto& cluster = w.env.storage_cluster();
-  // Run the plan's own schedule to exhaustion: the crash driver releases
-  // the scrubbers at the instant of the last restart, so they exit.
+  // Run the plan's own schedule to exhaustion.
   w.sim.run();
   const std::int64_t plan_passes = cluster.scrub_passes();
+  EXPECT_EQ(plan_passes,
+            w.env.fault_plan().count(faults::FaultKind::kServerRestart));
 
-  // An external chaos driver crashes and restarts a server after the
-  // plan-driven scrubbers are gone. The restart must still scrub.
+  // An external chaos driver crashes and restarts a server after the plan's
+  // schedule is done. The restart must still scrub.
   cluster.crash_server(0);
   cluster.restart_server(0);
   w.sim.run();

@@ -123,6 +123,69 @@ TEST(ClusterRoutingTest, MoveReroutesAfterOneRedirect) {
   EXPECT_EQ(c.server_index(5), 9);
 }
 
+/// Issues `cost` against `hash`, absorbing stale-map redirects.
+Task<> write_through_redirects(StorageCluster& c, netsim::Nic& nic,
+                               std::uint64_t hash, RequestCost cost) {
+  for (;;) {
+    try {
+      (void)co_await c.execute(nic, hash, cost);
+      co_return;
+    } catch (const cluster::PartitionMovedError&) {
+    }
+  }
+}
+
+/// Runs `write` to completion and returns the servers whose replica-commit
+/// count it raised.
+std::vector<int> replica_targets(Simulation& s, StorageCluster& c,
+                                 Task<> write) {
+  std::vector<std::int64_t> before;
+  for (int i = 0; i < c.server_count(); ++i) {
+    before.push_back(c.server(i).replica_commits());
+  }
+  s.spawn(std::move(write));
+  s.run();
+  std::vector<int> targets;
+  for (int i = 0; i < c.server_count(); ++i) {
+    if (c.server(i).replica_commits() > before[static_cast<std::size_t>(i)]) {
+      targets.push_back(i);
+    }
+  }
+  return targets;
+}
+
+// After a move the serving server is off the object's home ring. An
+// untracked replicated write fans out to the serving server's ring
+// successors; a tracked write (object id under an armed plan) fans out
+// along the home ring, where the ledger keeps its copies, minus the serving
+// server.
+TEST(ClusterRoutingTest, FanOutTargetsAfterAMove) {
+  Simulation s;
+  StorageCluster c(s, ClusterConfig{});
+  faults::FaultPlan plan(s, quiet_armed());
+  c.enable_faults(plan);
+  netsim::Nic nic(s, client_nic());
+  // Bucket 5's home ring is servers 5, 6, 7; server 6 now serves it.
+  c.move_bucket(/*bucket=*/5, /*to=*/6, /*offline_for=*/0);
+
+  RequestCost untracked;
+  untracked.disk_bytes = 1024;
+  untracked.replicate = true;
+  EXPECT_EQ(replica_targets(s, c,
+                            write_through_redirects(c, nic, 5, untracked)),
+            (std::vector<int>{7, 8}));
+
+  RequestCost tracked = untracked;
+  tracked.object_id = 42;
+  tracked.content_crc = 0x1234;
+  EXPECT_EQ(replica_targets(s, c, write_through_redirects(c, nic, 5, tracked)),
+            (std::vector<int>{5, 7}));
+  // The serving server holds replica 1: with the fan-out on replicas 0 and
+  // 2, every ledger copy holds the committed write.
+  EXPECT_EQ(c.replica_store().find(42)->home, 5);
+  EXPECT_EQ(c.replica_store().divergent_replicas(), 0);
+}
+
 TEST(ClusterRoutingTest, UnmovedBucketNeverRedirects) {
   Simulation s;
   StorageCluster c(s, ClusterConfig{});
