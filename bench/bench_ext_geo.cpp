@@ -20,6 +20,7 @@
 #include "bench_util.hpp"
 #include "cluster/config.hpp"
 #include "cluster/geo_replication.hpp"
+#include "fabric/vm_size.hpp"
 #include "faults/fault_plan.hpp"
 #include "framework/load_engine.hpp"
 #include "netsim/nic.hpp"
@@ -114,7 +115,7 @@ DrillResult run_drill(sim::Duration ship_interval, std::int64_t sessions,
   nics.reserve(kClientNics);
   for (int i = 0; i < kClientNics; ++i) {
     nics.push_back(std::make_unique<netsim::Nic>(
-        s, netsim::NicConfig{100e6, 100e6, sim::micros(50), 64 * 1024.0}));
+        s, fabric::nic_config_of(fabric::VmSize::kExtraLarge)));
   }
 
   framework::LoadEngineConfig ecfg;

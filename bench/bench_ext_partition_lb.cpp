@@ -20,6 +20,7 @@
 #include "cluster/errors.hpp"
 #include "cluster/load_balancer.hpp"
 #include "cluster/storage_cluster.hpp"
+#include "fabric/vm_size.hpp"
 #include "netsim/nic.hpp"
 #include "simcore/random.hpp"
 #include "simcore/simulation.hpp"
@@ -55,7 +56,7 @@ RunResult run(int workers, int ops_per_worker, int hot_percent,
   nics.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     nics.push_back(std::make_unique<netsim::Nic>(
-        s, netsim::NicConfig{100e6, 100e6, sim::micros(50), 64 * 1024.0}));
+        s, fabric::nic_config_of(fabric::VmSize::kExtraLarge)));
   }
   sim::TimePoint done = 0;
   const double hot_p = static_cast<double>(hot_percent) / 100.0;

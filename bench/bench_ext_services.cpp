@@ -13,6 +13,7 @@
 #include "bench_util.hpp"
 #include "fabric/endpoints.hpp"
 #include "fabric/provisioning.hpp"
+#include "fabric/vm_size.hpp"
 #include "netsim/nic.hpp"
 #include "simcore/simulation.hpp"
 
@@ -23,8 +24,7 @@ using sim::Task;
 struct World {
   sim::Simulation sim;
   azure::CloudEnvironment env{sim};
-  netsim::Nic nic{sim,
-                  netsim::NicConfig{12.5e6, 12.5e6, sim::micros(50), 65536.0}};
+  netsim::Nic nic{sim, fabric::nic_config_of(fabric::VmSize::kSmall)};
   azure::CloudStorageAccount account{env, nic};
 };
 
@@ -96,8 +96,7 @@ int main(int argc, char** argv) {
   {
     World w;
     auto& net = w.env.storage_cluster().network();
-    netsim::Nic nic_b(w.sim, netsim::NicConfig{12.5e6, 12.5e6,
-                                               sim::micros(50), 65536.0});
+    netsim::Nic nic_b(w.sim, fabric::nic_config_of(fabric::VmSize::kSmall));
     fabric::InternalEndpoint a(w.sim, net, w.nic);
     fabric::InternalEndpoint b(w.sim, net, nic_b);
 

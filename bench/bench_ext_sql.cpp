@@ -7,6 +7,7 @@
 #include "azure/environment.hpp"
 #include "azure/sql/sql_service.hpp"
 #include "bench_util.hpp"
+#include "fabric/vm_size.hpp"
 #include "netsim/nic.hpp"
 #include "simcore/simulation.hpp"
 
@@ -18,8 +19,7 @@ using sim::Task;
 struct World {
   sim::Simulation sim;
   azure::CloudEnvironment env{sim};
-  netsim::Nic nic{sim,
-                  netsim::NicConfig{12.5e6, 12.5e6, sim::micros(50), 65536.0}};
+  netsim::Nic nic{sim, fabric::nic_config_of(fabric::VmSize::kSmall)};
   azure::CloudStorageAccount account{env, nic};
 };
 

@@ -27,6 +27,7 @@
 #include "azure/common/retry.hpp"
 #include "azure/environment.hpp"
 #include "bench_util.hpp"
+#include "fabric/vm_size.hpp"
 #include "faults/fault_plan.hpp"
 #include "netsim/nic.hpp"
 #include "simcore/simulation.hpp"
@@ -38,8 +39,7 @@ struct World {
   explicit World(const azure::CloudConfig& cfg) : env(sim, cfg) {}
   sim::Simulation sim;
   azure::CloudEnvironment env;
-  netsim::Nic nic{sim,
-                  netsim::NicConfig{100e6, 100e6, sim::micros(50), 65536.0}};
+  netsim::Nic nic{sim, fabric::nic_config_of(fabric::VmSize::kExtraLarge)};
   azure::CloudStorageAccount account{env, nic};
 };
 

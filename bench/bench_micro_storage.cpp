@@ -9,6 +9,7 @@
 
 #include "azure/cloud_storage_account.hpp"
 #include "azure/environment.hpp"
+#include "fabric/vm_size.hpp"
 #include "netsim/nic.hpp"
 #include "simcore/simulation.hpp"
 
@@ -17,8 +18,7 @@ namespace {
 struct World {
   sim::Simulation sim;
   azure::CloudEnvironment env{sim};
-  netsim::Nic nic{sim,
-                  netsim::NicConfig{100e6, 100e6, sim::micros(50), 65536.0}};
+  netsim::Nic nic{sim, fabric::nic_config_of(fabric::VmSize::kExtraLarge)};
   azure::CloudStorageAccount account{env, nic};
 };
 

@@ -33,6 +33,7 @@
 
 #include "azure/common/retry.hpp"
 #include "bench_util.hpp"
+#include "fabric/vm_size.hpp"
 #include "faults/errors.hpp"
 #include "framework/keygen.hpp"
 #include "framework/load_engine.hpp"
@@ -142,7 +143,7 @@ struct Driver {
         keygen(scenario.keys) {
     for (int i = 0; i < kClientNics; ++i) {
       nics.push_back(std::make_unique<netsim::Nic>(
-          s, netsim::NicConfig{100e6, 100e6, sim::micros(50), 64 * 1024.0}));
+          s, fabric::nic_config_of(fabric::VmSize::kExtraLarge)));
     }
     stat.resize(sc.mix.size());
     double total = 0;

@@ -10,6 +10,7 @@
 
 #include "azure/cloud_storage_account.hpp"
 #include "azure/environment.hpp"
+#include "fabric/vm_size.hpp"
 #include "netsim/nic.hpp"
 #include "simcore/simulation.hpp"
 
@@ -95,8 +96,7 @@ sim::Task<void> tour(sim::Simulation& sim,
 int main() {
   sim::Simulation sim;
   azure::CloudEnvironment cloud(sim);
-  netsim::Nic nic(sim, netsim::NicConfig{12.5e6, 12.5e6, sim::micros(50),
-                                         64 * 1024.0});  // a Small VM NIC
+  netsim::Nic nic(sim, fabric::nic_config_of(fabric::VmSize::kSmall));
   azure::CloudStorageAccount account(cloud, nic);
 
   std::printf("AzureBench quickstart — one client VM against a simulated\n"

@@ -19,6 +19,31 @@ constexpr std::uint64_t kBlobObjectSalt = 0xB10B'0B1E'C751'D000ull;
 /// Span of every container and blob metadata request.
 constexpr std::string_view kMetaSpan = "blob.meta";
 
+/// Per-blob write stream bandwidth ("The throughput of a blob is up to
+/// 60 MB per second").
+constexpr double kBlobWriteBytesPerSec = 60.0 * 1024 * 1024;
+
+/// Serialized per-blob block-index append paid by every staged block.
+constexpr sim::Duration kBlockCommitTime = sim::millis(44);
+
+/// PutBlockList commit cost per listed block.
+constexpr sim::Duration kBlockListPerBlock = sim::micros(200);
+
+/// Server work per chunk-wise read (GetBlock / GetPage), occupying the
+/// serving replica's stream.
+constexpr sim::Duration kChunkReadOverhead = sim::millis(12);
+
+/// Additional page-index lookup for *random* page reads.
+constexpr sim::Duration kPageLookupOverhead = sim::millis(14);
+
+/// Relative streaming efficiency of page blobs on full-blob reads
+/// (sparse page maps stream slightly worse than packed block lists).
+constexpr double kPageStreamFactor = 0.92;
+
+/// Fixed CPU costs.
+constexpr sim::Duration kWriteCpu = sim::micros(500);
+constexpr sim::Duration kReadCpu = sim::micros(300);
+
 /// Slice [from, from+len) out of a payload, preserving synthetic-ness.
 Payload payload_slice(const Payload& p, std::int64_t from, std::int64_t len) {
   assert(from >= 0 && len >= 0 && from + len <= p.size());
@@ -32,13 +57,13 @@ Payload payload_slice(const Payload& p, std::int64_t from, std::int64_t len) {
 BlobService::BlobRuntime::BlobRuntime(sim::Simulation& sim,
                                       const BlobServiceConfig& cfg,
                                       int replicas)
-    : write_stream(sim, cfg.blob_write_bytes_per_sec, /*burst=*/64 * 1024.0),
+    : write_stream(sim, kBlobWriteBytesPerSec, /*burst=*/64 * 1024.0),
       block_index(sim, 1) {
   const int streams = cfg.replica_reads ? replicas : 1;
   read_streams.reserve(static_cast<std::size_t>(streams));
   for (int i = 0; i < streams; ++i) {
     read_streams.push_back(std::make_unique<sim::FlowLimiter>(
-        sim, cfg.replica_read_bytes_per_sec, /*burst=*/64 * 1024.0));
+        sim, kReplicaReadBytesPerSec, /*burst=*/64 * 1024.0));
   }
 }
 
@@ -195,7 +220,7 @@ sim::Task<void> BlobService::write(netsim::Nic& client, std::string container,
   cluster::RequestCost cost;
   cost.request_bytes = data.size();
   cost.disk_bytes = data.size();
-  cost.server_cpu = cfg_.write_cpu;
+  cost.server_cpu = kWriteCpu;
   cost.replicate = true;
   cost.object_id = object_id(hash(container, name));
   cost.content_crc = new_crc;
@@ -219,7 +244,7 @@ sim::Task<void> BlobService::write(netsim::Nic& client, std::string container,
       // is what caps concurrent PutBlock ingest below the page-blob path.
       const sim::TimePoint commit_start = cluster_.simulation().now();
       auto lease = co_await blob.rt->block_index.acquire();
-      co_await cluster_.simulation().delay(cfg_.block_commit_time);
+      co_await cluster_.simulation().delay(kBlockCommitTime);
       if (obs::Observer* const o = op.observer(); o != nullptr) {
         o->emit(obs::SpanKind::kLogCommit, op.ctx(), commit_start,
                 cluster_.simulation().now(), o->label("blob.block_index"));
@@ -283,7 +308,7 @@ sim::Task<void> BlobService::read(netsim::Nic& client, BlobData& blob,
   cluster::RequestCost cost;
   cost.request_bytes = 256;
   cost.response_bytes = bytes;
-  cost.server_cpu = cfg_.read_cpu;
+  cost.server_cpu = kReadCpu;
   cost.object_id = object_id(part_hash);
   op.stage();
   const cluster::ExecResult r =
@@ -362,8 +387,8 @@ sim::Task<void> BlobService::put_block_list(
   cost.request_bytes = 64 * static_cast<std::int64_t>(block_ids.size());
   cost.disk_bytes = 1024;
   cost.server_cpu =
-      cfg_.write_cpu + static_cast<sim::Duration>(block_ids.size()) *
-                           cfg_.block_list_per_block;
+      kWriteCpu +
+      static_cast<sim::Duration>(block_ids.size()) * kBlockListPerBlock;
   cost.replicate = true;
   cost.object_id = object_id(hash(container, name));
   cost.content_crc = new_crc;
@@ -390,7 +415,7 @@ sim::Task<Payload> BlobService::get_block(netsim::Nic& client,
   const Payload data = blob.committed[static_cast<std::size_t>(index)].data;
   op.set_bytes(data.size());
   co_await read(client, blob, hash(container, name),
-                chunk_stream_bytes(data.size(), cfg_.chunk_read_overhead),
+                chunk_stream_bytes(data.size(), kChunkReadOverhead),
                 data.size(), op, /*whole_blob=*/false);
   co_return data;
 }
@@ -434,7 +459,7 @@ sim::Task<Payload> BlobService::download_range(netsim::Nic& client,
     throw InvalidArgumentError("range read outside committed content");
   }
   co_await read(client, blob, hash(container, name),
-                chunk_stream_bytes(length, cfg_.chunk_read_overhead), length,
+                chunk_stream_bytes(length, kChunkReadOverhead), length,
                 op, /*whole_blob=*/false);
 
   // Assemble the range across committed block boundaries.
@@ -517,7 +542,7 @@ sim::Task<Payload> BlobService::get_page(netsim::Nic& client,
     throw InvalidArgumentError("page read out of range");
   }
   const sim::Duration overhead =
-      cfg_.chunk_read_overhead + (random ? cfg_.page_lookup_overhead : 0);
+      kChunkReadOverhead + (random ? kPageLookupOverhead : 0);
   co_await read(client, blob, hash(container, name),
                 chunk_stream_bytes(length, overhead), length, op,
                 /*whole_blob=*/false);
@@ -559,7 +584,7 @@ sim::Task<Payload> BlobService::download_page_blob(
   const std::int64_t extent = blob.page_extent;
   op.set_bytes(extent);
   co_await read(client, blob, hash(container, name),
-                static_cast<double>(extent) / cfg_.page_stream_factor, extent,
+                static_cast<double>(extent) / kPageStreamFactor, extent,
                 op, /*whole_blob=*/true);
   if (extent == 0) co_return Payload{};
   bool any_real = false;

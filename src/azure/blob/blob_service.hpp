@@ -34,37 +34,9 @@
 namespace azure {
 
 struct BlobServiceConfig {
-  /// Per-blob write stream bandwidth ("The throughput of a blob is up to
-  /// 60 MB per second").
-  double blob_write_bytes_per_sec = 60.0 * 1024 * 1024;
-
-  /// Read bandwidth of each replica's stream of a given blob.
-  double replica_read_bytes_per_sec = 60.0 * 1024 * 1024;
-
   /// Whether reads are spread over all replicas (ablation knob; turning
   /// this off collapses download saturation to one stream's bandwidth).
   bool replica_reads = true;
-
-  /// Serialized per-blob block-index append paid by every staged block.
-  sim::Duration block_commit_time = sim::millis(44);
-
-  /// PutBlockList commit cost per listed block.
-  sim::Duration block_list_per_block = sim::micros(200);
-
-  /// Server work per chunk-wise read (GetBlock / GetPage), occupying the
-  /// serving replica's stream.
-  sim::Duration chunk_read_overhead = sim::millis(12);
-
-  /// Additional page-index lookup for *random* page reads.
-  sim::Duration page_lookup_overhead = sim::millis(14);
-
-  /// Relative streaming efficiency of page blobs on full-blob reads
-  /// (sparse page maps stream slightly worse than packed block lists).
-  double page_stream_factor = 0.92;
-
-  /// Fixed CPU costs.
-  sim::Duration write_cpu = sim::micros(500);
-  sim::Duration read_cpu = sim::micros(300);
 };
 
 /// Blob properties snapshot returned to clients.
@@ -182,6 +154,9 @@ class BlobService {
                                            std::string name);
 
  private:
+  /// Read bandwidth of each replica's stream of a given blob.
+  static constexpr double kReplicaReadBytesPerSec = 60.0 * 1024 * 1024;
+
   struct BlockInfo {
     std::string id;
     Payload data;
@@ -266,7 +241,7 @@ class BlobService {
   /// walk, range assembly) at stream speed.
   double chunk_stream_bytes(std::int64_t bytes, sim::Duration overhead) const {
     return static_cast<double>(bytes) +
-           cfg_.replica_read_bytes_per_sec * sim::to_seconds(overhead);
+           kReplicaReadBytesPerSec * sim::to_seconds(overhead);
   }
   /// The read preamble every blob read shares: occupy the blob's next
   /// replica read stream for `stream_bytes`, then fetch `bytes` through the

@@ -7,7 +7,7 @@ CacheService::CacheService(sim::Simulation& sim, netsim::Network& network,
     : sim_(sim), network_(network), cfg_(cfg) {
   servers_.reserve(static_cast<std::size_t>(cfg.cache_servers));
   for (int i = 0; i < cfg.cache_servers; ++i) {
-    servers_.push_back(std::make_unique<Server>(sim, cfg_));
+    servers_.push_back(std::make_unique<Server>(sim));
   }
 }
 
@@ -34,14 +34,14 @@ sim::Task<void> CacheService::put(netsim::Nic& client,
   }
   Server& server = *servers_[static_cast<std::size_t>(server_of(cache, key))];
   co_await network_.transfer(client, server.nic, value.size() + 128);
-  co_await sim_.delay(cfg_.put_cpu);
+  co_await sim_.delay(kPutCpu);
   co_await network_.transfer(server.nic, client, 64);  // ack
 
   if (auto it = server.index.find({cache, key}); it != server.index.end()) {
     drop(server, it->second);
   }
   evict_to_fit(server, value.size());
-  const sim::Duration effective_ttl = ttl > 0 ? ttl : cfg_.default_ttl;
+  const sim::Duration effective_ttl = ttl > 0 ? ttl : kDefaultTtl;
   Item item{cache, key, std::move(value),
             effective_ttl > 0 ? sim_.now() + effective_ttl : 0};
   server.bytes += item.value.size();
@@ -54,7 +54,7 @@ sim::Task<std::optional<Payload>> CacheService::get(netsim::Nic& client,
                                                     std::string key) {
   Server& server = *servers_[static_cast<std::size_t>(server_of(cache, key))];
   co_await network_.transfer(client, server.nic, 128);
-  co_await sim_.delay(cfg_.get_cpu);
+  co_await sim_.delay(kGetCpu);
 
   auto it = server.index.find({cache, key});
   if (it == server.index.end() || expired(*it->second)) {
@@ -76,7 +76,7 @@ sim::Task<bool> CacheService::remove(netsim::Nic& client,
                                      std::string key) {
   Server& server = *servers_[static_cast<std::size_t>(server_of(cache, key))];
   co_await network_.transfer(client, server.nic, 128);
-  co_await sim_.delay(cfg_.put_cpu);
+  co_await sim_.delay(kPutCpu);
   co_await network_.transfer(server.nic, client, 64);
   auto it = server.index.find({cache, key});
   if (it == server.index.end()) co_return false;

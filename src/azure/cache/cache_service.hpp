@@ -39,16 +39,6 @@ struct CacheServiceConfig {
 
   /// Memory budget per cache server.
   std::int64_t memory_per_server = 128ll << 20;
-
-  /// Server-side work per operation (in-memory hash lookups).
-  sim::Duration get_cpu = sim::micros(150);
-  sim::Duration put_cpu = sim::micros(250);
-
-  /// Cache-server NIC bandwidth, each direction.
-  double server_nic_bytes_per_sec = 800.0 * 1024 * 1024;
-
-  /// Default item TTL (0 = no expiry until evicted).
-  sim::Duration default_ttl = 0;
 };
 
 /// Statistics of one named cache (for tests and capacity planning).
@@ -92,6 +82,13 @@ class CacheService {
   }
 
  private:
+  /// Server-side work per operation (in-memory hash lookups).
+  static constexpr sim::Duration kGetCpu = sim::micros(150);
+  static constexpr sim::Duration kPutCpu = sim::micros(250);
+
+  /// Default item TTL (0 = no expiry until evicted).
+  static constexpr sim::Duration kDefaultTtl = 0;
+
   struct Item {
     std::string cache;
     std::string key;
@@ -100,9 +97,9 @@ class CacheService {
   };
   /// One cache server: an LRU list plus an index into it.
   struct Server {
-    explicit Server(sim::Simulation& sim, const CacheServiceConfig& cfg)
-        : nic(sim, netsim::NicConfig{cfg.server_nic_bytes_per_sec,
-                                     cfg.server_nic_bytes_per_sec,
+    explicit Server(sim::Simulation& sim)
+        : nic(sim, netsim::NicConfig{netsim::kServerNicBytesPerSec,
+                                     netsim::kServerNicBytesPerSec,
                                      sim::micros(30)}) {}
     netsim::Nic nic;
     std::list<Item> lru;  // front = most recently used

@@ -27,7 +27,7 @@ namespace azure {
 enum class Backoff {
   /// Constant `backoff` between attempts (the paper's 1 s sleep).
   kFixed,
-  /// backoff * multiplier^retry, capped at max_backoff.
+  /// backoff * kBackoffMultiplier^retry, capped at max_backoff.
   kExponential,
 };
 
@@ -37,7 +37,6 @@ struct RetryPolicy {
   sim::Duration backoff = sim::millis(500);
   /// Upper bound on any single backoff in kExponential mode.
   sim::Duration max_backoff = sim::seconds(32);
-  double multiplier = 2.0;
   /// Deterministic jitter: each backoff is scaled by a factor drawn
   /// uniformly from [1 - jitter, 1 + jitter]. The draw is a pure hash of
   /// (jitter_seed, retry index) — bit-reproducible, no shared RNG state.
@@ -54,9 +53,9 @@ struct RetryPolicy {
   /// paper() keeps it 0 so the frozen figures never observe it.
   sim::Duration total_deadline = 0;
 
-  // Per-error-class retryability. Anything not listed here is rethrown
+  // Per-error-class retryability; ServerBusy is always retryable
+  // (detail::kRetryServerBusy). Anything not listed here is rethrown
   // immediately.
-  bool retry_server_busy = true;       // HTTP 503 throttling
   bool retry_timeouts = true;          // lost request/response
   bool retry_connection_resets = true; // server crashed mid-request
   bool retry_checksum_mismatch = true; // payload corrupted in flight
@@ -127,7 +126,7 @@ struct RetryPolicy {
     if (mode == Backoff::kExponential) {
       double b = static_cast<double>(backoff);
       for (int i = 0; i < retry && b < static_cast<double>(max_backoff); ++i) {
-        b *= multiplier;
+        b *= kBackoffMultiplier;
       }
       base = b < static_cast<double>(max_backoff)
                  ? static_cast<sim::Duration>(b)
@@ -147,6 +146,9 @@ struct RetryPolicy {
   }
 
  private:
+  /// Growth factor of successive kExponential backoffs.
+  static constexpr double kBackoffMultiplier = 2.0;
+
   /// splitmix64-style hash of (seed, retry) onto [0, 1) — platform-identical.
   static double jitter_unit(std::uint64_t seed, int retry) {
     std::uint64_t z =
@@ -164,6 +166,9 @@ namespace detail {
 inline std::uint16_t error_label(obs::Observer* o, const char* name) {
   return o != nullptr ? o->label(name) : 0;
 }
+
+/// ServerBusy (HTTP 503 throttling) is retryable under every policy.
+inline constexpr bool kRetryServerBusy = true;
 
 /// The retry loop behind with_retry_counted and with_retry (which passes
 /// no counter, so it adds no coroutine frame of its own).
@@ -199,7 +204,7 @@ auto retry_loop(sim::Simulation& sim, MakeOp make_op, RetryPolicy policy,
     try {
       co_return co_await make_op();
     } catch (const ServerBusyError&) {
-      retry_or_rethrow("server_busy", policy.retry_server_busy);
+      retry_or_rethrow("server_busy", kRetryServerBusy);
     } catch (const TimeoutError&) {
       retry_or_rethrow("timeout", policy.retry_timeouts);
     } catch (const ConnectionResetError&) {

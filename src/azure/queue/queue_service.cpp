@@ -249,12 +249,12 @@ sim::Task<R> QueueService::message_op(MessageOp kind, netsim::Nic& client,
   bool mutates = kind != MessageOp::kPeek && kind != MessageOp::kCount;
   cluster::RequestCost cost;
   cost.request_bytes = 256;
-  sim::Duration commit_time = cfg_.put_commit_time;
+  sim::Duration commit_time = kPutCommitTime;
   switch (kind) {
     case MessageOp::kPut:
       cost.request_bytes = encoded_size(body->size());
       cost.disk_bytes = cost.request_bytes;
-      cost.server_cpu = cfg_.put_cpu;
+      cost.server_cpu = kPutCpu;
       op.set_bytes(cost.request_bytes);
       break;
     case MessageOp::kGet: {
@@ -267,17 +267,17 @@ sim::Task<R> QueueService::message_op(MessageOp kind, netsim::Nic& client,
       const StoredMessage* estimate = first_visible(q);
       mutates = estimate != nullptr;
       cost.response_bytes = mutates ? encoded_size(estimate->body.size()) : 256;
-      cost.server_cpu = cfg_.get_cpu;
+      cost.server_cpu = kGetCpu;
       if (mutates && cfg_.model_16k_get_anomaly) {
         const std::int64_t sz = estimate->body.size();
         if (sz >= 12 * 1024 && sz < 24 * 1024) {
           cost.server_cpu = static_cast<sim::Duration>(
               static_cast<double>(cost.server_cpu) *
-              cfg_.get_16k_anomaly_factor);
+              kGet16KAnomalyFactor);
         }
       }
       cost.disk_bytes = mutates ? 512 : 0;
-      commit_time = cfg_.get_commit_time;
+      commit_time = kGetCommitTime;
       op.set_bytes(cost.response_bytes);
       break;
     }
@@ -287,7 +287,7 @@ sim::Task<R> QueueService::message_op(MessageOp kind, netsim::Nic& client,
       const StoredMessage* const estimate = first_visible(q);
       cost.response_bytes =
           estimate != nullptr ? encoded_size(estimate->body.size()) : 256;
-      cost.server_cpu = cfg_.peek_cpu;
+      cost.server_cpu = kPeekCpu;
       op.set_bytes(cost.response_bytes);
       break;
     }
@@ -296,14 +296,14 @@ sim::Task<R> QueueService::message_op(MessageOp kind, netsim::Nic& client,
       cost.server_cpu = sim::micros(500);
       break;
     case MessageOp::kDelete:
-      cost.server_cpu = cfg_.delete_cpu;
+      cost.server_cpu = kDeleteCpu;
       cost.disk_bytes = 512;
-      commit_time = cfg_.delete_commit_time;
+      commit_time = kDeleteCommitTime;
       break;
     case MessageOp::kUpdate:
       if (body) cost.request_bytes = encoded_size(body->size());
       cost.disk_bytes = body ? cost.request_bytes : 512;
-      cost.server_cpu = cfg_.put_cpu;
+      cost.server_cpu = kPutCpu;
       op.set_bytes(cost.request_bytes);
       break;
   }
@@ -362,7 +362,7 @@ sim::Task<R> QueueService::message_op(MessageOp kind, netsim::Nic& client,
       if (idx >= q.messages.size()) break;
       StoredMessage& m = q.messages[idx];
       m.visible_from =
-          now + (duration > 0 ? duration : cfg_.default_visibility_timeout);
+          now + (duration > 0 ? duration : kDefaultVisibilityTimeout);
       ++m.dequeue_count;
       if (m.dequeue_count > 1) {
         ++redeliveries_;

@@ -38,36 +38,10 @@
 namespace azure {
 
 struct QueueServiceConfig {
-  /// Server work per operation (on top of cluster request overheads),
-  /// calibrated to 2011/2012-era HTTP round-trip costs — which is also why
-  /// ~100 sequential workers stay under the account's 5,000 tx/s target,
-  /// as the paper observed. Put synchronizes the insert across replicas;
-  /// Peek needs no replica synchronization; Get additionally maintains
-  /// visibility state on all copies — hence Peek < Put < Get.
-  sim::Duration put_cpu = sim::millis(10);
-  sim::Duration peek_cpu = sim::millis(17);
-  sim::Duration get_cpu = sim::millis(14);
-  sim::Duration delete_cpu = sim::millis(8);
-
-  /// Mutations append to the queue's message log, which is serialized per
-  /// queue (one queue = one partition). This serialization is what makes a
-  /// *shared* queue slower than per-worker queues (Fig. 7 vs Fig. 6) and
-  /// why raising the think time cuts per-op time by up to ~2x (lower
-  /// arrival rate => less waiting behind the commit log).
-  sim::Duration put_commit_time = sim::millis(9);
-  sim::Duration get_commit_time = sim::millis(11);
-  sim::Duration delete_commit_time = sim::millis(7);
-
-  /// Default visibility timeout applied by GetMessage.
-  sim::Duration default_visibility_timeout = sim::seconds(30);
-
-  /// Per-message metadata bytes on the wire (headers, receipt, timestamps).
-  std::int64_t message_metadata_bytes = 512;
-
   /// Emulate the paper's consistently-observed slow GetMessage at 16 KB
-  /// payloads (applied to payloads in [12 KiB, 24 KiB)).
+  /// payloads (applied to payloads in [12 KiB, 24 KiB), see
+  /// QueueService::kGet16KAnomalyFactor).
   bool model_16k_get_anomaly = true;
-  double get_16k_anomaly_factor = 2.6;
 
   /// Probability that a Get/Peek returns the second-oldest visible message
   /// instead of the oldest — Azure queues do not guarantee FIFO.
@@ -142,6 +116,36 @@ class QueueService {
   std::int64_t redeliveries() const noexcept { return redeliveries_; }
 
  private:
+  /// Server work per operation (on top of cluster request overheads),
+  /// calibrated to 2011/2012-era HTTP round-trip costs — which is also why
+  /// ~100 sequential workers stay under the account's 5,000 tx/s target,
+  /// as the paper observed. Put synchronizes the insert across replicas;
+  /// Peek needs no replica synchronization; Get additionally maintains
+  /// visibility state on all copies — hence Peek < Put < Get.
+  static constexpr sim::Duration kPutCpu = sim::millis(10);
+  static constexpr sim::Duration kPeekCpu = sim::millis(17);
+  static constexpr sim::Duration kGetCpu = sim::millis(14);
+  static constexpr sim::Duration kDeleteCpu = sim::millis(8);
+
+  /// Mutations append to the queue's message log, which is serialized per
+  /// queue (one queue = one partition). This serialization is what makes a
+  /// *shared* queue slower than per-worker queues (Fig. 7 vs Fig. 6) and
+  /// why raising the think time cuts per-op time by up to ~2x (lower
+  /// arrival rate => less waiting behind the commit log).
+  static constexpr sim::Duration kPutCommitTime = sim::millis(9);
+  static constexpr sim::Duration kGetCommitTime = sim::millis(11);
+  static constexpr sim::Duration kDeleteCommitTime = sim::millis(7);
+
+  /// Default visibility timeout applied by GetMessage.
+  static constexpr sim::Duration kDefaultVisibilityTimeout = sim::seconds(30);
+
+  /// Per-message metadata bytes on the wire (headers, receipt, timestamps).
+  static constexpr std::int64_t kMessageMetadataBytes = 512;
+
+  /// Server-CPU factor of the paper's slow 16 KB GetMessage (applied when
+  /// QueueServiceConfig::model_16k_get_anomaly is on).
+  static constexpr double kGet16KAnomalyFactor = 2.6;
+
   struct StoredMessage {
     std::uint64_t id;
     Payload body;
@@ -171,7 +175,7 @@ class QueueService {
   QueueData& require_queue(std::string name);
   std::int64_t encoded_size(std::int64_t payload) const noexcept {
     // Queue message bodies travel base64-encoded plus metadata.
-    return (payload * 4 + 2) / 3 + cfg_.message_metadata_bytes;
+    return (payload * 4 + 2) / 3 + kMessageMetadataBytes;
   }
   void admit(QueueData& q, std::string name);
   /// Lazy TTL sweep, run by every message operation at its atomic point.

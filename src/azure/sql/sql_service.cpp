@@ -120,7 +120,7 @@ sim::Task<void> SqlService::create_database(netsim::Nic& client,
                                             std::string name,
                                             Edition edition) {
   co_await network_.transfer(client, nic_, 512);
-  co_await sim_.delay(cfg_.connect_cpu);
+  co_await sim_.delay(kConnectCpu);
   auto [it, inserted] = databases_.try_emplace(name, nullptr);
   if (!inserted) throw ConflictError("database already exists: " + name);
   it->second =
@@ -130,7 +130,7 @@ sim::Task<void> SqlService::create_database(netsim::Nic& client,
 sim::Task<void> SqlService::drop_database(netsim::Nic& client,
                                           std::string name) {
   co_await network_.transfer(client, nic_, 256);
-  co_await sim_.delay(cfg_.connect_cpu);
+  co_await sim_.delay(kConnectCpu);
   if (databases_.erase(name) == 0) {
     throw NotFoundError("database not found: " + name);
   }
@@ -144,8 +144,8 @@ sim::Task<void> SqlService::create_table(netsim::Nic& client,
     throw InvalidArgumentError("a table needs at least its primary key");
   }
   Database& db = require_database(database);
-  auto lease = co_await begin(client, db, 1024, cfg_.write_cpu);
-  co_await sim_.delay(cfg_.replica_commit);
+  auto lease = co_await begin(client, db, 1024, kWriteCpu);
+  co_await sim_.delay(kReplicaCommit);
   auto [it, inserted] = db.tables.try_emplace(table);
   if (!inserted) throw ConflictError("table already exists: " + table);
   it->second.schema = std::move(schema);
@@ -163,8 +163,8 @@ sim::Task<void> SqlService::insert(netsim::Nic& client, std::string database,
     throw InvalidArgumentError(
         "database full: edition size cap reached (upgrade the edition)");
   }
-  auto lease = co_await begin(client, db, bytes + 256, cfg_.write_cpu);
-  co_await sim_.delay(cfg_.replica_commit);
+  auto lease = co_await begin(client, db, bytes + 256, kWriteCpu);
+  co_await sim_.delay(kReplicaCommit);
   Value key = row.front();
   if (!t.rows.emplace(std::move(key), std::move(row)).second) {
     throw ConflictError("duplicate primary key in " + table);
@@ -197,7 +197,7 @@ sim::Task<std::vector<Row>> SqlService::select_where(netsim::Nic& client,
   // A scan costs per-row CPU on the server.
   const auto scan_cpu = static_cast<sim::Duration>(
       static_cast<double>(t.rows.size()) *
-      static_cast<double>(cfg_.per_row_scan_cpu));
+      static_cast<double>(kPerRowScanCpu));
   auto lease = co_await begin(client, db, 512,
                               cfg_.point_lookup_cpu + scan_cpu);
   std::vector<Row> out;
@@ -222,9 +222,8 @@ sim::Task<bool> SqlService::update_by_key(netsim::Nic& client,
   if (compare(row.front(), key) != 0) {
     throw InvalidArgumentError("updated row's primary key must match");
   }
-  auto lease = co_await begin(client, db, row_bytes(row) + 256,
-                              cfg_.write_cpu);
-  co_await sim_.delay(cfg_.replica_commit);
+  auto lease = co_await begin(client, db, row_bytes(row) + 256, kWriteCpu);
+  co_await sim_.delay(kReplicaCommit);
   auto it = t.rows.find(key);
   if (it == t.rows.end()) co_return false;
   db.bytes += row_bytes(row) - row_bytes(it->second);
@@ -240,10 +239,9 @@ sim::Task<std::int64_t> SqlService::delete_where(netsim::Nic& client,
   Table& t = require_table(db, table);
   const auto scan_cpu = static_cast<sim::Duration>(
       static_cast<double>(t.rows.size()) *
-      static_cast<double>(cfg_.per_row_scan_cpu));
-  auto lease =
-      co_await begin(client, db, 512, cfg_.write_cpu + scan_cpu);
-  co_await sim_.delay(cfg_.replica_commit);
+      static_cast<double>(kPerRowScanCpu));
+  auto lease = co_await begin(client, db, 512, kWriteCpu + scan_cpu);
+  co_await sim_.delay(kReplicaCommit);
   std::int64_t removed = 0;
   for (auto it = t.rows.begin(); it != t.rows.end();) {
     if (matches(t, it->second, predicate)) {

@@ -73,15 +73,9 @@ struct Predicate {
 struct SqlServiceConfig {
   /// Concurrent connections per database (SQL Azure throttled ~180).
   int max_connections = 180;
-  /// Server work per statement.
-  sim::Duration connect_cpu = sim::millis(15);
+  /// Server work per point lookup (the other statements' costs are
+  /// SqlService constants).
   sim::Duration point_lookup_cpu = sim::millis(2);
-  sim::Duration per_row_scan_cpu = sim::micros(4);
-  sim::Duration write_cpu = sim::millis(5);
-  /// SQL Azure keeps 3 replicas with synchronous commit, like storage.
-  sim::Duration replica_commit = sim::millis(3);
-  /// Database-server NIC bandwidth.
-  double server_nic_bytes_per_sec = 800.0 * 1024 * 1024;
 };
 
 class SqlService {
@@ -91,8 +85,8 @@ class SqlService {
       : sim_(sim),
         network_(network),
         cfg_(cfg),
-        nic_(sim, netsim::NicConfig{cfg.server_nic_bytes_per_sec,
-                                    cfg.server_nic_bytes_per_sec,
+        nic_(sim, netsim::NicConfig{netsim::kServerNicBytesPerSec,
+                                    netsim::kServerNicBytesPerSec,
                                     sim::micros(30)}) {}
 
   const SqlServiceConfig& config() const noexcept { return cfg_; }
@@ -136,6 +130,13 @@ class SqlService {
   std::int64_t database_bytes(const std::string& name) const;
 
  private:
+  /// Server work per statement.
+  static constexpr sim::Duration kConnectCpu = sim::millis(15);
+  static constexpr sim::Duration kPerRowScanCpu = sim::micros(4);
+  static constexpr sim::Duration kWriteCpu = sim::millis(5);
+  /// SQL Azure keeps 3 replicas with synchronous commit, like storage.
+  static constexpr sim::Duration kReplicaCommit = sim::millis(3);
+
   struct Table {
     std::vector<Column> schema;
     std::map<Value, Row> rows;  // keyed by primary key

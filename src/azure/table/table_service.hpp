@@ -37,23 +37,11 @@
 namespace azure {
 
 struct TableServiceConfig {
-  /// Server work per operation (calibrated to 2012-era Azure table
-  /// latencies of tens of milliseconds — also what keeps ~100 sequential
-  /// workers under the account's 5,000 tx/s target, as in the paper).
-  /// Update pays an ETag check + read-modify-write; Query is a pure point
-  /// read; hence Query < Insert ~ Delete < Update (Fig. 8/9 ordering).
-  sim::Duration insert_cpu = sim::millis(22);
+  /// Server work per query, a pure point read (calibrated to 2012-era
+  /// Azure table latencies of tens of milliseconds). The mutations' costs
+  /// are constants in table_service.cpp; Query < Insert ~ Delete < Update
+  /// (Fig. 8/9 ordering).
   sim::Duration query_cpu = sim::millis(20);
-  sim::Duration update_cpu = sim::millis(30);
-  sim::Duration delete_cpu = sim::millis(22);
-
-  /// Per-partition-server table commit journal bandwidth. Mutations append
-  /// the full entity to the journal; this shared stream is what saturates
-  /// under many concurrent writers with 32/64 KB entities.
-  double journal_bytes_per_sec = 4.0 * 1024 * 1024;
-
-  /// OData/XML wire envelope per entity (the 2011 API talks AtomPub).
-  std::int64_t entity_envelope_bytes = 1024;
 };
 
 /// One property value. Azure tables are schemaless: any entity can hold any

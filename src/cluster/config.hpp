@@ -1,11 +1,12 @@
-// Tunable parameters of the simulated Windows Azure storage cluster.
+// The settable parameters of the simulated Windows Azure storage cluster.
 //
 // Defaults encode the scalability targets the paper quotes (Section IV) and
 // the architecture published in Calder et al., "Windows Azure Storage"
 // (SOSP'11): 3-replica strong consistency, partitioned servers, per-account
-// and per-partition transaction caps. Service-time constants are calibrated
-// in bench/ so that reproduced figures match the paper's shapes; every knob
-// is documented with its observable effect.
+// and per-partition transaction caps. The fixed service times and
+// bandwidths are named constants beside the code that reads them
+// (PartitionServer, StorageCluster); every field here is set by some
+// caller and is documented with its observable effect.
 #pragma once
 
 #include <cstdint>
@@ -91,46 +92,14 @@ struct ClusterConfig {
   /// Concurrent request executors per partition server.
   int executors_per_server = 64;
 
-  // ------------------------------------------------------------ network ----
-  /// Partition-server NIC bandwidth, each direction (bytes/s).
-  double server_nic_bytes_per_sec = 800.0 * 1024 * 1024;
-
-  /// Per-request NIC serialization latency on the server side.
-  sim::Duration server_nic_latency = sim::micros(50);
-
-  /// Front-end (load balancer + authentication + routing) latency added to
-  /// every request before it reaches a partition server.
-  sim::Duration frontend_latency = sim::millis(1);
-
-  // --------------------------------------------------------------- disk ----
-  /// Streaming disk bandwidth per partition server (bytes/s).
-  double disk_bytes_per_sec = 400.0 * 1024 * 1024;
-
   /// Fixed per-request server-side processing time (request parsing,
   /// partition-map lookup, authorization).
   sim::Duration request_overhead = sim::micros(500);
-
-  // -------------------------------------------------------- replication ----
-  /// Commit latency added by each synchronous replica write (intra-stamp
-  /// stream append + ack), on top of moving the payload to the replica.
-  sim::Duration replica_commit_latency = sim::millis(2);
-
-  // ----------------------------------------------------------- integrity ----
-  /// Pause between a partition server's restart and the anti-entropy scrub
-  /// of its replicas (lets the restart storm settle first).
-  sim::Duration scrub_delay = sim::millis(100);
-
-  /// Per-object checksum verification time paid by a scrub pass.
-  sim::Duration scrub_check_time = sim::micros(20);
 
   // ------------------------------------------------ scalability targets ----
   /// "Windows Azure storage services can handle up to 5,000 transactions
   /// (entities/messages/blobs) per second" per account.
   std::int64_t account_transactions_per_sec = 5'000;
-
-  /// "maximum bandwidth support for up to 3 GB per second for a single
-  /// storage account".
-  double account_bytes_per_sec = 3.0 * 1024 * 1024 * 1024;
 
   /// ThrottleMode::kPrefixSlowdown only: write (PUT/DELETE/COPY) requests
   /// per second each key prefix sustains before 503 SlowDown. The default

@@ -51,12 +51,6 @@ GeoConfig GeoCluster::validated(GeoConfig cfg) {
           "by bucket and objects keep one home server index in all stamps");
     }
   }
-  for (const GeoLinkOverride& ov : cfg.link_overrides) {
-    if (ov.from < 0 || ov.from >= n || ov.to < 0 || ov.to >= n ||
-        ov.from == ov.to) {
-      throw std::invalid_argument("GeoConfig: link override out of range");
-    }
-  }
   return cfg;
 }
 
@@ -74,12 +68,8 @@ GeoCluster::GeoCluster(sim::Simulation& sim, GeoConfig cfg)
   for (int from = 0; from < n; ++from) {
     for (int to = 0; to < n; ++to) {
       if (from == to) continue;
-      netsim::GeoLinkConfig lc = cfg_.default_link;
-      for (const GeoLinkOverride& ov : cfg_.link_overrides) {
-        if (ov.from == from && ov.to == to) lc = ov.link;
-      }
       links_[static_cast<std::size_t>(from * n + to)] =
-          std::make_unique<netsim::GeoLink>(sim_, lc);
+          std::make_unique<netsim::GeoLink>(sim_, cfg_.default_link);
     }
   }
   region_up_.assign(static_cast<std::size_t>(n), 1);
@@ -121,9 +111,7 @@ sim::Task<int> GeoCluster::route_to_primary(netsim::Nic& client,
     if (geo_version_ > 1 && cached < geo_version_) {
       cached = geo_version_;
       ++stale_geo_redirects_;
-      co_await sim_.delay(regions_[static_cast<std::size_t>(client_region)]
-                              ->config()
-                              .frontend_latency);
+      co_await sim_.delay(StorageCluster::kFrontendLatency);
       if (obs::Observer* const o = sim_.observer(); o != nullptr) {
         o->metrics().counter("geo.stale_redirects").add(1);
       }
@@ -503,7 +491,7 @@ void GeoCluster::force_region_outage(int region) {
   ++region_failovers_;
   outage_at_ = sim_.now();
   rto_pending_ = true;
-  geo_unavailable_until_ = sim_.now() + effective_failover_latency();
+  geo_unavailable_until_ = sim_.now() + kRegionFailoverLatency;
   if (faults_ != nullptr) {
     faults_->record(faults::FaultKind::kRegionFailover, promoted);
   }
@@ -563,7 +551,7 @@ sim::Task<void> GeoCluster::geo_scrub(int region) {
   obs::Observer* const o = sim_.observer();
   for (auto& [object_id, src] : auth.replica_store().entries()) {
     if (src.committed_gen == 0) continue;
-    co_await sim_.delay(target.config().scrub_check_time);
+    co_await sim_.delay(StorageCluster::kScrubCheckTime);
     ReplicaStore::Entry& dst = target.replica_store().open(object_id,
                                                            src.home);
     for (int r = 0; r < target.replica_store().replicas_per_object(); ++r) {
@@ -628,7 +616,7 @@ sim::Task<void> GeoCluster::force_region_restore(int region) {
     primary_ = region;
     ++geo_version_;
     ++region_failbacks_;
-    geo_unavailable_until_ = sim_.now() + effective_failover_latency();
+    geo_unavailable_until_ = sim_.now() + kRegionFailoverLatency;
     if (faults_ != nullptr) {
       faults_->record(faults::FaultKind::kRegionFailback, region);
     }

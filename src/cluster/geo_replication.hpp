@@ -1,5 +1,5 @@
 // Geo-replicated stamps: N regions, each an independent StorageCluster,
-// connected by asymmetric inter-region links with asynchronous, sequenced
+// connected by directional inter-region links with asynchronous, sequenced
 // log shipping (Calder et al., SOSP'11 §2: intra-stamp replication is
 // synchronous, *inter*-stamp replication is asynchronous in the background).
 //
@@ -64,22 +64,12 @@ struct GeoRegionConfig {
   ClusterConfig cluster;
 };
 
-/// Asymmetric override for one direction of one inter-region path.
-struct GeoLinkOverride {
-  int from = 0;
-  int to = 0;
-  netsim::GeoLinkConfig link;
-};
-
 struct GeoConfig {
   /// The regions, index order = ring order for promotion.
   std::vector<GeoRegionConfig> regions;
 
-  /// Link parameters used for every direction without an explicit override.
+  /// Link parameters used for every direction.
   netsim::GeoLinkConfig default_link;
-
-  /// Per-direction overrides (east->west and west->east may differ).
-  std::vector<GeoLinkOverride> link_overrides;
 
   /// Initial primary (home) region.
   int primary = 0;
@@ -93,10 +83,6 @@ struct GeoConfig {
 
   /// Max log entries per shipped batch (per bucket, per destination).
   int ship_batch_max = 64;
-
-  /// Promotion cost paid when a region fails over (used when no fault plan
-  /// is armed; an armed plan's region_failover_latency takes precedence).
-  sim::Duration failover_latency = sim::millis(100);
 };
 
 /// What a geo read reports beyond the stamp-level ExecResult.
@@ -247,14 +233,14 @@ class GeoCluster {
     sim::TimePoint committed_at = 0;
   };
 
+  /// Promotion cost paid when the primary role moves (failover or
+  /// failback): ops arriving inside the handoff window wait it out.
+  static constexpr sim::Duration kRegionFailoverLatency = sim::millis(100);
+
   static GeoConfig validated(GeoConfig cfg);
 
   int buckets() const noexcept {
     return static_cast<int>(committed_seq_.size());
-  }
-  sim::Duration effective_failover_latency() const noexcept {
-    return faults_ != nullptr ? faults_->config().region_failover_latency
-                              : cfg_.failover_latency;
   }
   /// Routes the caller to the current primary: geo-map staleness check
   /// (RegionMovedError redirect), failover-window wait, inter-region hop.

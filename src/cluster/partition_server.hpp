@@ -17,15 +17,19 @@ namespace cluster {
 
 class PartitionServer {
  public:
+  /// Commit latency added by each synchronous replica write (intra-stamp
+  /// stream append + ack), on top of moving the payload to the replica.
+  static constexpr sim::Duration kReplicaCommitLatency = sim::millis(2);
+
   PartitionServer(sim::Simulation& sim, const ClusterConfig& cfg, int index)
       : sim_(sim),
         cfg_(cfg),
         index_(index),
         executors_(sim, cfg.executors_per_server),
-        disk_(sim, cfg.disk_bytes_per_sec, /*burst=*/256.0 * 1024),
-        nic_(sim, netsim::NicConfig{cfg.server_nic_bytes_per_sec,
-                                    cfg.server_nic_bytes_per_sec,
-                                    cfg.server_nic_latency}) {}
+        disk_(sim, kDiskBytesPerSec, /*burst=*/256.0 * 1024),
+        nic_(sim, netsim::NicConfig{netsim::kServerNicBytesPerSec,
+                                    netsim::kServerNicBytesPerSec,
+                                    kNicLatency}) {}
 
   int index() const noexcept { return index_; }
   netsim::Nic& nic() noexcept { return nic_; }
@@ -82,7 +86,7 @@ class PartitionServer {
       co_await nic_.receive(bytes);
       co_await disk_.acquire(static_cast<double>(bytes));
     }
-    co_await sim_.delay(cfg_.replica_commit_latency);
+    co_await sim_.delay(kReplicaCommitLatency);
     ++replica_commits_;
     if (obs::Observer* const o = sim_.observer(); o != nullptr) {
       o->metrics().counter("cluster.replica_commits").add(1);
@@ -96,6 +100,11 @@ class PartitionServer {
   std::int64_t disk_bytes() const noexcept { return disk_bytes_; }
 
  private:
+  /// Per-request NIC serialization latency on the server side.
+  static constexpr sim::Duration kNicLatency = sim::micros(50);
+  /// Streaming disk bandwidth per partition server (bytes/s).
+  static constexpr double kDiskBytesPerSec = 400.0 * 1024 * 1024;
+
   sim::Simulation& sim_;
   const ClusterConfig& cfg_;
   int index_;

@@ -77,13 +77,20 @@ struct ExecResult {
 
 class StorageCluster {
  public:
+  /// Front-end (load balancer + authentication + routing) latency added to
+  /// every request before it reaches a partition server.
+  static constexpr sim::Duration kFrontendLatency = sim::millis(1);
+
+  /// Per-object checksum verification time paid by a scrub pass.
+  static constexpr sim::Duration kScrubCheckTime = sim::micros(20);
+
   StorageCluster(sim::Simulation& sim, const ClusterConfig& cfg = {})
       : sim_(sim),
         cfg_(validated(cfg)),
         network_(sim),
         account_tx_(sim, cfg.account_transactions_per_sec),
-        account_ingress_(sim, cfg.account_bytes_per_sec, 1024.0 * 1024),
-        account_egress_(sim, cfg.account_bytes_per_sec, 1024.0 * 1024),
+        account_ingress_(sim, kAccountBytesPerSec, 1024.0 * 1024),
+        account_egress_(sim, kAccountBytesPerSec, 1024.0 * 1024),
         map_(cfg.partition_servers, cfg.balancer.buckets_per_server),
         store_(cfg.replicas, cfg.partition_servers) {
     servers_.reserve(static_cast<std::size_t>(cfg.partition_servers));
@@ -311,7 +318,7 @@ class StorageCluster {
       if (cached < map_.changed_at(bucket)) {
         cached = map_.version();
         ++stale_map_redirects_;
-        co_await sim_.delay(cfg_.frontend_latency);
+        co_await sim_.delay(kFrontendLatency);
         if (o != nullptr) {
           o->metrics().counter("cluster.stale_map_redirects").add(1);
         }
@@ -350,7 +357,7 @@ class StorageCluster {
       primary = &server(map_.owner(bucket));
       client_versions_[&client] = map_.version();
       if (faults_ != nullptr) {
-        co_await sim_.delay(faults_->config().failover_latency);
+        co_await sim_.delay(kFailoverLatency);
       }
       if (o != nullptr) {
         o->metrics().counter("cluster.failovers").add(1);
@@ -389,7 +396,7 @@ class StorageCluster {
     // Server span: front-end validation + executor + CPU + disk.
     obs::SpanHandle server_span{};
     if (o != nullptr) server_span = o->begin(trace, sim_.now());
-    co_await sim_.delay(cfg_.frontend_latency);
+    co_await sim_.delay(kFrontendLatency);
 
     // The front-end validates the upload's checksum before any state is
     // touched: a payload damaged in flight is rejected outright (HTTP 400
@@ -437,7 +444,7 @@ class StorageCluster {
                         primary->index());
         ++read_mismatches_;
         const sim::TimePoint verify_failover_start = sim_.now();
-        co_await sim_.delay(faults_->config().failover_latency);
+        co_await sim_.delay(kFailoverLatency);
         if (o != nullptr) {
           o->metrics().counter("cluster.read_mismatches").add(1);
           o->emit(obs::SpanKind::kFailover, trace, verify_failover_start,
@@ -649,6 +656,18 @@ class StorageCluster {
   }
 
  private:
+  /// "maximum bandwidth support for up to 3 GB per second for a single
+  /// storage account".
+  static constexpr double kAccountBytesPerSec = 3.0 * 1024 * 1024 * 1024;
+
+  /// Extra latency a request pays when its partition is re-routed to a
+  /// healthy server because the primary is down.
+  static constexpr sim::Duration kFailoverLatency = sim::millis(20);
+
+  /// Pause between a partition server's restart and the anti-entropy scrub
+  /// of its replicas (lets the restart storm settle first).
+  static constexpr sim::Duration kScrubDelay = sim::millis(100);
+
   /// Rejects impossible topologies before any dependent member (replica
   /// ring, partition map) is built from them. A Release build must fail as
   /// loudly as a Debug build here: replicas > servers would silently fold
@@ -709,8 +728,8 @@ class StorageCluster {
       // its extent and re-routes the append to a healthy extent node, for
       // the price of the failover latency (Calder et al., SOSP'11 §4). A
       // tracked copy stays on its old generation — stale until repaired.
-      co_await sim_.delay(cfg_.replica_commit_latency +
-                          faults_->config().failover_latency);
+      co_await sim_.delay(PartitionServer::kReplicaCommitLatency +
+                          kFailoverLatency);
       wg.done();
       co_return;
     }
@@ -770,7 +789,7 @@ class StorageCluster {
       ReplicaStore::Entry& entry = kv.second;
       const int r = store_.replica_on(entry, s);
       if (r < 0) continue;
-      co_await sim_.delay(cfg_.scrub_check_time);
+      co_await sim_.delay(kScrubCheckTime);
       if (!entry.replica_good(r) &&
           !entry.replicas[static_cast<std::size_t>(r)].repairing) {
         co_await repair_replica(entry, r, /*scrub=*/true);
@@ -842,7 +861,7 @@ class StorageCluster {
   /// Post-restart anti-entropy: after a settling delay, verifies every
   /// replica server `s` hosts and repairs the bad ones.
   sim::Task<void> post_restart_scrub(int s) {
-    co_await sim_.delay(cfg_.scrub_delay);
+    co_await sim_.delay(kScrubDelay);
     co_await scrub_server(s);
   }
 

@@ -174,7 +174,7 @@ BlobBenchResult run_blob_benchmark(const BlobBenchConfig& cfg) {
   if (cfg.observer != nullptr) simulation.set_observer(cfg.observer);
   azure::CloudEnvironment env(simulation, cfg.cloud);
   fabric::Deployment deployment(env);
-  deployment.add_worker_roles(cfg.workers, cfg.vm);
+  deployment.add_worker_roles(cfg.workers, kWorkerVm);
 
   Shared shared{cfg, {}, 0};
   deployment.start_workers([&shared](fabric::RoleContext& ctx) {

@@ -11,7 +11,6 @@
 
 #include "azure/environment.hpp"
 #include "core/collector.hpp"
-#include "fabric/vm_size.hpp"
 
 namespace obs {
 class Observer;
@@ -26,7 +25,6 @@ struct BlobBenchConfig {
   std::int64_t chunk_bytes = 1 << 20;
   /// Chunks per blob; the paper uses 100 (a 100 MB blob).
   int chunks = 100;
-  fabric::VmSize vm = fabric::VmSize::kSmall;
   azure::CloudConfig cloud;
   std::uint64_t seed = 42;
   /// Optional observability sink attached to the run's Simulation. Null

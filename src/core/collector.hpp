@@ -13,9 +13,14 @@
 #include <utility>
 #include <vector>
 
+#include "fabric/vm_size.hpp"
 #include "simcore/time.hpp"
 
 namespace azurebench {
+
+/// VM size of every benchmark's worker roles: Small instances, as in the
+/// paper.
+inline constexpr fabric::VmSize kWorkerVm = fabric::VmSize::kSmall;
 
 class PhaseCollector {
  public:

@@ -14,6 +14,12 @@
 namespace azurebench {
 namespace {
 
+/// Relative jitter applied to each shared-queue think pause (uniform in
+/// ±fraction). A real application's "certain amount of time before going
+/// back to the queue" is never exact; without jitter the deterministic fleet
+/// marches in lockstep and contention stops depending on the think time.
+constexpr double kThinkJitter = 0.2;
+
 /// The figure workloads reproduce the paper's client behaviour exactly:
 /// fixed 1 s sleep on ServerBusy (RetryPolicy::paper()).
 template <class MakeOp>
@@ -124,8 +130,7 @@ sim::Task<void> shared_worker(fabric::RoleContext& ctx, SharedShared& shared) {
   QueueBarrier barrier(account, "azurebench-shared-sync", cfg.workers);
   sim::Random rng(cfg.seed + 77 + static_cast<std::uint64_t>(ctx.id()));
   auto jittered = [&](sim::Duration base) {
-    const double f =
-        1.0 + cfg.think_jitter * (2.0 * rng.next_double() - 1.0);
+    const double f = 1.0 + kThinkJitter * (2.0 * rng.next_double() - 1.0);
     return static_cast<sim::Duration>(static_cast<double>(base) * f);
   };
 
@@ -184,7 +189,7 @@ QueueSeparateResult run_queue_separate_benchmark(
   if (cfg.observer != nullptr) simulation.set_observer(cfg.observer);
   azure::CloudEnvironment env(simulation, cfg.cloud);
   fabric::Deployment deployment(env);
-  deployment.add_worker_roles(cfg.workers, cfg.vm);
+  deployment.add_worker_roles(cfg.workers, kWorkerVm);
 
   SeparateShared shared{cfg, {}, 0};
   deployment.start_workers([&shared](fabric::RoleContext& ctx) {
@@ -223,7 +228,7 @@ QueueSharedResult run_queue_shared_benchmark(const QueueSharedConfig& cfg) {
   if (cfg.observer != nullptr) simulation.set_observer(cfg.observer);
   azure::CloudEnvironment env(simulation, cfg.cloud);
   fabric::Deployment deployment(env);
-  deployment.add_worker_roles(cfg.workers, cfg.vm);
+  deployment.add_worker_roles(cfg.workers, kWorkerVm);
 
   SharedShared shared{cfg, std::vector<OpTotals>(cfg.think_seconds.size()), 0};
   deployment.start_workers([&shared](fabric::RoleContext& ctx) {

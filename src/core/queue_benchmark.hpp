@@ -6,7 +6,6 @@
 
 #include "azure/environment.hpp"
 #include "core/collector.hpp"
-#include "fabric/vm_size.hpp"
 
 namespace obs {
 class Observer;
@@ -23,7 +22,6 @@ struct QueueSeparateConfig {
   std::int64_t total_messages = 20'000;
   std::vector<std::int64_t> message_sizes = {4 << 10, 8 << 10, 16 << 10,
                                              32 << 10, 64 << 10};
-  fabric::VmSize vm = fabric::VmSize::kSmall;
   azure::CloudConfig cloud;
   /// Optional observability sink (see BlobBenchConfig::observer).
   obs::Observer* observer = nullptr;
@@ -59,13 +57,7 @@ struct QueueSharedConfig {
   std::int64_t message_size = 32 << 10;
   std::int64_t messages_per_round = 500;
   std::vector<int> think_seconds = {1, 2, 3, 4, 5};
-  /// Relative jitter applied to each think pause (uniform in ±fraction).
-  /// A real application's "certain amount of time before going back to the
-  /// queue" is never exact; without jitter the deterministic fleet marches
-  /// in lockstep and contention stops depending on the think time.
-  double think_jitter = 0.2;
   std::uint64_t seed = 7;
-  fabric::VmSize vm = fabric::VmSize::kSmall;
   azure::CloudConfig cloud;
   /// Optional observability sink (see BlobBenchConfig::observer).
   obs::Observer* observer = nullptr;

@@ -11,6 +11,7 @@
 #include "azure/common/payload.hpp"
 #include "azure/common/retry.hpp"
 #include "azure/environment.hpp"
+#include "fabric/vm_size.hpp"
 #include "netsim/domain_link.hpp"
 #include "netsim/nic.hpp"
 #include "obs/observer.hpp"
@@ -20,13 +21,6 @@
 
 namespace azurebench {
 namespace {
-
-/// A generously-provisioned client VM endpoint per shard, so the scenario
-/// measures service behaviour rather than client NIC occupancy (mirrors the
-/// sequential benchmarks' client setup).
-netsim::NicConfig shard_client_nic() {
-  return netsim::NicConfig{100e6, 100e6, sim::micros(50), 64 * 1024.0};
-}
 
 /// Everything one domain owns: a complete simulated deployment plus the
 /// client endpoint driving it. Constructed on the setup thread before run();
@@ -528,7 +522,11 @@ ShardedCloudResult run_sharded_cloud(const ShardedCloudConfig& cfg) {
       cc.cluster.balancer.seed = cfg.seed ^ (0xBA1Aull + d);
     }
     sh.env = std::make_unique<azure::CloudEnvironment>(*sh.sim, cc);
-    sh.nic = std::make_unique<netsim::Nic>(*sh.sim, shard_client_nic());
+    // A generously-provisioned client VM endpoint per shard, so the
+    // scenario measures service behaviour rather than client NIC occupancy
+    // (mirrors the sequential benchmarks' client setup).
+    sh.nic = std::make_unique<netsim::Nic>(
+        *sh.sim, fabric::nic_config_of(fabric::VmSize::kExtraLarge));
     sh.account =
         std::make_unique<azure::CloudStorageAccount>(*sh.env, *sh.nic);
   }

@@ -118,7 +118,7 @@ TableBenchResult run_table_benchmark(const TableBenchConfig& cfg) {
   if (cfg.observer != nullptr) simulation.set_observer(cfg.observer);
   azure::CloudEnvironment env(simulation, cfg.cloud);
   fabric::Deployment deployment(env);
-  deployment.add_worker_roles(cfg.workers, cfg.vm);
+  deployment.add_worker_roles(cfg.workers, kWorkerVm);
 
   Shared shared{cfg, {}, 0, 0};
   deployment.start_workers([&shared](fabric::RoleContext& ctx) {

@@ -12,7 +12,6 @@
 
 #include "azure/environment.hpp"
 #include "core/collector.hpp"
-#include "fabric/vm_size.hpp"
 
 namespace obs {
 class Observer;
@@ -27,7 +26,6 @@ struct TableBenchConfig {
   int entities = 500;
   std::vector<std::int64_t> entity_sizes = {4 << 10, 8 << 10, 16 << 10,
                                             32 << 10, 64 << 10};
-  fabric::VmSize vm = fabric::VmSize::kSmall;
   azure::CloudConfig cloud;
   /// Optional observability sink (see BlobBenchConfig::observer).
   obs::Observer* observer = nullptr;

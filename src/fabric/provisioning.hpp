@@ -20,21 +20,21 @@
 
 namespace fabric {
 
+/// Application package size and the portal/fabric upload bandwidth.
+inline constexpr std::int64_t kPackageBytes = 50ll << 20;
+inline constexpr double kPackageUploadBytesPerSec = 4.0 * 1024 * 1024;
+
+/// Wall time the fabric takes to allocate one VM slot.
+inline constexpr sim::Duration kVmAllocation = sim::seconds(150);
+
+/// Extra allocation time per CPU core (bigger VMs are harder to place).
+inline constexpr sim::Duration kAllocationPerCore = sim::seconds(20);
+
+/// Guest OS boot + role host start.
+inline constexpr sim::Duration kGuestBoot = sim::seconds(90);
+inline constexpr sim::Duration kRoleStart = sim::seconds(30);
+
 struct ProvisioningConfig {
-  /// Application package size and the portal/fabric upload bandwidth.
-  std::int64_t package_bytes = 50ll << 20;
-  double package_upload_bytes_per_sec = 4.0 * 1024 * 1024;
-
-  /// Wall time the fabric takes to allocate one VM slot.
-  sim::Duration vm_allocation = sim::seconds(150);
-
-  /// Extra allocation time per CPU core (bigger VMs are harder to place).
-  sim::Duration allocation_per_core = sim::seconds(20);
-
-  /// Guest OS boot + role host start.
-  sim::Duration guest_boot = sim::seconds(90);
-  sim::Duration role_start = sim::seconds(30);
-
   /// The fabric allocates at most this many VMs concurrently.
   int parallel_allocations = 12;
 };
@@ -69,8 +69,8 @@ inline sim::Task<ProvisioningReport> provision_deployment(
 
   // 1. Package upload happens once for the whole deployment.
   const auto upload = static_cast<sim::Duration>(
-      static_cast<double>(cfg.package_bytes) /
-      cfg.package_upload_bytes_per_sec * static_cast<double>(sim::kSecond));
+      static_cast<double>(kPackageBytes) / kPackageUploadBytesPerSec *
+      static_cast<double>(sim::kSecond));
   co_await sim.delay(upload);
   report.package_upload = sim.now() - start;
 
@@ -82,23 +82,22 @@ inline sim::Task<ProvisioningReport> provision_deployment(
   struct Ctx {
     sim::Simulation& sim;
     sim::Resource& allocator;
-    const ProvisioningConfig& cfg;
     VmSize size;
     sim::TimePoint start;
     ProvisioningReport& report;
     sim::WaitGroup& done;
-  } ctx{sim, allocator, cfg, size, start, report, done};
+  } ctx{sim, allocator, size, start, report, done};
 
   auto boot_one = [](Ctx& c, int index) -> sim::Task<void> {
     {
       auto slot = co_await c.allocator.acquire();
       const auto cores = spec_of(c.size).cpu_cores;
-      co_await c.sim.delay(c.cfg.vm_allocation +
+      co_await c.sim.delay(kVmAllocation +
                            static_cast<sim::Duration>(
                                cores * static_cast<double>(
-                                           c.cfg.allocation_per_core)));
+                                           kAllocationPerCore)));
     }
-    co_await c.sim.delay(c.cfg.guest_boot + c.cfg.role_start);
+    co_await c.sim.delay(kGuestBoot + kRoleStart);
     c.report.instance_ready[static_cast<std::size_t>(index)] =
         c.sim.now() - c.start;
     c.done.done();

@@ -44,8 +44,6 @@ struct FaultConfig {
   /// depends on the receiving layer's checksums (the cluster verifies
   /// integrity-tracked payloads, see cluster/replica_store.hpp).
   double corruption_probability = 0;
-  /// Mean of the (exponential) latency-spike duration.
-  sim::Duration latency_spike_mean = sim::millis(20);
   /// How long a client waits before declaring a lost message timed out.
   sim::Duration drop_timeout = sim::seconds(2);
 
@@ -57,14 +55,6 @@ struct FaultConfig {
   /// How long a crashed server stays down before restarting. Crashes are
   /// injected sequentially, so at most one server is down at a time.
   sim::Duration server_downtime = sim::seconds(5);
-  /// Extra latency a request pays when its partition is re-routed to a
-  /// healthy server because the primary is down.
-  sim::Duration failover_latency = sim::millis(20);
-  /// Probability that a replica write interrupted by a crash lands *torn*
-  /// (partially written, checksum invalid) instead of not at all. Only
-  /// consulted when a crash actually interrupts a commit, from its own
-  /// forked RNG stream.
-  double torn_write_probability = 0.75;
 
   // ---------------------------------------------------- region faults ----
   // Whole-region (stamp) outages, executed by the geo layer's outage driver
@@ -79,10 +69,6 @@ struct FaultConfig {
   sim::Duration region_outage_mean_interval = sim::seconds(30);
   /// How long a lost region stays down before it is restored.
   sim::Duration region_downtime = sim::seconds(5);
-  /// Latency a client pays on a cross-region redirect (stale region routing
-  /// or a request that reached a region mid-outage) before the typed
-  /// RegionMovedError is surfaced.
-  sim::Duration region_failover_latency = sim::millis(100);
   /// Pins every scheduled outage to one region index (-1 draws the victim
   /// from the forked stream). Drills that must lose the *primary* region at
   /// a deterministic target pin it here; the victim draw is consumed either
@@ -250,7 +236,7 @@ class FaultPlan {
   /// draw_link_fault returned kLatencySpike; consumes one RNG draw).
   sim::Duration draw_spike_duration() {
     const auto d = static_cast<sim::Duration>(link_rng_.exponential(
-        static_cast<double>(cfg_.latency_spike_mean)));
+        static_cast<double>(kLatencySpikeMean)));
     return d > 0 ? d : sim::kNanosecond;
   }
 
@@ -258,7 +244,7 @@ class FaultPlan {
   /// written) rather than not at all. Consumes one draw from the dedicated
   /// torn stream; call only when a crash actually interrupted a commit.
   bool draw_torn_write() {
-    return torn_rng_.next_double() < cfg_.torn_write_probability;
+    return torn_rng_.next_double() < kTornWriteProbability;
   }
 
   /// The precomputed crash schedule, executed by the cluster's crash driver.
@@ -310,6 +296,14 @@ class FaultPlan {
   }
 
  private:
+  /// Mean of the (exponential) latency-spike duration.
+  static constexpr sim::Duration kLatencySpikeMean = sim::millis(20);
+  /// Probability that a replica write interrupted by a crash lands *torn*
+  /// (partially written, checksum invalid) instead of not at all. Only
+  /// consulted when a crash actually interrupts a commit, from its own
+  /// forked RNG stream.
+  static constexpr double kTornWriteProbability = 0.75;
+
   sim::Simulation* sim_;
   FaultConfig cfg_;
   sim::Random link_rng_;

@@ -39,16 +39,10 @@ namespace framework {
 struct BagOfTasksConfig {
   /// Number of task-assignment queues tasks are round-robined across.
   int task_queue_shards = 1;
-  std::string task_queue_prefix = "task-assignment";
-  std::string termination_queue = "termination-indicator";
-  /// Container used for task payloads that exceed the queue message limit.
-  std::string spill_container = "task-payloads";
   /// Visibility timeout while a worker processes a task; the task reappears
   /// for another worker if the first one dies (the queue's built-in fault
   /// tolerance the paper highlights).
   sim::Duration task_visibility_timeout = sim::seconds(120);
-  /// How long an idle worker sleeps before re-polling an empty queue.
-  sim::Duration idle_poll_interval = sim::kSecond;
   /// While a handler runs, the worker renews the task's lease (via
   /// UpdateMessage) every half visibility-timeout, so tasks longer than the
   /// timeout are not re-delivered to another worker. Set false to get the
@@ -60,12 +54,6 @@ struct BagOfTasksConfig {
   /// forever, it is moved to the dead-letter queue for offline inspection.
   /// 0 disables dead-lettering (unbounded redelivery, the 2010 behaviour).
   int max_deliveries = 5;
-  std::string dead_letter_queue = "dead-letter";
-  /// Retry policy for all of the framework's own storage traffic. Defaults
-  /// to capped exponential backoff with every transient class retryable, so
-  /// the framework rides out injected timeouts/resets; swap in
-  /// RetryPolicy::paper() to reproduce the paper's fixed-1s behaviour.
-  azure::RetryPolicy retry{};
 };
 
 /// One task as seen by a worker.
@@ -94,20 +82,20 @@ class BagOfTasksApp {
     for (int i = 0; i < cfg_.task_queue_shards; ++i) {
       auto q = queues.get_queue_reference(shard_name(i));
       co_await azure::with_retry(
-          sim, [&] { return q.create_if_not_exists(); }, cfg_.retry);
+          sim, [&] { return q.create_if_not_exists(); }, kRetry);
     }
-    auto termination = queues.get_queue_reference(cfg_.termination_queue);
+    auto termination = queues.get_queue_reference(kTerminationQueue);
     co_await azure::with_retry(
-        sim, [&] { return termination.create_if_not_exists(); }, cfg_.retry);
+        sim, [&] { return termination.create_if_not_exists(); }, kRetry);
     if (cfg_.max_deliveries > 0) {
-      auto dlq = queues.get_queue_reference(cfg_.dead_letter_queue);
+      auto dlq = queues.get_queue_reference(kDeadLetterQueue);
       co_await azure::with_retry(
-          sim, [&] { return dlq.create_if_not_exists(); }, cfg_.retry);
+          sim, [&] { return dlq.create_if_not_exists(); }, kRetry);
     }
     auto spill = account_.create_cloud_blob_client().get_container_reference(
-        cfg_.spill_container);
+        kSpillContainer);
     co_await azure::with_retry(
-        sim, [&] { return spill.create_if_not_exists(); }, cfg_.retry);
+        sim, [&] { return spill.create_if_not_exists(); }, kRetry);
   }
 
   /// Enqueues one task. Oversized descriptors spill into Blob storage.
@@ -122,19 +110,19 @@ class BagOfTasksApp {
         azure::limits::kMaxMessagePayloadBytes) {
       const std::string blob_name = "task-" + std::to_string(id);
       auto blob = account_.create_cloud_blob_client()
-                      .get_container_reference(cfg_.spill_container)
+                      .get_container_reference(kSpillContainer)
                       .get_block_blob_reference(blob_name);
       co_await azure::with_retry(sim, [&] {
         return blob.upload_text(azure::Payload::bytes(body));
-      }, cfg_.retry);
+      }, kRetry);
       co_await azure::with_retry(sim, [&] {
         return q.add_message(
             azure::Payload::bytes(std::string(kSpillMarker) + blob_name));
-      }, cfg_.retry);
+      }, kRetry);
     } else {
       co_await azure::with_retry(
           sim, [&] { return q.add_message(azure::Payload::bytes(body)); },
-          cfg_.retry);
+          kRetry);
     }
     ++submitted_;
   }
@@ -144,9 +132,9 @@ class BagOfTasksApp {
   sim::Task<std::int64_t> completed_count() {
     auto& sim = account_.environment().simulation();
     auto q = account_.create_cloud_queue_client().get_queue_reference(
-        cfg_.termination_queue);
+        kTerminationQueue);
     co_return co_await azure::with_retry(
-        sim, [&] { return q.get_message_count(); }, cfg_.retry);
+        sim, [&] { return q.get_message_count(); }, kRetry);
   }
 
   /// Blocks (in virtual time) until `expected` completions are signalled.
@@ -155,7 +143,7 @@ class BagOfTasksApp {
     for (;;) {
       const std::int64_t done = co_await completed_count();
       if (done >= expected) co_return;
-      co_await sim.delay(cfg_.idle_poll_interval);
+      co_await sim.delay(kIdlePollInterval);
     }
   }
 
@@ -173,8 +161,7 @@ class BagOfTasksApp {
                               int max_idle_polls = 3) {
     auto& sim = worker_account.environment().simulation();
     auto queues = worker_account.create_cloud_queue_client();
-    auto termination =
-        queues.get_queue_reference(cfg_.termination_queue);
+    auto termination = queues.get_queue_reference(kTerminationQueue);
     int idle_polls = 0;
     int shard = 0;
     while (idle_polls < max_idle_polls) {
@@ -185,7 +172,7 @@ class BagOfTasksApp {
       try {
         msg = co_await azure::with_retry(sim, [&] {
           return q.get_message(cfg_.task_visibility_timeout);
-        }, cfg_.retry);
+        }, kRetry);
       } catch (const azure::NotFoundError&) {
         // Workers may boot before the web role has provisioned the queues;
         // treat that like an empty poll.
@@ -193,7 +180,7 @@ class BagOfTasksApp {
       }
       if (not_provisioned || !msg.has_value()) {
         ++idle_polls;
-        co_await sim.delay(cfg_.idle_poll_interval);
+        co_await sim.delay(kIdlePollInterval);
         continue;
       }
       idle_polls = 0;
@@ -203,15 +190,15 @@ class BagOfTasksApp {
       // dead-letter queue instead of crashing yet another handler.
       if (cfg_.max_deliveries > 0 &&
           msg->dequeue_count > cfg_.max_deliveries) {
-        auto dlq = queues.get_queue_reference(cfg_.dead_letter_queue);
+        auto dlq = queues.get_queue_reference(kDeadLetterQueue);
         co_await azure::with_retry(
-            sim, [&] { return dlq.add_message(msg->body); }, cfg_.retry);
+            sim, [&] { return dlq.add_message(msg->body); }, kRetry);
         // Delete AFTER the dead-letter copy is durable (at-least-once: a
         // worker dying between the two adds a duplicate DLQ entry, never
         // loses the task).
         try {
           co_await azure::with_retry(
-              sim, [&] { return q.delete_message(*msg); }, cfg_.retry);
+              sim, [&] { return q.delete_message(*msg); }, kRetry);
         } catch (const azure::PreconditionFailedError&) {
           // Redelivered to someone else meanwhile; they will dead-letter it
           // again and one of the deletes will win.
@@ -291,7 +278,7 @@ class BagOfTasksApp {
         bool still_owned = true;
         try {
           co_await azure::with_retry(
-              sim, [&] { return q.delete_message(current); }, cfg_.retry);
+              sim, [&] { return q.delete_message(current); }, kRetry);
         } catch (const azure::PreconditionFailedError&) {
           still_owned = false;
         } catch (const azure::NotFoundError&) {
@@ -300,7 +287,7 @@ class BagOfTasksApp {
         if (still_owned) {
           co_await azure::with_retry(sim, [&] {
             return termination.add_message(azure::Payload::bytes("done"));
-          }, cfg_.retry);
+          }, kRetry);
         }
       }
     }
@@ -317,9 +304,9 @@ class BagOfTasksApp {
   sim::Task<std::int64_t> dead_letter_count() {
     auto& sim = account_.environment().simulation();
     auto q = account_.create_cloud_queue_client().get_queue_reference(
-        cfg_.dead_letter_queue);
+        kDeadLetterQueue);
     co_return co_await azure::with_retry(
-        sim, [&] { return q.get_message_count(); }, cfg_.retry);
+        sim, [&] { return q.get_message_count(); }, kRetry);
   }
 
   /// Blocks (in virtual time) until every one of `expected` tasks is
@@ -331,11 +318,24 @@ class BagOfTasksApp {
     for (;;) {
       const std::int64_t done = co_await completed_count();
       if (done + dead_lettered_ >= expected) co_return;
-      co_await sim.delay(cfg_.idle_poll_interval);
+      co_await sim.delay(kIdlePollInterval);
     }
   }
 
  private:
+  /// Task-assignment queue i is named "<kTaskQueuePrefix>-i".
+  static constexpr const char* kTaskQueuePrefix = "task-assignment";
+  static constexpr const char* kTerminationQueue = "termination-indicator";
+  static constexpr const char* kDeadLetterQueue = "dead-letter";
+  /// Container used for task payloads that exceed the queue message limit.
+  static constexpr const char* kSpillContainer = "task-payloads";
+  /// How long an idle worker sleeps before re-polling an empty queue.
+  static constexpr sim::Duration kIdlePollInterval = sim::kSecond;
+  /// Retry policy for all of the framework's own storage traffic: capped
+  /// exponential backoff with every transient class retryable, so the
+  /// framework rides out injected timeouts/resets.
+  static constexpr azure::RetryPolicy kRetry{};
+
   static constexpr std::string_view kSpillMarker = "\x01spill:";
 
   /// Background lease renewal: refreshes the message's visibility every
@@ -360,7 +360,7 @@ class BagOfTasksApp {
         // message means the lease is genuinely gone.
         current = co_await azure::with_retry(sim, [&] {
           return queue.update_message(current, cfg_.task_visibility_timeout);
-        }, cfg_.retry);
+        }, kRetry);
       } catch (const azure::PreconditionFailedError&) {
         lost = true;
       } catch (const azure::NotFoundError&) {
@@ -380,7 +380,7 @@ class BagOfTasksApp {
   }
 
   std::string shard_name(int i) const {
-    return cfg_.task_queue_prefix + "-" + std::to_string(i);
+    return std::string(kTaskQueuePrefix) + "-" + std::to_string(i);
   }
 
   sim::Task<TaskDescriptor> resolve(azure::CloudStorageAccount account,
@@ -390,10 +390,10 @@ class BagOfTasksApp {
       auto& sim = account.environment().simulation();
       const std::string blob_name = text.substr(kSpillMarker.size());
       auto blob = account.create_cloud_blob_client()
-                      .get_container_reference(cfg_.spill_container)
+                      .get_container_reference(kSpillContainer)
                       .get_block_blob_reference(blob_name);
       auto payload = co_await azure::with_retry(
-          sim, [&] { return blob.download_text(); }, cfg_.retry);
+          sim, [&] { return blob.download_text(); }, kRetry);
       co_return TaskDescriptor{payload.data(), payload.size()};
     }
     co_return TaskDescriptor{text, message.size()};

@@ -2,9 +2,8 @@
 // two storage stamps, with its own propagation latency and bandwidth.
 //
 // Unlike the intra-datacenter Network (network.hpp), a GeoLink is
-// *directional* — geo topologies are asymmetric (east->west and west->east
-// can have different latency and different provisioned bandwidth) — and it
-// carries *batches* rather than request/response transfers: the geo
+// *directional* — east->west and west->east traffic occupy separate pipes —
+// and it carries *batches* rather than request/response transfers: the geo
 // replication shipper moves sealed log batches and the client redirect path
 // pays the latency only. Fault draws come from the owning fault plan's
 // dedicated geo stream (FaultPlan::draw_geo_link_fault), one per batch, so
@@ -25,10 +24,6 @@ namespace netsim {
 struct GeoLinkConfig {
   /// One-way propagation delay across the long-haul path.
   sim::Duration latency = sim::millis(30);
-  /// Provisioned bandwidth of this direction (bytes/s).
-  double bytes_per_sec = 1.0 * 1024 * 1024 * 1024;
-  /// Instantaneous burst credit in bytes.
-  double burst_bytes = 256 * 1024.0;
 };
 
 /// One direction of an inter-region path. carry() moves a replication batch
@@ -37,7 +32,7 @@ struct GeoLinkConfig {
 class GeoLink {
  public:
   GeoLink(sim::Simulation& sim, const GeoLinkConfig& cfg)
-      : sim_(sim), cfg_(cfg), pipe_(sim, cfg.bytes_per_sec, cfg.burst_bytes) {}
+      : sim_(sim), cfg_(cfg), pipe_(sim, kBytesPerSec, kBurstBytes) {}
 
   GeoLink(const GeoLink&) = delete;
   GeoLink& operator=(const GeoLink&) = delete;
@@ -78,6 +73,11 @@ class GeoLink {
   std::int64_t dropped_batches() const noexcept { return dropped_batches_; }
 
  private:
+  /// Provisioned bandwidth of each direction (bytes/s).
+  static constexpr double kBytesPerSec = 1.0 * 1024 * 1024 * 1024;
+  /// Instantaneous burst credit in bytes.
+  static constexpr double kBurstBytes = 256 * 1024.0;
+
   sim::Simulation& sim_;
   GeoLinkConfig cfg_;
   sim::FlowLimiter pipe_;

@@ -107,12 +107,6 @@ class Network {
     (void)co_await transfer_checked(src, dst, bytes, trace);
   }
 
-  /// One-way control-plane delay (request or response header).
-  sim::Task<void> control_hop(Nic& src, Nic& dst,
-                              obs::TraceContext trace = {}) {
-    co_await transfer(src, dst, 0, trace);
-  }
-
   std::int64_t transfers() const noexcept { return transfers_; }
   std::int64_t bytes_moved() const noexcept { return bytes_moved_; }
   std::int64_t dropped_transfers() const noexcept { return dropped_transfers_; }

@@ -19,6 +19,10 @@ struct NicConfig {
   double burst_bytes = 64 * 1024.0;
 };
 
+/// NIC bandwidth of every server in the stamp (partition, SQL database and
+/// cache servers), each direction (bytes/s).
+inline constexpr double kServerNicBytesPerSec = 800.0 * 1024 * 1024;
+
 /// One endpoint's network interface. Transfers through a NIC occupy the
 /// relevant direction's pipe for bytes/bandwidth of virtual time.
 class Nic {

@@ -5,13 +5,6 @@
 #include <vector>
 
 namespace storage {
-namespace {
-
-/// Modelled listing-response footprint per entry (name + properties in the
-/// enumeration XML) — what the mix table accounts for a list op.
-constexpr std::int64_t kListEntryBytes = 64;
-
-}  // namespace
 
 AzureDriver::AzureDriver(sim::Simulation& sim, const framework::Scenario& sc)
     : env_(sim, cloud_config(sc)),
@@ -19,17 +12,10 @@ AzureDriver::AzureDriver(sim::Simulation& sim, const framework::Scenario& sc)
 
 azure::CloudConfig AzureDriver::cloud_config(const framework::Scenario& sc) {
   azure::CloudConfig cc;
-  cc.cluster.partition_servers = sc.cluster.partition_servers;
-  cc.cluster.balancer.enabled = sc.cluster.balancer;
-  cc.cluster.throttle_mode = sc.cluster.throttle_queue
-                                 ? cluster::ThrottleMode::kQueue
-                                 : cluster::ThrottleMode::kReject;
-  cc.faults.seed = sc.faults.seed;
-  cc.faults.drop_probability = sc.faults.drop_probability;
-  cc.faults.duplicate_probability = sc.faults.duplicate_probability;
-  cc.faults.latency_spike_probability = sc.faults.latency_spike_probability;
-  cc.faults.corruption_probability = sc.faults.corruption_probability;
-  cc.faults.server_crashes = sc.faults.server_crashes;
+  cc.cluster = cluster_config(sc, sc.cluster.throttle_queue
+                                      ? cluster::ThrottleMode::kQueue
+                                      : cluster::ThrottleMode::kReject);
+  cc.faults = fault_config(sc);
   return cc;
 }
 

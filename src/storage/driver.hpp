@@ -25,7 +25,9 @@
 #include <memory>
 #include <string>
 
+#include "cluster/config.hpp"
 #include "cluster/errors.hpp"
+#include "faults/fault_plan.hpp"
 #include "framework/scenario.hpp"
 #include "netsim/nic.hpp"
 #include "simcore/task.hpp"
@@ -117,5 +119,18 @@ class Driver {
 /// driver owns its whole backend (cluster, services, fault plan).
 std::unique_ptr<Driver> make_driver(sim::Simulation& sim,
                                     const framework::Scenario& sc);
+
+/// Modelled listing-response footprint per entry (name + properties in the
+/// enumeration response): what a listing moves on the wire and what the
+/// mix table accounts for a list op, on every backend.
+inline constexpr std::int64_t kListEntryBytes = 64;
+
+/// The stamp shape the spec's `cluster` section asks for (partition
+/// servers, balancer) under the backend's throttle `mode`.
+cluster::ClusterConfig cluster_config(const framework::Scenario& sc,
+                                      cluster::ThrottleMode mode);
+
+/// The spec's `faults` section as a fault-plan config.
+faults::FaultConfig fault_config(const framework::Scenario& sc);
 
 }  // namespace storage

@@ -7,32 +7,15 @@ namespace {
 
 constexpr const char* kBucket = "b";
 
-faults::FaultConfig fault_config(const framework::Scenario& sc) {
-  faults::FaultConfig fc;
-  fc.seed = sc.faults.seed;
-  fc.drop_probability = sc.faults.drop_probability;
-  fc.duplicate_probability = sc.faults.duplicate_probability;
-  fc.latency_spike_probability = sc.faults.latency_spike_probability;
-  fc.corruption_probability = sc.faults.corruption_probability;
-  fc.server_crashes = sc.faults.server_crashes;
-  return fc;
-}
-
 }  // namespace
 
-cluster::ClusterConfig S3Driver::cluster_config(
-    const framework::Scenario& sc) {
-  cluster::ClusterConfig cc;
-  cc.partition_servers = sc.cluster.partition_servers;
-  cc.balancer.enabled = sc.cluster.balancer;
-  cc.throttle_mode = cluster::ThrottleMode::kPrefixSlowdown;
-  return cc;
-}
-
+// The spec's `throttle: queue` ablation has no S3 analogue: this backend
+// always meters per prefix.
 S3Driver::S3Driver(sim::Simulation& sim, const framework::Scenario& sc)
     : fault_plan_(sim, fault_config(sc)),
-      cluster_(sim, cluster_config(sc)),
-      s3_(cluster_, S3ObjectServiceConfig{}),
+      cluster_(sim,
+               cluster_config(sc, cluster::ThrottleMode::kPrefixSlowdown)),
+      s3_(cluster_),
       caps_(framework::backend_caps(framework::BackendKind::kS3)) {
   if (fault_plan_.enabled()) cluster_.enable_faults(fault_plan_);
 }
@@ -62,7 +45,7 @@ sim::Task<OpResult> S3Driver::object_list(netsim::Nic& nic) {
   const std::vector<std::string> keys =
       co_await s3_.list_objects(nic, kBucket);
   const std::int64_t n = static_cast<std::int64_t>(keys.size());
-  co_return OpResult{.bytes = s3_.config().list_entry_bytes * n, .items = n};
+  co_return OpResult{.bytes = kListEntryBytes * n, .items = n};
 }
 
 sim::Task<OpResult> S3Driver::object_delete(netsim::Nic& nic,

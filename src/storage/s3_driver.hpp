@@ -36,11 +36,6 @@ class S3Driver final : public Driver {
   sim::Task<OpResult> object_delete(netsim::Nic& nic,
                                     std::string key) override;
 
-  /// Maps the spec's cluster/fault sections onto the S3 cluster shape
-  /// (kPrefixSlowdown; the spec's `throttle: queue` ablation has no S3
-  /// analogue and is ignored by this backend).
-  static cluster::ClusterConfig cluster_config(const framework::Scenario& sc);
-
  private:
   faults::FaultPlan fault_plan_;
   cluster::StorageCluster cluster_;

@@ -3,6 +3,7 @@
 #include "azure/common/checksum.hpp"
 #include "cluster/hash.hpp"
 #include "obs/observer.hpp"
+#include "storage/driver.hpp"
 
 namespace storage {
 namespace {
@@ -43,11 +44,11 @@ std::uint64_t S3ObjectService::object_id(std::uint64_t part_hash) const {
 sim::Task<void> S3ObjectService::create_bucket(netsim::Nic& client,
                                                std::string bucket) {
   obs::OpScope op(cluster_.simulation(), "s3.create_bucket");
-  co_await cluster_.simulation().delay(cfg_.request_latency);
+  co_await cluster_.simulation().delay(kRequestLatency);
   cluster::RequestCost cost;
   cost.request_bytes = 256;
   cost.response_bytes = 256;
-  cost.server_cpu = cfg_.request_cpu;
+  cost.server_cpu = kRequestCpu;
   cost.replicate = true;
   cost.disk_bytes = 512;
   // Bucket operations are not metered per prefix (throttle_prefix stays 0).
@@ -62,13 +63,13 @@ sim::Task<void> S3ObjectService::put_object(netsim::Nic& client,
                                             azure::Payload data) {
   obs::OpScope op(cluster_.simulation(), "s3.put", data.size());
   require_bucket(bucket);
-  co_await cluster_.simulation().delay(cfg_.request_latency);
+  co_await cluster_.simulation().delay(kRequestLatency);
   const std::uint64_t part_hash = cluster::partition_hash(bucket, key);
   const std::uint32_t crc = azure::payload_crc(data);
   cluster::RequestCost cost;
   cost.request_bytes = data.size();
   cost.disk_bytes = data.size();
-  cost.server_cpu = cfg_.request_cpu;
+  cost.server_cpu = kRequestCpu;
   cost.replicate = true;
   cost.object_id = object_id(part_hash);
   cost.content_crc = crc;
@@ -85,7 +86,7 @@ sim::Task<void> S3ObjectService::put_object(netsim::Nic& client,
     // New key (or a resurrection of a tombstoned one): listings converge
     // only after the visibility lag. Overwrites of a live, already-listed
     // key stay listed throughout.
-    obj.list_visible_at = now + cfg_.visibility_lag;
+    obj.list_visible_at = now + kVisibilityLag;
   }
   obj.data = std::move(data);
   obj.crc = crc;
@@ -109,12 +110,12 @@ sim::Task<azure::Payload> S3ObjectService::get_object(netsim::Nic& client,
   // the version the GET admitted.
   const azure::Payload data = it->second.data;
   op.set_bytes(data.size());
-  co_await cluster_.simulation().delay(cfg_.request_latency);
+  co_await cluster_.simulation().delay(kRequestLatency);
   const std::uint64_t part_hash = cluster::partition_hash(bucket, key);
   cluster::RequestCost cost;
   cost.request_bytes = 256;
   cost.response_bytes = data.size();
-  cost.server_cpu = cfg_.request_cpu;
+  cost.server_cpu = kRequestCpu;
   cost.object_id = object_id(part_hash);
   cost.throttle_prefix = throttle_prefix(bucket, key);
   cost.prefix_read = true;
@@ -135,12 +136,12 @@ sim::Task<void> S3ObjectService::delete_object(netsim::Nic& client,
                                                std::string key) {
   obs::OpScope op(cluster_.simulation(), "s3.delete");
   require_bucket(bucket);
-  co_await cluster_.simulation().delay(cfg_.request_latency);
+  co_await cluster_.simulation().delay(kRequestLatency);
   const std::uint64_t part_hash = cluster::partition_hash(bucket, key);
   cluster::RequestCost cost;
   cost.request_bytes = 256;
   cost.response_bytes = 256;
-  cost.server_cpu = cfg_.request_cpu;
+  cost.server_cpu = kRequestCpu;
   cost.replicate = true;
   cost.disk_bytes = 512;
   cost.throttle_prefix = throttle_prefix(bucket, key);
@@ -157,7 +158,7 @@ sim::Task<void> S3ObjectService::delete_object(netsim::Nic& client,
   if (obj.list_visible_at <= now) {
     // The key was being listed; listings keep showing it for the lag.
     obj.deleted = true;
-    obj.delist_at = now + cfg_.visibility_lag;
+    obj.delist_at = now + kVisibilityLag;
     obj.data = azure::Payload{};
     obj.crc = 0;
   } else {
@@ -184,12 +185,12 @@ sim::Task<std::vector<std::string>> S3ObjectService::list_objects(
                                     : obj.list_visible_at <= now;
     if (listed) keys.push_back(it->first);
   }
-  co_await cluster_.simulation().delay(cfg_.request_latency);
+  co_await cluster_.simulation().delay(kRequestLatency);
   cluster::RequestCost cost;
   cost.request_bytes = 256;
   cost.response_bytes =
-      cfg_.list_entry_bytes * static_cast<std::int64_t>(keys.size());
-  cost.server_cpu = cfg_.list_cpu;
+      kListEntryBytes * static_cast<std::int64_t>(keys.size());
+  cost.server_cpu = kListCpu;
   const std::uint64_t h = cluster::partition_hash(bucket, prefix);
   cost.throttle_prefix = h != 0 ? h : 1;
   cost.prefix_read = true;

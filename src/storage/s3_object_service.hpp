@@ -3,7 +3,7 @@
 //
 //  * object namespace only — no queues, tables, or SQL;
 //  * eventual list-after-write: a PUT's key becomes LIST-visible only
-//    `visibility_lag` after the write completes (and a DELETE keeps the key
+//    `kVisibilityLag` after the write completes (and a DELETE keeps the key
 //    listed for the same lag), while GET stays read-after-write;
 //  * idempotent DELETE: deleting an absent key is a success (HTTP 204),
 //    where the Azure blob service 404s;
@@ -46,38 +46,15 @@ class NoSuchKeyError : public cluster::StorageError {
       : cluster::StorageError(what) {}
 };
 
-struct S3ObjectServiceConfig {
-  /// Extra REST front-end latency per request, on top of the cluster's
-  /// frontend_latency (S3's HTTP/auth path has a noticeably higher first
-  /// byte time than Azure's 2011-era front-end model here).
-  sim::Duration request_latency = sim::millis(4);
-
-  /// Fixed server CPU per data request.
-  sim::Duration request_cpu = sim::micros(300);
-
-  /// Server CPU per LIST request (bucket-index walk).
-  sim::Duration list_cpu = sim::millis(1);
-
-  /// How long after a PUT completes its key becomes LIST-visible (and how
-  /// long a DELETEd key keeps appearing in listings).
-  sim::Duration visibility_lag = sim::millis(500);
-
-  /// Modelled listing-response footprint per entry.
-  std::int64_t list_entry_bytes = 64;
-};
-
 class S3ObjectService {
  public:
-  S3ObjectService(cluster::StorageCluster& cluster,
-                  const S3ObjectServiceConfig& cfg)
-      : cluster_(cluster), cfg_(cfg) {}
-
-  const S3ObjectServiceConfig& config() const noexcept { return cfg_; }
+  explicit S3ObjectService(cluster::StorageCluster& cluster)
+      : cluster_(cluster) {}
 
   sim::Task<void> create_bucket(netsim::Nic& client, std::string bucket);
 
   /// PUT Object: replaces any existing content; read-after-write for GET,
-  /// but a *new* key only enters listings after visibility_lag.
+  /// but a *new* key only enters listings after kVisibilityLag.
   sim::Task<void> put_object(netsim::Nic& client, std::string bucket,
                              std::string key, azure::Payload data);
 
@@ -86,13 +63,13 @@ class S3ObjectService {
                                        std::string bucket, std::string key);
 
   /// DELETE Object: succeeds whether or not the key exists (HTTP 204). The
-  /// key keeps appearing in listings for visibility_lag after deletion.
+  /// key keeps appearing in listings for kVisibilityLag after deletion.
   sim::Task<void> delete_object(netsim::Nic& client, std::string bucket,
                                 std::string key);
 
   /// LIST Objects (optionally under `prefix`): the eventually-consistent
-  /// view — keys written less than visibility_lag ago are absent, keys
-  /// deleted less than visibility_lag ago are still present.
+  /// view — keys written less than kVisibilityLag ago are absent, keys
+  /// deleted less than kVisibilityLag ago are still present.
   sim::Task<std::vector<std::string>> list_objects(netsim::Nic& client,
                                                    std::string bucket,
                                                    std::string prefix = "");
@@ -102,6 +79,21 @@ class S3ObjectService {
   static std::string prefix_of(const std::string& key);
 
  private:
+  /// Extra REST front-end latency per request, on top of the cluster's
+  /// StorageCluster::kFrontendLatency (S3's HTTP/auth path has a noticeably
+  /// higher first byte time than Azure's 2011-era front-end model here).
+  static constexpr sim::Duration kRequestLatency = sim::millis(4);
+
+  /// Fixed server CPU per data request.
+  static constexpr sim::Duration kRequestCpu = sim::micros(300);
+
+  /// Server CPU per LIST request (bucket-index walk).
+  static constexpr sim::Duration kListCpu = sim::millis(1);
+
+  /// How long after a PUT completes its key becomes LIST-visible (and how
+  /// long a DELETEd key keeps appearing in listings).
+  static constexpr sim::Duration kVisibilityLag = sim::millis(500);
+
   struct ObjectData {
     azure::Payload data;
     std::uint32_t crc = 0;
@@ -122,7 +114,6 @@ class S3ObjectService {
   std::uint64_t object_id(std::uint64_t part_hash) const;
 
   cluster::StorageCluster& cluster_;
-  S3ObjectServiceConfig cfg_;
   std::map<std::string, Bucket> buckets_;
 };
 

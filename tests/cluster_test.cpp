@@ -71,7 +71,7 @@ TEST(ClusterTest, RequestPaysFrontendAndOverhead) {
   s.run();
   // Must include at least frontend latency + request overhead + two control
   // hops; exact value depends on NIC latencies.
-  EXPECT_GT(done, cfg.frontend_latency + cfg.request_overhead);
+  EXPECT_GT(done, StorageCluster::kFrontendLatency + cfg.request_overhead);
   EXPECT_LT(done, sim::millis(10));
   EXPECT_EQ(c.total_requests(), 1);
 }
@@ -98,7 +98,7 @@ TEST(ClusterTest, ReplicatedWriteIsSlowerThanUnreplicated) {
   const auto without = run(false);
   EXPECT_GT(with, without);
   // At least the replica commit latency more.
-  EXPECT_GE(with - without, ClusterConfig{}.replica_commit_latency);
+  EXPECT_GE(with - without, cluster::PartitionServer::kReplicaCommitLatency);
 }
 
 TEST(ClusterTest, ReplicationLoadsReplicaServers) {

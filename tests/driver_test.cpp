@@ -255,7 +255,7 @@ struct S3ThrottleWorld {
 
   sim::Simulation sim;
   cluster::StorageCluster cluster{sim, config()};
-  storage::S3ObjectService s3{cluster, storage::S3ObjectServiceConfig{}};
+  storage::S3ObjectService s3{cluster};
   netsim::Nic nic{sim, client_nic()};
 };
 

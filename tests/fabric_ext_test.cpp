@@ -38,10 +38,11 @@ TEST(ProvisioningTest, SingleInstanceTimeline) {
   const auto report = provision(1, fabric::VmSize::kSmall, cfg);
   ASSERT_EQ(report.instance_ready.size(), 1u);
   const auto upload = static_cast<sim::Duration>(
-      static_cast<double>(cfg.package_bytes) /
-      cfg.package_upload_bytes_per_sec * sim::kSecond);
-  const auto expected = upload + cfg.vm_allocation + cfg.allocation_per_core +
-                        cfg.guest_boot + cfg.role_start;
+      static_cast<double>(fabric::kPackageBytes) /
+      fabric::kPackageUploadBytesPerSec * sim::kSecond);
+  const auto expected = upload + fabric::kVmAllocation +
+                        fabric::kAllocationPerCore + fabric::kGuestBoot +
+                        fabric::kRoleStart;
   EXPECT_EQ(report.instance_ready[0], expected);
   EXPECT_EQ(report.package_upload, upload);
 }
@@ -52,7 +53,7 @@ TEST(ProvisioningTest, AllocationBatchesBoundParallelism) {
   const auto small = provision(4, fabric::VmSize::kSmall, cfg);
   const auto large = provision(12, fabric::VmSize::kSmall, cfg);
   // 12 instances on 4 allocation slots need 3 serialized batches.
-  const auto batch = cfg.vm_allocation + cfg.allocation_per_core;
+  const auto batch = fabric::kVmAllocation + fabric::kAllocationPerCore;
   EXPECT_EQ(large.time_to_all_instances() - small.time_to_all_instances(),
             2 * batch);
   // First instances of both deployments are ready at the same time.

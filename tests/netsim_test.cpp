@@ -92,7 +92,7 @@ TEST(NetworkTest, ControlHopMovesNoBytes) {
   TimePoint done = -1;
   s.spawn([](Simulation& sim, netsim::Network& n, netsim::Nic& src,
              netsim::Nic& dst, TimePoint& t) -> Task<> {
-    co_await n.control_hop(src, dst);
+    co_await n.transfer(src, dst, 0);
     t = sim.now();
   }(s, net, a, b, done));
   s.run();

@@ -2,6 +2,11 @@
 """Checks the paper's shape claims against the committed golden tables, so
 a re-recorded golden cannot silently lose a shape the paper reports:
 
+  fig4              page-blob upload beats block-blob upload (MiB/s) at
+                    every worker count, and neither download's MiB/s falls
+                    as workers grow;
+  fig5              sequential block reads beat random page reads (MiB/s)
+                    at every worker count;
   fig6              Peek < Put < Get ms/op at every message size, for every
                     worker count up to 80 (at 96 the peek phase reaches the
                     account's transaction target; see EXPERIMENTS.md);
@@ -27,6 +32,38 @@ def figure_rows(golden_dir, name):
     with open(os.path.join(golden_dir, name + ".csv"), newline="") as f:
         first = f.read().split("\n\n", 1)[0]
     return list(csv.DictReader(io.StringIO(first)))
+
+
+def by_workers(rows):
+    return sorted(rows, key=lambda r: int(r["workers"]))
+
+
+def check_fig4(rows):
+    bad = []
+    for r in rows:
+        page, block = float(r["pageUp_MiBps"]), float(r["blockUp_MiBps"])
+        if not page > block:
+            bad.append(f"fig4 workers={r['workers']}: want pageUp_MiBps > "
+                       f"blockUp_MiBps, got {page} / {block}")
+    for col in ("pageDown_MiBps", "blockDown_MiBps"):
+        prev = None
+        for r in by_workers(rows):
+            v = float(r[col])
+            if prev is not None and v < prev[1]:
+                bad.append(f"fig4 workers={r['workers']}: want {col} >= its "
+                           f"value at workers={prev[0]}, got {v} < {prev[1]}")
+            prev = (r["workers"], v)
+    return bad
+
+
+def check_fig5(rows):
+    bad = []
+    for r in rows:
+        seq, rand = float(r["blockSeq_MiBps"]), float(r["pageRand_MiBps"])
+        if not seq > rand:
+            bad.append(f"fig5 workers={r['workers']}: want blockSeq_MiBps > "
+                       f"pageRand_MiBps, got {seq} / {rand}")
+    return bad
 
 
 def check_fig6(rows):
@@ -76,7 +113,9 @@ def check_fig8_over_target(rows):
 def main() -> int:
     golden_dir = sys.argv[1] if len(sys.argv) > 1 else os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "golden")
-    bad = (check_fig6(figure_rows(golden_dir, "fig6")) +
+    bad = (check_fig4(figure_rows(golden_dir, "fig4")) +
+           check_fig5(figure_rows(golden_dir, "fig5")) +
+           check_fig6(figure_rows(golden_dir, "fig6")) +
            check_fig8(figure_rows(golden_dir, "fig8")) +
            check_fig8_over_target(figure_rows(golden_dir, "fig8_over_target")))
     for line in bad:
