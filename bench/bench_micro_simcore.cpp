@@ -35,7 +35,7 @@ void BM_EventDispatch(benchmark::State& state) {
 BENCHMARK(BM_EventDispatch)->Arg(1'000)->Arg(100'000);
 
 // Raw coroutine-resume path, the one every workload event takes:
-// schedule_resume stores the handle directly in the heap node, so this
+// schedule_resume stores the handle directly in the queue node, so this
 // measures pure push/pop/resume with no frame allocated.
 void BM_ScheduleResume(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
@@ -51,13 +51,14 @@ void BM_ScheduleResume(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleResume)->Arg(1'000)->Arg(100'000);
 
-// Heap stress: a large pending set with random timestamps keeps the 4-ary
-// heap at full depth, so sift costs dominate; each event is a callback, so
-// its frame's allocation counts too.
+// Queue stress: 10^6 pending events with random 40-bit timestamps, so each
+// node is re-filed through many buckets of the radix queue and every re-file
+// chases pool links far beyond the cache; each event is a callback, so its
+// frame's allocation counts too. No workload has more than ~200 pending.
 void BM_HeapStress(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));
   std::vector<sim::TimePoint> stamps(static_cast<std::size_t>(events));
-  std::mt19937_64 rng(0xA2B3C4D5u);  // fixed seed: identical heap shapes
+  std::mt19937_64 rng(0xA2B3C4D5u);  // fixed seed: identical queue shapes
   for (auto& t : stamps) t = static_cast<sim::TimePoint>(rng() >> 24);
   for (auto _ : state) {
     sim::Simulation s;
@@ -70,7 +71,7 @@ void BM_HeapStress(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapStress)->Arg(1'000'000)->Unit(benchmark::kMillisecond);
 
-// Heap stress at the fig8 @96 (hostbench table96) shape: ~120 pending events,
+// Queue stress at the fig8 @96 (hostbench table96) shape: ~120 pending events,
 // each process re-arming one delay per resume, of which `same_pct` percent
 // land at the instant being executed (22 at table96). Arg 0 is the same
 // shape with every push in the future.

@@ -35,6 +35,11 @@ run_config() {
   # bugs only the sanitizer configuration catches.
   echo "=== integrity ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L integrity
+  # The kernel suite re-runs by label: the event queue owns every frame
+  # that has not run yet and destroys the ones still pending at teardown,
+  # lifetime paths that only the sanitizer configuration checks.
+  echo "=== kernel ${dir} ==="
+  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L kernel
   # The parallel-kernel suite re-runs by label: the byte-parity contract
   # (threads=N identical to threads=1) must hold under sanitizers too.
   echo "=== parallel ${dir} ==="

@@ -6,7 +6,7 @@
 # Builds the hostbench harness with frame pointers and debug info into
 # .hostprof_build/ (Release otherwise), preloads the SIGPROF sampler
 # (scripts/hostprof/sampler.c) into CALLS workload calls at the golden seed,
-# and prints self and inclusive shares plus the event heap / table store /
+# and prints self and inclusive shares plus the event queue / table store /
 # strings / libc buckets (scripts/hostprof/report.py). Needs gcc, python3 and
 # binutils (addr2line, nm). Samples land in .hostprof_build/samples/.
 set -euo pipefail

@@ -9,7 +9,7 @@ first) with its PREFIX.<pid>.maps, names each address with `addr2line -f -i
 nearest `nm -D` symbol, and prints:
 
   * buckets: each sample counted once, by its owner (the innermost frame in
-    the simulator's namespaces) or else its leaf, as event heap, table
+    the simulator's namespaces) or else its leaf, as event queue, table
     store, strings, libc or other;
   * self: the innermost function at the sampled PC;
   * inclusive: every function on the sample's stack, counted once.
@@ -153,7 +153,7 @@ def short(name, width=96):
 def bucket(frames, lib):
     owner = next((n for chain in frames for n in chain if PROJECT.match(n)), "")
     if owner.startswith("sim::detail::EventQueue"):
-        return "event heap"
+        return "event queue"
     if owner.startswith("azure::TableService"):
         return "table store"
     if re.search(r"basic_string|char_traits", frames[0][0].split("(")[0]):
@@ -181,7 +181,7 @@ def main():
         incl.update({short(n) for chain in frames for n in chain})
     print(f"samples: {total}")
     print("\nbucket           share  samples")
-    for name in ("event heap", "table store", "strings", "libc", "other"):
+    for name in ("event queue", "table store", "strings", "libc", "other"):
         print(f"{name:<14} {100.0 * buckets[name] / total:6.1f}%  {buckets[name]:7d}")
     for title, counter in (("self", self_), ("inclusive", incl)):
         print(f"\n{title:<9}  share  function")

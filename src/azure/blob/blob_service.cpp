@@ -123,7 +123,7 @@ std::uint64_t BlobService::object_id(std::uint64_t part_hash) const {
 }
 
 BlobService::Container& BlobService::require_container(
-    std::string container) {
+    const std::string& container) {
   auto it = containers_.find(container);
   if (it == containers_.end()) {
     throw NotFoundError("container not found: " + container);
@@ -132,7 +132,7 @@ BlobService::Container& BlobService::require_container(
 }
 
 BlobService::BlobData& BlobService::require_blob(
-    std::string container, std::string name,
+    const std::string& container, const std::string& name,
     BlobProperties::Kind expected_kind) {
   auto& c = require_container(container);
   auto it = c.blobs.find(name);
@@ -146,8 +146,8 @@ BlobService::BlobData& BlobService::require_blob(
   return it->second;
 }
 
-BlobService::BlobData& BlobService::make_blob(std::string container,
-                                              std::string name,
+BlobService::BlobData& BlobService::make_blob(const std::string& container,
+                                              const std::string& name,
                                               BlobProperties::Kind kind) {
   auto& c = require_container(container);
   BlobData& blob = c.blobs[name];
@@ -222,13 +222,14 @@ sim::Task<void> BlobService::write(netsim::Nic& client, std::string container,
   cost.disk_bytes = data.size();
   cost.server_cpu = kWriteCpu;
   cost.replicate = true;
-  cost.object_id = object_id(hash(container, name));
+  const std::uint64_t part_hash = cluster::partition_hash(container, name);
+  cost.object_id = object_id(part_hash);
   cost.content_crc = new_crc;
   if (kind == WriteKind::kPage) {
     cost.object_bytes = std::max(blob.page_extent, offset + data.size());
   }
   op.stage();
-  co_await cluster_.execute(client, hash(container, name), cost);
+  co_await cluster_.execute(client, part_hash, cost);
 
   switch (kind) {
     case WriteKind::kUpload:
@@ -347,7 +348,6 @@ sim::Task<void> BlobService::put_block_list(
   if (static_cast<int>(block_ids.size()) > lim::kMaxBlocksPerBlob) {
     throw InvalidArgumentError("more than 50,000 blocks in block list");
   }
-  require_container(container);
   BlobData& blob = require_blob(container, name, BlobProperties::Kind::kBlock);
 
   // Resolve ids against uncommitted blocks first, then committed ones
@@ -390,12 +390,13 @@ sim::Task<void> BlobService::put_block_list(
       kWriteCpu +
       static_cast<sim::Duration>(block_ids.size()) * kBlockListPerBlock;
   cost.replicate = true;
-  cost.object_id = object_id(hash(container, name));
+  const std::uint64_t part_hash = cluster::partition_hash(container, name);
+  cost.object_id = object_id(part_hash);
   cost.content_crc = new_crc;
   cost.object_bytes = total;
   op.set_bytes(total);
   op.stage();
-  co_await cluster_.execute(client, hash(container, name), cost);
+  co_await cluster_.execute(client, part_hash, cost);
 
   blob.committed = std::move(new_committed);
   blob.committed_size = total;
@@ -414,7 +415,7 @@ sim::Task<Payload> BlobService::get_block(netsim::Nic& client,
   }
   const Payload data = blob.committed[static_cast<std::size_t>(index)].data;
   op.set_bytes(data.size());
-  co_await read(client, blob, hash(container, name),
+  co_await read(client, blob, cluster::partition_hash(container, name),
                 chunk_stream_bytes(data.size(), kChunkReadOverhead),
                 data.size(), op, /*whole_blob=*/false);
   co_return data;
@@ -427,7 +428,7 @@ sim::Task<Payload> BlobService::download_block_blob(
   BlobData& blob = require_blob(container, name, BlobProperties::Kind::kBlock);
   const std::int64_t total = blob.committed_size;
   op.set_bytes(total);
-  co_await read(client, blob, hash(container, name),
+  co_await read(client, blob, cluster::partition_hash(container, name),
                 static_cast<double>(total), total, op, /*whole_blob=*/true);
 
   // Assemble the content: synthetic unless any block carries real bytes.
@@ -458,7 +459,7 @@ sim::Task<Payload> BlobService::download_range(netsim::Nic& client,
   if (offset < 0 || length <= 0 || offset + length > blob.committed_size) {
     throw InvalidArgumentError("range read outside committed content");
   }
-  co_await read(client, blob, hash(container, name),
+  co_await read(client, blob, cluster::partition_hash(container, name),
                 chunk_stream_bytes(length, kChunkReadOverhead), length,
                 op, /*whole_blob=*/false);
 
@@ -488,7 +489,8 @@ sim::Task<Payload> BlobService::download_range(netsim::Nic& client,
 sim::Task<BlobService::BlockListing> BlobService::get_block_list(
     netsim::Nic& client, std::string container, std::string name) {
   BlobData& blob = require_blob(container, name, BlobProperties::Kind::kBlock);
-  co_await metadata_op(cluster_, client, hash(container, name), false,
+  co_await metadata_op(cluster_, client,
+                       cluster::partition_hash(container, name), false,
                        kMetaSpan);
   BlockListing listing;
   listing.committed.reserve(blob.committed.size());
@@ -515,7 +517,8 @@ sim::Task<void> BlobService::create_page_blob(netsim::Nic& client,
     throw InvalidArgumentError("page blob size must be 512-aligned");
   }
   require_container(container);
-  co_await metadata_op(cluster_, client, hash(container, name), true,
+  co_await metadata_op(cluster_, client,
+                       cluster::partition_hash(container, name), true,
                        kMetaSpan);
   BlobData& blob = make_blob(container, name, BlobProperties::Kind::kPage);
   blob.page_max_size = max_size;
@@ -543,7 +546,7 @@ sim::Task<Payload> BlobService::get_page(netsim::Nic& client,
   }
   const sim::Duration overhead =
       kChunkReadOverhead + (random ? kPageLookupOverhead : 0);
-  co_await read(client, blob, hash(container, name),
+  co_await read(client, blob, cluster::partition_hash(container, name),
                 chunk_stream_bytes(length, overhead), length, op,
                 /*whole_blob=*/false);
 
@@ -583,7 +586,7 @@ sim::Task<Payload> BlobService::download_page_blob(
   BlobData& blob = require_blob(container, name, BlobProperties::Kind::kPage);
   const std::int64_t extent = blob.page_extent;
   op.set_bytes(extent);
-  co_await read(client, blob, hash(container, name),
+  co_await read(client, blob, cluster::partition_hash(container, name),
                 static_cast<double>(extent) / kPageStreamFactor, extent,
                 op, /*whole_blob=*/true);
   if (extent == 0) co_return Payload{};
@@ -607,7 +610,8 @@ sim::Task<Payload> BlobService::download_page_blob(
 sim::Task<void> BlobService::delete_blob(netsim::Nic& client,
                                          std::string container,
                                          std::string name) {
-  co_await metadata_op(cluster_, client, hash(container, name), true,
+  co_await metadata_op(cluster_, client,
+                       cluster::partition_hash(container, name), true,
                        kMetaSpan);
   auto& c = require_container(container);
   auto it = c.blobs.find(name);
@@ -631,7 +635,8 @@ sim::Task<void> BlobService::delete_blob(netsim::Nic& client,
 sim::Task<bool> BlobService::blob_exists(netsim::Nic& client,
                                          std::string container,
                                          std::string name) {
-  co_await metadata_op(cluster_, client, hash(container, name), false,
+  co_await metadata_op(cluster_, client,
+                       cluster::partition_hash(container, name), false,
                        kMetaSpan);
   auto it = containers_.find(container);
   if (it == containers_.end()) co_return false;
@@ -642,7 +647,8 @@ sim::Task<bool> BlobService::blob_exists(netsim::Nic& client,
 sim::Task<BlobProperties> BlobService::get_properties(
     netsim::Nic& client, std::string container,
     std::string name) {
-  co_await metadata_op(cluster_, client, hash(container, name), false,
+  co_await metadata_op(cluster_, client,
+                       cluster::partition_hash(container, name), false,
                        kMetaSpan);
   auto& c = require_container(container);
   auto it = c.blobs.find(name);

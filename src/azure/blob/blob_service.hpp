@@ -199,17 +199,13 @@ class BlobService {
     std::map<std::string, BlobData> blobs;
   };
 
-  BlobData& require_blob(std::string container,
-                         std::string name,
+  BlobData& require_blob(const std::string& container,
+                         const std::string& name,
                          BlobProperties::Kind expected_kind);
-  Container& require_container(std::string container);
-  BlobData& make_blob(std::string container, std::string name,
+  Container& require_container(const std::string& container);
+  BlobData& make_blob(const std::string& container, const std::string& name,
                       BlobProperties::Kind kind);
   std::string next_etag() { return "0x" + std::to_string(++etag_counter_); }
-  std::uint64_t hash(std::string container,
-                     std::string name) const {
-    return cluster::partition_hash(container, name);
-  }
 
   /// Per-blob integrity object id (salted so blob/queue/table objects with
   /// colliding partition hashes stay distinct; never 0, which means

@@ -24,7 +24,10 @@ class FlowLimiter {
   /// @param rate   units per second (e.g. bytes/s, messages/s); must be > 0.
   /// @param burst  units of instantaneous credit (0 = strictly serialized).
   FlowLimiter(Simulation& sim, double rate, double burst = 0.0)
-      : sim_(sim), rate_(rate), burst_(burst) {
+      : sim_(sim),
+        rate_(rate),
+        burst_window_(static_cast<Duration>(burst / rate *
+                                            static_cast<double>(kSecond))) {
     assert(rate > 0.0);
   }
   FlowLimiter(const FlowLimiter&) = delete;
@@ -41,11 +44,9 @@ class FlowLimiter {
     // Service time for this acquisition.
     const auto service =
         static_cast<Duration>(amount / rate_ * static_cast<double>(kSecond));
-    const auto burst_window =
-        static_cast<Duration>(burst_ / rate_ * static_cast<double>(kSecond));
     const TimePoint now = sim_.now();
     TimePoint start = next_free_;
-    if (start < now - burst_window) start = now - burst_window;
+    if (start < now - burst_window_) start = now - burst_window_;
     next_free_ = start + service;
     const TimePoint resume_at = next_free_ < now ? now : next_free_;
 
@@ -64,7 +65,7 @@ class FlowLimiter {
  private:
   Simulation& sim_;
   double rate_;
-  double burst_;
+  Duration burst_window_;  // the burst credit as time at `rate_`
   TimePoint next_free_ = 0;
 };
 

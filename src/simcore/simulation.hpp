@@ -71,8 +71,8 @@ class Simulation {
   /// Current virtual time.
   TimePoint now() const noexcept { return now_; }
 
-  /// Pre-sizes the event heap for `n` simultaneously pending events
-  /// (optional; the queue grows on demand either way).
+  /// Pre-sizes the event queue's node pool for `n` simultaneously pending
+  /// events (optional; the pool grows on demand either way).
   void reserve(std::size_t n) { queue_.reserve(n); }
 
   /// Schedules `fn()` at `at` (must be >= now()). The callable runs in a

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -149,16 +150,24 @@ struct BigProbe : Probe {
 };
 
 TEST(EventPayloadTest, InlinePayloadDestroyedExactlyOncePerEvent) {
-  ProbeCounters pc;
-  {
-    Simulation s;
-    for (int i = 0; i < 100; ++i) s.schedule_at(i, Probe(&pc));
-    for (int i = 0; i < 50; ++i) EXPECT_TRUE(s.step());
+  // Consecutive timestamps, then timestamps spread over 40 octaves, so the
+  // events still pending at teardown sit in many queue buckets.
+  for (const int spread : {0, 40}) {
+    SCOPED_TRACE(spread);
+    ProbeCounters pc;
+    {
+      Simulation s;
+      for (int i = 0; i < 100; ++i) {
+        const int shift = spread == 0 ? 0 : i % spread;
+        s.schedule_at(TimePoint{i} << shift, Probe(&pc));
+      }
+      for (int i = 0; i < 50; ++i) EXPECT_TRUE(s.step());
+      EXPECT_EQ(pc.calls, 50);
+      // 50 events still pending when the simulation is torn down.
+    }
+    EXPECT_EQ(pc.ctor, pc.dtor);
     EXPECT_EQ(pc.calls, 50);
-    // 50 events still pending when the simulation is torn down.
   }
-  EXPECT_EQ(pc.ctor, pc.dtor);
-  EXPECT_EQ(pc.calls, 50);
 }
 
 TEST(EventPayloadTest, HeapFallbackPayloadDestroyedExactlyOnce) {
@@ -203,7 +212,7 @@ TEST(EventPayloadTest, SlotRecyclingKeepsPayloadsIndependent) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(seen[static_cast<size_t>(i)], i);
 }
 
-// ------------------------------------------------------- scheduler heap ----
+// ------------------------------------------------------ scheduler order ----
 
 TEST(SchedulerHeapTest, RandomTimestampsExecuteInNondecreasingOrder) {
   Simulation s;
@@ -239,9 +248,10 @@ TEST(SchedulerHeapTest, ReserveDoesNotDisturbExecution) {
   EXPECT_EQ(s.events_executed(), 2000u);
 }
 
-// ---------------------------------------------------- same-instant lane ----
-// Events pushed at the instant being executed bypass the heap; these pin that
-// the (at, seq) order is unchanged by it.
+// ---------------------------------------------------- same-instant order ----
+// Events pushed at the instant being executed join the queue's bucket 0
+// behind the ones already there, and a re-file moves a bucket down in order;
+// these pin that the (at, seq) order holds across both paths.
 
 TEST(SameInstantLaneTest, EventsScheduledBeforeTRunBeforeThoseScheduledAtT) {
   Simulation s;
@@ -272,64 +282,112 @@ TEST(SameInstantLaneTest, EventsScheduledBeforeTRunBeforeThoseScheduledAtT) {
                                              "b1", "p0", "a1x", "c", "c1"}));
 }
 
-/// Self-rescheduling events and coroutines, most with zero delay. Every push
-/// records its (at, id) where id is its scheduling rank, i.e. its seq order.
+/// Self-rescheduling events and coroutines whose delays come from `draw`.
+/// Every push records its (at, id) where id is its scheduling rank, i.e. its
+/// seq order, and every event checks next_event_time() against the
+/// harness's own minimum of the events still pending.
 struct LaneHarness {
+  using Draw = Duration (*)(sim::Random&);
+
+  explicit LaneHarness(Draw d) : draw(d) {}
+
   Simulation s;
   sim::Random rng{0x1A4E5EEDull};
+  Draw draw;
   std::vector<TimePoint> at_of;  // indexed by id
+  std::set<std::pair<TimePoint, int>> pending;
   std::vector<int> executed;
   int zero_delay = 0;
+  int first_wrong_min = -1;  // id of the first event that saw a wrong minimum
 
   int note(TimePoint at) {
     if (at == s.now()) ++zero_delay;
     at_of.push_back(at);
-    return static_cast<int>(at_of.size()) - 1;
+    const int id = static_cast<int>(at_of.size()) - 1;
+    pending.emplace(at, id);
+    return id;
   }
-  Duration draw_delay() {
-    return rng.uniform(0, 9) < 7 ? 0 : rng.uniform(1, 3);
+  void ran(int id) {
+    executed.push_back(id);
+    pending.erase({at_of[static_cast<std::size_t>(id)], id});
+    const TimePoint expected =
+        pending.empty() ? Simulation::kNever : pending.begin()->first;
+    if (s.next_event_time() != expected && first_wrong_min < 0) {
+      first_wrong_min = id;
+    }
   }
   void schedule(TimePoint at) {
     const int id = note(at);
     s.schedule_at(at, [this, id] { fire(id); });
   }
   void fire(int id) {
-    executed.push_back(id);
+    ran(id);
     if (at_of.size() >= 20'000) return;
     for (auto k = rng.uniform(1, 2); k > 0; --k) {
-      schedule(s.now() + draw_delay());
+      schedule(s.now() + draw(rng));
     }
   }
 };
 
 Task<void> lane_sleeper(LaneHarness& h, int start_id, int hops) {
-  h.executed.push_back(start_id);
+  h.ran(start_id);
   for (int i = 0; i < hops; ++i) {
-    const Duration d = h.draw_delay();
+    const Duration d = h.draw(h.rng);
     const int id = h.note(h.s.now() + d);
     co_await h.s.delay(d);
-    h.executed.push_back(id);
+    h.ran(id);
   }
 }
 
+// Three delay draws: mostly zero with 1-3 ns otherwise, which stays in the
+// queue's lowest buckets; log-uniform over [1 ns, 2^40 ns), which spreads
+// the pending events over some 40 buckets; and table96's shape (22% at the
+// current instant, otherwise 1-20,000 ns, as BM_HeapStressTableShape draws).
 TEST(SameInstantLaneTest, ZeroDelayHeavyRunMatchesReferenceOrder) {
-  LaneHarness h;
-  for (int p = 0; p < 8; ++p) h.s.spawn(lane_sleeper(h, h.note(0), 500));
-  for (int i = 0; i < 64; ++i) h.schedule(h.rng.uniform(0, 40));
-  h.s.run();
+  struct Case {
+    const char* name;
+    bool mostly_zero;
+    LaneHarness::Draw draw;
+  };
+  const Case cases[] = {
+      {"zero-heavy", true,
+       [](sim::Random& r) -> Duration {
+         return r.uniform(0, 9) < 7 ? 0 : r.uniform(1, 3);
+       }},
+      {"log-uniform", false,
+       [](sim::Random& r) -> Duration {
+         const Duration octave = Duration{1} << r.uniform(0, 39);
+         return octave + r.uniform(0, octave - 1);
+       }},
+      {"table96", false,
+       [](sim::Random& r) -> Duration {
+         return r.uniform(0, 99) < 22 ? 0 : r.uniform(1, 20'000);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    LaneHarness h(c.draw);
+    for (int p = 0; p < 8; ++p) h.s.spawn(lane_sleeper(h, h.note(0), 500));
+    for (int i = 0; i < 64; ++i) h.schedule(h.rng.uniform(0, 40));
+    h.s.run();
 
-  std::vector<int> reference(h.at_of.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    reference[i] = static_cast<int>(i);
+    std::vector<int> reference(h.at_of.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      reference[i] = static_cast<int>(i);
+    }
+    std::stable_sort(reference.begin(), reference.end(), [&h](int a, int b) {
+      return h.at_of[static_cast<std::size_t>(a)] <
+             h.at_of[static_cast<std::size_t>(b)];
+    });
+    EXPECT_EQ(h.executed, reference);
+    EXPECT_EQ(h.s.events_executed(), h.at_of.size());
+    EXPECT_EQ(h.first_wrong_min, -1)
+        << "next_event_time() differs from the earliest pending event";
+    if (c.mostly_zero) {
+      EXPECT_GT(h.zero_delay * 2, static_cast<int>(h.at_of.size()))
+          << "most pushes must land at the instant being executed";
+    }
   }
-  std::stable_sort(reference.begin(), reference.end(), [&h](int a, int b) {
-    return h.at_of[static_cast<std::size_t>(a)] <
-           h.at_of[static_cast<std::size_t>(b)];
-  });
-  EXPECT_EQ(h.executed, reference);
-  EXPECT_EQ(h.s.events_executed(), h.at_of.size());
-  EXPECT_GT(h.zero_delay * 2, static_cast<int>(h.at_of.size()))
-      << "most pushes must land at the instant being executed";
 }
 
 TEST(SameInstantLaneTest, PushAtNowAfterRunUntilOrAdvanceToKeepsOrder) {
@@ -355,9 +413,9 @@ TEST(SameInstantLaneTest, PushAtNowAfterRunUntilOrAdvanceToKeepsOrder) {
     s.schedule_at(25, [&] { order.push_back(5); });
   });
   EXPECT_TRUE(s.step());
-  EXPECT_EQ(s.next_event_time(), 25);  // the lane's event precedes the heap's
+  EXPECT_EQ(s.next_event_time(), 25);  // bucket 0's event precedes 30's
   EXPECT_TRUE(s.step());
-  EXPECT_TRUE(s.step());  // 6 at 30, which leaves 7 alone in the lane
+  EXPECT_TRUE(s.step());  // 6 at 30, which leaves 7 alone in bucket 0
   EXPECT_EQ(s.next_event_time(), 30);
   EXPECT_FALSE(s.run_until(30));
   EXPECT_EQ(s.next_event_time(), Simulation::kNever);
