@@ -61,7 +61,6 @@ cluster::GeoConfig drill_geo(sim::Duration ship_interval) {
   stamp.balancer.buckets_per_server = 4;
   g.regions.push_back(cluster::GeoRegionConfig{"east", stamp});
   g.regions.push_back(cluster::GeoRegionConfig{"west", stamp});
-  g.default_link.latency = sim::millis(30);  // a realistic WAN one-way
   g.ship_interval = ship_interval;
   g.staleness_target = kStalenessTarget;
   return g;

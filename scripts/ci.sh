@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: builds the Release and ASan+UBSan configurations and runs
-# the full test suite under both. Usage: scripts/ci.sh [jobs]
+# the full test suite under both. Every configuration compiles with warnings
+# as errors. Usage: scripts/ci.sh [jobs]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -10,7 +11,8 @@ run_config() {
   local dir="$1"
   shift
   echo "=== configure ${dir} ($*) ==="
-  cmake -B "${dir}" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON "$@"
+  cmake -B "${dir}" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON "$@"
   echo "=== build ${dir} ==="
   cmake --build "${dir}" -j "${JOBS}"
   echo "=== test ${dir} ==="
@@ -89,7 +91,7 @@ run_tsan() {
   local dir="build-ci-tsan"
   echo "=== configure ${dir} (ThreadSanitizer) ==="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DAZUREBENCH_SANITIZE_THREAD=ON
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON -DAZUREBENCH_SANITIZE_THREAD=ON
   echo "=== build ${dir} ==="
   cmake --build "${dir}" -j "${JOBS}" --target parallel_test
   echo "=== parallel under TSan ==="

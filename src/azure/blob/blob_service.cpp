@@ -55,11 +55,10 @@ Payload payload_slice(const Payload& p, std::int64_t from, std::int64_t len) {
 }  // namespace
 
 BlobService::BlobRuntime::BlobRuntime(sim::Simulation& sim,
-                                      const BlobServiceConfig& cfg,
-                                      int replicas)
+                                      const BlobServiceConfig& cfg)
     : write_stream(sim, kBlobWriteBytesPerSec, /*burst=*/64 * 1024.0),
       block_index(sim, 1) {
-  const int streams = cfg.replica_reads ? replicas : 1;
+  const int streams = cfg.replica_reads ? cluster::kReplicas : 1;
   read_streams.reserve(static_cast<std::size_t>(streams));
   for (int i = 0; i < streams; ++i) {
     read_streams.push_back(std::make_unique<sim::FlowLimiter>(
@@ -155,8 +154,7 @@ BlobService::BlobData& BlobService::make_blob(const std::string& container,
   blob.kind = kind;
   blob.etag = next_etag();
   if (!blob.rt) {
-    blob.rt = std::make_unique<BlobRuntime>(cluster_.simulation(), cfg_,
-                                            cluster_.config().replicas);
+    blob.rt = std::make_unique<BlobRuntime>(cluster_.simulation(), cfg_);
   }
   return blob;
 }

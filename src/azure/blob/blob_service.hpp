@@ -166,8 +166,7 @@ class BlobService {
   /// Per-blob contended runtime state (write stream, block index, replica
   /// read streams).
   struct BlobRuntime {
-    BlobRuntime(sim::Simulation& sim, const BlobServiceConfig& cfg,
-                int replicas);
+    BlobRuntime(sim::Simulation& sim, const BlobServiceConfig& cfg);
     sim::FlowLimiter write_stream;
     sim::Resource block_index;  // capacity 1: serialized index appends
     std::vector<std::unique_ptr<sim::FlowLimiter>> read_streams;

@@ -2,11 +2,10 @@
 
 namespace azure {
 
-CacheService::CacheService(sim::Simulation& sim, netsim::Network& network,
-                           const CacheServiceConfig& cfg)
-    : sim_(sim), network_(network), cfg_(cfg) {
-  servers_.reserve(static_cast<std::size_t>(cfg.cache_servers));
-  for (int i = 0; i < cfg.cache_servers; ++i) {
+CacheService::CacheService(sim::Simulation& sim, netsim::Network& network)
+    : sim_(sim), network_(network) {
+  servers_.reserve(static_cast<std::size_t>(kServers));
+  for (int i = 0; i < kServers; ++i) {
     servers_.push_back(std::make_unique<Server>(sim));
   }
 }
@@ -19,7 +18,7 @@ void CacheService::drop(Server& server, std::list<Item>::iterator it) {
 
 void CacheService::evict_to_fit(Server& server, std::int64_t incoming) {
   while (!server.lru.empty() &&
-         server.bytes + incoming > cfg_.memory_per_server) {
+         server.bytes + incoming > kMemoryPerServer) {
     auto victim = std::prev(server.lru.end());
     ++stats_[victim->cache].evictions;
     drop(server, victim);
@@ -29,7 +28,7 @@ void CacheService::evict_to_fit(Server& server, std::int64_t incoming) {
 sim::Task<void> CacheService::put(netsim::Nic& client,
                                   const std::string& cache, std::string key,
                                   Payload value, sim::Duration ttl) {
-  if (value.size() > cfg_.memory_per_server) {
+  if (value.size() > kMemoryPerServer) {
     throw InvalidArgumentError("cache item exceeds a server's memory");
   }
   Server& server = *servers_[static_cast<std::size_t>(server_of(cache, key))];

@@ -33,14 +33,6 @@
 
 namespace azure {
 
-struct CacheServiceConfig {
-  /// Dedicated cache servers (separate from the storage partition servers).
-  int cache_servers = 4;
-
-  /// Memory budget per cache server.
-  std::int64_t memory_per_server = 128ll << 20;
-};
-
 /// Statistics of one named cache (for tests and capacity planning).
 struct CacheStats {
   std::int64_t hits = 0;
@@ -52,10 +44,13 @@ struct CacheStats {
 
 class CacheService {
  public:
-  CacheService(sim::Simulation& sim, netsim::Network& network,
-               const CacheServiceConfig& cfg);
+  /// Dedicated cache servers (separate from the storage partition servers).
+  static constexpr int kServers = 4;
 
-  const CacheServiceConfig& config() const noexcept { return cfg_; }
+  /// Memory budget per cache server.
+  static constexpr std::int64_t kMemoryPerServer = 128ll << 20;
+
+  CacheService(sim::Simulation& sim, netsim::Network& network);
 
   /// Stores an item (replacing any previous value). Items larger than a
   /// server's memory are rejected.
@@ -78,7 +73,7 @@ class CacheService {
   CacheStats stats(const std::string& cache) const;
   int server_of(const std::string& cache, const std::string& key) const {
     return static_cast<int>(cluster::partition_hash(cache, key) %
-                            static_cast<std::uint64_t>(cfg_.cache_servers));
+                            static_cast<std::uint64_t>(kServers));
   }
 
  private:
@@ -116,7 +111,6 @@ class CacheService {
 
   sim::Simulation& sim_;
   netsim::Network& network_;
-  CacheServiceConfig cfg_;
   std::vector<std::unique_ptr<Server>> servers_;
   mutable std::map<std::string, CacheStats> stats_;
 };

@@ -46,13 +46,6 @@ struct RetryPolicy {
   /// Total attempts (first try included) before the error is rethrown.
   int max_attempts = 1'000;  // effectively "retry until it works"
 
-  /// Total per-operation wall-clock budget, measured from the start of the
-  /// first attempt. A retryable error caught at or past the deadline is
-  /// rethrown instead of retried (the attempt in flight is never cancelled
-  /// — the budget bounds *retrying*, not execution). 0 disables the cap;
-  /// paper() keeps it 0 so the frozen figures never observe it.
-  sim::Duration total_deadline = 0;
-
   // Per-error-class retryability; ServerBusy is always retryable
   // (detail::kRetryServerBusy). Anything not listed here is rethrown
   // immediately.
@@ -107,16 +100,11 @@ struct RetryPolicy {
 
   /// Whether an error of a class with retryability `class_retryable`,
   /// caught after `retries` completed retries (i.e. on attempt
-  /// `retries + 1`) with `elapsed` spent since the operation started, must
-  /// be rethrown instead of retried. Centralizes both budget boundaries:
-  /// with max_attempts == N exactly N attempts run (first try plus N - 1
-  /// retries), and with a total_deadline the operation stops retrying the
-  /// moment the budget is spent — an error caught exactly *at* the deadline
-  /// is rethrown, one caught a nanosecond earlier may retry.
-  bool gives_up(bool class_retryable, int retries,
-                sim::Duration elapsed = 0) const noexcept {
-    return !class_retryable || retries + 1 >= max_attempts ||
-           (total_deadline > 0 && elapsed >= total_deadline);
+  /// `retries + 1`), must be rethrown instead of retried. With
+  /// max_attempts == N exactly N attempts run (first try plus N - 1
+  /// retries).
+  bool gives_up(bool class_retryable, int retries) const noexcept {
+    return !class_retryable || retries + 1 >= max_attempts;
   }
 
   /// Backoff before retry number `retry` (0-based). Pure function of the
@@ -177,17 +165,13 @@ auto retry_loop(sim::Simulation& sim, MakeOp make_op, RetryPolicy policy,
                 std::int64_t* retries_out) -> decltype(make_op()) {
   obs::RequestScope request(sim);  // root span over all attempts
   obs::Observer* const o = request.observer();
-  const sim::TimePoint op_start = sim.now();
   int retries = 0;
   std::uint16_t error_class = 0;
   // Called from a catch handler: labels the caught error and rethrows it
   // if the policy gives up, else returns so the loop backs off and retries.
-  // The elapsed budget is evaluated here, after the failed attempt, so the
-  // deadline bounds when retrying stops, never how long an in-flight
-  // attempt may run.
   const auto retry_or_rethrow = [&](const char* label, bool retryable) {
     error_class = error_label(o, label);
-    if (policy.gives_up(retryable, retries, sim.now() - op_start)) {
+    if (policy.gives_up(retryable, retries)) {
       request.fail(error_class);
       throw;
     }

@@ -22,9 +22,6 @@ struct CloudConfig {
   cluster::ClusterConfig cluster;
   BlobServiceConfig blob;
   QueueServiceConfig queue;
-  TableServiceConfig table;
-  CacheServiceConfig cache;
-  sql::SqlServiceConfig sql;
   /// Deterministic fault injection. The default config is disabled: no RNG
   /// draw, no extra event — byte-identical to a fault-free deployment.
   faults::FaultConfig faults;
@@ -38,9 +35,9 @@ class CloudEnvironment {
         cluster_(sim, cfg.cluster),
         blob_(cluster_, cfg.blob),
         queue_(cluster_, cfg.queue),
-        table_(cluster_, cfg.table),
-        cache_(sim, cluster_.network(), cfg.cache),
-        sql_(sim, cluster_.network(), cfg.sql) {
+        table_(cluster_),
+        cache_(sim, cluster_.network()),
+        sql_(sim, cluster_.network()) {
     if (fault_plan_.enabled()) cluster_.enable_faults(fault_plan_);
     if (cfg.cluster.balancer.enabled) {
       balancer_ = std::make_unique<cluster::LoadBalancer>(cluster_);

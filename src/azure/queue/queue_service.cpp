@@ -94,7 +94,7 @@ std::size_t QueueService::pick_visible(QueueData& q) {
   }
   if (first == q.messages.size()) return first;
   if (second != q.messages.size() &&
-      rng_.next_double() < cfg_.fifo_violation_probability) {
+      rng_.next_double() < kFifoViolationProbability) {
     return second;  // FIFO is not guaranteed
   }
   return first;

@@ -43,10 +43,6 @@ struct QueueServiceConfig {
   /// QueueService::kGet16KAnomalyFactor).
   bool model_16k_get_anomaly = true;
 
-  /// Probability that a Get/Peek returns the second-oldest visible message
-  /// instead of the oldest — Azure queues do not guarantee FIFO.
-  double fifo_violation_probability = 0.02;
-
   /// Deterministic seed for the FIFO scramble.
   std::uint64_t seed = 0x51EE7;
 };
@@ -145,6 +141,10 @@ class QueueService {
   /// Server-CPU factor of the paper's slow 16 KB GetMessage (applied when
   /// QueueServiceConfig::model_16k_get_anomaly is on).
   static constexpr double kGet16KAnomalyFactor = 2.6;
+
+  /// Probability that a Get/Peek returns the second-oldest visible message
+  /// instead of the oldest — Azure queues do not guarantee FIFO.
+  static constexpr double kFifoViolationProbability = 0.02;
 
   struct StoredMessage {
     std::uint64_t id;

@@ -123,8 +123,7 @@ sim::Task<void> SqlService::create_database(netsim::Nic& client,
   co_await sim_.delay(kConnectCpu);
   auto [it, inserted] = databases_.try_emplace(name, nullptr);
   if (!inserted) throw ConflictError("database already exists: " + name);
-  it->second =
-      std::make_unique<Database>(sim_, edition, cfg_.max_connections);
+  it->second = std::make_unique<Database>(sim_, edition);
 }
 
 sim::Task<void> SqlService::drop_database(netsim::Nic& client,
@@ -178,7 +177,7 @@ sim::Task<std::optional<Row>> SqlService::select_by_key(netsim::Nic& client,
                                                         Value key) {
   Database& db = require_database(database);
   Table& t = require_table(db, table);
-  auto lease = co_await begin(client, db, 256, cfg_.point_lookup_cpu);
+  auto lease = co_await begin(client, db, 256, kPointLookupCpu);
   auto it = t.rows.find(key);
   if (it == t.rows.end()) {
     co_await network_.transfer(nic_, client, 64);
@@ -198,8 +197,7 @@ sim::Task<std::vector<Row>> SqlService::select_where(netsim::Nic& client,
   const auto scan_cpu = static_cast<sim::Duration>(
       static_cast<double>(t.rows.size()) *
       static_cast<double>(kPerRowScanCpu));
-  auto lease = co_await begin(client, db, 512,
-                              cfg_.point_lookup_cpu + scan_cpu);
+  auto lease = co_await begin(client, db, 512, kPointLookupCpu + scan_cpu);
   std::vector<Row> out;
   std::int64_t wire = 64;
   for (const auto& [key, row] : t.rows) {

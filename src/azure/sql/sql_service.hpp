@@ -70,26 +70,19 @@ struct Predicate {
   Value operand;
 };
 
-struct SqlServiceConfig {
-  /// Concurrent connections per database (SQL Azure throttled ~180).
-  int max_connections = 180;
-  /// Server work per point lookup (the other statements' costs are
-  /// SqlService constants).
-  sim::Duration point_lookup_cpu = sim::millis(2);
-};
-
 class SqlService {
  public:
-  SqlService(sim::Simulation& sim, netsim::Network& network,
-             const SqlServiceConfig& cfg)
+  /// Concurrent connections per database (SQL Azure throttled ~180).
+  static constexpr int kMaxConnections = 180;
+  /// Server work per point lookup.
+  static constexpr sim::Duration kPointLookupCpu = sim::millis(2);
+
+  SqlService(sim::Simulation& sim, netsim::Network& network)
       : sim_(sim),
         network_(network),
-        cfg_(cfg),
         nic_(sim, netsim::NicConfig{netsim::kServerNicBytesPerSec,
                                     netsim::kServerNicBytesPerSec,
                                     sim::micros(30)}) {}
-
-  const SqlServiceConfig& config() const noexcept { return cfg_; }
 
   // ------------------------------------------------------------- schema --
   sim::Task<void> create_database(netsim::Nic& client, std::string name,
@@ -142,8 +135,8 @@ class SqlService {
     std::map<Value, Row> rows;  // keyed by primary key
   };
   struct Database {
-    explicit Database(sim::Simulation& sim, Edition ed, int max_connections)
-        : edition(ed), connections(sim, max_connections) {}
+    Database(sim::Simulation& sim, Edition ed)
+        : edition(ed), connections(sim, kMaxConnections) {}
     Edition edition;
     sim::Resource connections;
     std::map<std::string, Table> tables;
@@ -163,7 +156,6 @@ class SqlService {
 
   sim::Simulation& sim_;
   netsim::Network& network_;
-  SqlServiceConfig cfg_;
   netsim::Nic nic_;
   std::map<std::string, std::unique_ptr<Database>> databases_;
 };

@@ -23,9 +23,8 @@ constexpr std::string_view kMetaSpan = "table.meta";
 /// Server work per mutation (calibrated to 2012-era Azure table latencies
 /// of tens of milliseconds — also what keeps ~100 sequential workers under
 /// the account's 5,000 tx/s target, as in the paper). Update pays an ETag
-/// check + read-modify-write; a query (TableServiceConfig::query_cpu) is a
-/// pure point read; hence Query < Insert ~ Delete < Update (Fig. 8/9
-/// ordering).
+/// check + read-modify-write; a query (TableService::kQueryCpu) is a pure
+/// point read; hence Query < Insert ~ Delete < Update (Fig. 8/9 ordering).
 constexpr sim::Duration kInsertCpu = sim::millis(22);
 constexpr sim::Duration kUpdateCpu = sim::millis(30);
 constexpr sim::Duration kDeleteCpu = sim::millis(22);
@@ -327,7 +326,7 @@ sim::Task<TableEntity> TableService::query(netsim::Nic& client,
   cluster::RequestCost cost;
   cost.request_bytes = 512;
   cost.response_bytes = wire;
-  cost.server_cpu = cfg_.query_cpu;
+  cost.server_cpu = kQueryCpu;
   cost.object_id = entity_object_id(part_hash, row_key);
   op.stage();
   const cluster::ExecResult r =
@@ -367,7 +366,7 @@ sim::Task<std::vector<TableEntity>> TableService::query_partition(
   cost.request_bytes = 512;
   cost.response_bytes = wire;
   cost.server_cpu =
-      cfg_.query_cpu + static_cast<sim::Duration>(out.size()) * sim::micros(50);
+      kQueryCpu + static_cast<sim::Duration>(out.size()) * sim::micros(50);
   op.set_bytes(wire);
   op.stage();
   co_await cluster_.execute(

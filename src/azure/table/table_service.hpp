@@ -36,14 +36,6 @@
 
 namespace azure {
 
-struct TableServiceConfig {
-  /// Server work per query, a pure point read (calibrated to 2012-era
-  /// Azure table latencies of tens of milliseconds). The mutations' costs
-  /// are constants in table_service.cpp; Query < Insert ~ Delete < Update
-  /// (Fig. 8/9 ordering).
-  sim::Duration query_cpu = sim::millis(20);
-};
-
 /// One property value. Azure tables are schemaless: any entity can hold any
 /// mix of property types.
 using PropertyValue =
@@ -103,12 +95,15 @@ class TableBatch {
 
 class TableService {
  public:
-  TableService(cluster::StorageCluster& cluster, const TableServiceConfig& cfg)
-      : cluster_(cluster),
-        cfg_(cfg),
-        journals_(static_cast<std::size_t>(cluster.server_count())) {}
+  /// Server work per query, a pure point read (calibrated to 2012-era
+  /// Azure table latencies of tens of milliseconds). The mutations' costs
+  /// are constants in table_service.cpp; Query < Insert ~ Delete < Update
+  /// (Fig. 8/9 ordering).
+  static constexpr sim::Duration kQueryCpu = sim::millis(20);
 
-  const TableServiceConfig& config() const noexcept { return cfg_; }
+  explicit TableService(cluster::StorageCluster& cluster)
+      : cluster_(cluster),
+        journals_(static_cast<std::size_t>(cluster.server_count())) {}
 
   sim::Task<void> create_table(netsim::Nic& client, std::string name);
   sim::Task<void> create_table_if_not_exists(netsim::Nic& client,
@@ -207,7 +202,6 @@ class TableService {
                                TableBatch::OpKind kind);
 
   cluster::StorageCluster& cluster_;
-  TableServiceConfig cfg_;
   std::map<std::string, TableData, std::less<>> tables_;
   /// One commit journal per partition server (created lazily).
   std::vector<std::unique_ptr<sim::FlowLimiter>> journals_;

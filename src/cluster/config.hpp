@@ -3,10 +3,11 @@
 // Defaults encode the scalability targets the paper quotes (Section IV) and
 // the architecture published in Calder et al., "Windows Azure Storage"
 // (SOSP'11): 3-replica strong consistency, partitioned servers, per-account
-// and per-partition transaction caps. The fixed service times and
-// bandwidths are named constants beside the code that reads them
-// (PartitionServer, StorageCluster); every field here is set by some
-// caller and is documented with its observable effect.
+// and per-partition transaction caps. The fixed service times,
+// bandwidths, replica count and S3 prefix targets are named constants
+// beside the code that reads them (PartitionServer, ReplicaStore,
+// StorageCluster); every field here is set by some caller and is
+// documented with its observable effect.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,7 @@ enum class ThrottleMode {
   kQueue,
   /// S3-style contract: no account-wide transaction gate at all; instead
   /// each key *prefix* carries independent read and write request-rate
-  /// windows (prefix_read_requests_per_sec / prefix_write_requests_per_sec)
+  /// windows (StorageCluster::kPrefixReadsPerSec / kPrefixWritesPerSec)
   /// and overruns raise SlowDownError (HTTP 503 SlowDown). Requests whose
   /// RequestCost carries no throttle_prefix are never throttled.
   kPrefixSlowdown,
@@ -86,29 +87,13 @@ struct ClusterConfig {
   /// partitions over many servers; 16 is plenty for 100 simulated clients.
   int partition_servers = 16;
 
-  /// Replicas per storage object (Azure keeps 3 with strong consistency).
-  int replicas = 3;
-
   /// Concurrent request executors per partition server.
   int executors_per_server = 64;
-
-  /// Fixed per-request server-side processing time (request parsing,
-  /// partition-map lookup, authorization).
-  sim::Duration request_overhead = sim::micros(500);
 
   // ------------------------------------------------ scalability targets ----
   /// "Windows Azure storage services can handle up to 5,000 transactions
   /// (entities/messages/blobs) per second" per account.
   std::int64_t account_transactions_per_sec = 5'000;
-
-  /// ThrottleMode::kPrefixSlowdown only: write (PUT/DELETE/COPY) requests
-  /// per second each key prefix sustains before 503 SlowDown. The default
-  /// mirrors S3's documented 3,500 write-requests-per-prefix target.
-  std::int64_t prefix_write_requests_per_sec = 3'500;
-
-  /// ThrottleMode::kPrefixSlowdown only: read (GET/HEAD/LIST) requests per
-  /// second per prefix. Mirrors S3's documented 5,500 read target.
-  std::int64_t prefix_read_requests_per_sec = 5'500;
 };
 
 }  // namespace cluster

@@ -37,9 +37,6 @@ GeoConfig GeoCluster::validated(GeoConfig cfg) {
         "GeoConfig: need 0 < ship_interval <= staleness_target (the bounded-"
         "staleness contract is provisioned by the shipping cadence)");
   }
-  if (cfg.ship_batch_max < 1) {
-    throw std::invalid_argument("GeoConfig: ship_batch_max must be >= 1");
-  }
   const ClusterConfig& first = cfg.regions.front().cluster;
   for (const GeoRegionConfig& rc : cfg.regions) {
     if (rc.cluster.partition_servers != first.partition_servers ||
@@ -69,7 +66,7 @@ GeoCluster::GeoCluster(sim::Simulation& sim, GeoConfig cfg)
     for (int to = 0; to < n; ++to) {
       if (from == to) continue;
       links_[static_cast<std::size_t>(from * n + to)] =
-          std::make_unique<netsim::GeoLink>(sim_, cfg_.default_link);
+          std::make_unique<netsim::GeoLink>(sim_);
     }
   }
   region_up_.assign(static_cast<std::size_t>(n), 1);
@@ -332,7 +329,7 @@ sim::Task<bool> GeoCluster::ship_batch(int region, int bucket) {
                   [static_cast<std::size_t>(bucket)];
   const std::uint64_t hi =
       std::min(committed_seq_[static_cast<std::size_t>(bucket)],
-               applied + static_cast<std::uint64_t>(cfg_.ship_batch_max));
+               applied + static_cast<std::uint64_t>(kShipBatchMax));
   if (applied >= hi) co_return true;
   std::int64_t batch_bytes = 0;
   for (std::uint64_t s = applied + 1; s <= hi; ++s) {
@@ -554,7 +551,7 @@ sim::Task<void> GeoCluster::geo_scrub(int region) {
     co_await sim_.delay(StorageCluster::kScrubCheckTime);
     ReplicaStore::Entry& dst = target.replica_store().open(object_id,
                                                            src.home);
-    for (int r = 0; r < target.replica_store().replicas_per_object(); ++r) {
+    for (int r = 0; r < kReplicas; ++r) {
       auto& rep = dst.replicas[static_cast<std::size_t>(r)];
       const bool good = !rep.torn && rep.gen == src.committed_gen &&
                         rep.crc == src.committed_crc;

@@ -68,9 +68,6 @@ struct GeoConfig {
   /// The regions, index order = ring order for promotion.
   std::vector<GeoRegionConfig> regions;
 
-  /// Link parameters used for every direction.
-  netsim::GeoLinkConfig default_link;
-
   /// Initial primary (home) region.
   int primary = 0;
 
@@ -80,9 +77,6 @@ struct GeoConfig {
 
   /// Delay between an append and the shipping of its batch.
   sim::Duration ship_interval = sim::millis(100);
-
-  /// Max log entries per shipped batch (per bucket, per destination).
-  int ship_batch_max = 64;
 };
 
 /// What a geo read reports beyond the stamp-level ExecResult.
@@ -165,15 +159,6 @@ class GeoCluster {
   faults::FaultPlan* fault_plan() const noexcept { return faults_; }
 
   // ------------------------------------------------------- log / lag state ----
-  /// Committed (home-region) high-water sequence number of `bucket`.
-  std::uint64_t committed_seq(int bucket) const noexcept {
-    return committed_seq_[static_cast<std::size_t>(bucket)];
-  }
-  /// High-water sequence `region` has applied for `bucket`.
-  std::uint64_t applied_seq(int region, int bucket) const noexcept {
-    return applied_seq_[static_cast<std::size_t>(region)]
-                       [static_cast<std::size_t>(bucket)];
-  }
   /// Age of the oldest committed-but-unapplied write at `region` for
   /// `bucket` (0 when caught up).
   sim::Duration staleness(int region, int bucket) const noexcept;
@@ -236,6 +221,9 @@ class GeoCluster {
   /// Promotion cost paid when the primary role moves (failover or
   /// failback): ops arriving inside the handoff window wait it out.
   static constexpr sim::Duration kRegionFailoverLatency = sim::millis(100);
+
+  /// Max log entries per shipped batch (per bucket, per destination).
+  static constexpr int kShipBatchMax = 64;
 
   static GeoConfig validated(GeoConfig cfg);
 

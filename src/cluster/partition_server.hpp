@@ -21,9 +21,12 @@ class PartitionServer {
   /// stream append + ack), on top of moving the payload to the replica.
   static constexpr sim::Duration kReplicaCommitLatency = sim::millis(2);
 
+  /// Fixed per-request server-side processing time (request parsing,
+  /// partition-map lookup, authorization).
+  static constexpr sim::Duration kRequestOverhead = sim::micros(500);
+
   PartitionServer(sim::Simulation& sim, const ClusterConfig& cfg, int index)
       : sim_(sim),
-        cfg_(cfg),
         index_(index),
         executors_(sim, cfg.executors_per_server),
         disk_(sim, kDiskBytesPerSec, /*burst=*/256.0 * 1024),
@@ -69,7 +72,7 @@ class PartitionServer {
                 0, index_);
       }
     }
-    co_await sim_.delay(cfg_.request_overhead + cpu);
+    co_await sim_.delay(kRequestOverhead + cpu);
     if (disk_bytes > 0) {
       co_await disk_.acquire(static_cast<double>(disk_bytes));
     }
@@ -106,7 +109,6 @@ class PartitionServer {
   static constexpr double kDiskBytesPerSec = 400.0 * 1024 * 1024;
 
   sim::Simulation& sim_;
-  const ClusterConfig& cfg_;
   int index_;
   sim::Resource executors_;
   sim::FlowLimiter disk_;

@@ -34,6 +34,9 @@
 
 namespace cluster {
 
+/// Replicas per storage object (Azure keeps 3 with strong consistency).
+inline constexpr int kReplicas = 3;
+
 class ReplicaStore {
  public:
   struct Replica {
@@ -76,8 +79,7 @@ class ReplicaStore {
     }
   };
 
-  explicit ReplicaStore(int replicas_per_object, int servers) noexcept
-      : replicas_per_object_(replicas_per_object), servers_(servers) {}
+  explicit ReplicaStore(int servers) noexcept : servers_(servers) {}
 
   /// Finds or creates the entry for `object_id`, homing new objects on
   /// `home`. (An object's home never changes: partition reassignment moves
@@ -86,8 +88,7 @@ class ReplicaStore {
     auto [it, inserted] = entries_.try_emplace(object_id);
     if (inserted) {
       it->second.home = home;
-      it->second.replicas.resize(
-          static_cast<std::size_t>(replicas_per_object_));
+      it->second.replicas.resize(static_cast<std::size_t>(kReplicas));
     }
     return it->second;
   }
@@ -106,7 +107,7 @@ class ReplicaStore {
 
   /// Replica index of `entry` hosted on `server`, or -1.
   int replica_on(const Entry& entry, int server) const noexcept {
-    for (int r = 0; r < replicas_per_object_; ++r) {
+    for (int r = 0; r < kReplicas; ++r) {
       if (server_of(entry, r) == server) return r;
     }
     return -1;
@@ -128,17 +129,14 @@ class ReplicaStore {
   std::int64_t divergent_replicas() const noexcept {
     std::int64_t n = 0;
     for (const auto& [id, entry] : entries_) {
-      for (int r = 0; r < replicas_per_object_; ++r) {
+      for (int r = 0; r < kReplicas; ++r) {
         if (!entry.replica_good(r)) ++n;
       }
     }
     return n;
   }
 
-  int replicas_per_object() const noexcept { return replicas_per_object_; }
-
  private:
-  int replicas_per_object_;
   int servers_;
   std::map<std::uint64_t, Entry> entries_;
 };

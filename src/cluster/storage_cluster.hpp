@@ -84,6 +84,15 @@ class StorageCluster {
   /// Per-object checksum verification time paid by a scrub pass.
   static constexpr sim::Duration kScrubCheckTime = sim::micros(20);
 
+  /// ThrottleMode::kPrefixSlowdown only: write (PUT/DELETE/COPY) requests
+  /// per second each key prefix sustains before 503 SlowDown. Mirrors S3's
+  /// documented 3,500 write-requests-per-prefix target.
+  static constexpr std::int64_t kPrefixWritesPerSec = 3'500;
+
+  /// ThrottleMode::kPrefixSlowdown only: read (GET/HEAD/LIST) requests per
+  /// second per prefix. Mirrors S3's documented 5,500 read target.
+  static constexpr std::int64_t kPrefixReadsPerSec = 5'500;
+
   StorageCluster(sim::Simulation& sim, const ClusterConfig& cfg = {})
       : sim_(sim),
         cfg_(validated(cfg)),
@@ -92,7 +101,7 @@ class StorageCluster {
         account_ingress_(sim, kAccountBytesPerSec, 1024.0 * 1024),
         account_egress_(sim, kAccountBytesPerSec, 1024.0 * 1024),
         map_(cfg.partition_servers, cfg.balancer.buckets_per_server),
-        store_(cfg.replicas, cfg.partition_servers) {
+        store_(cfg.partition_servers) {
     servers_.reserve(static_cast<std::size_t>(cfg.partition_servers));
     for (int i = 0; i < cfg.partition_servers; ++i) {
       servers_.push_back(std::make_unique<PartitionServer>(sim, cfg_, i));
@@ -450,7 +459,7 @@ class StorageCluster {
           o->emit(obs::SpanKind::kFailover, trace, verify_failover_start,
                   sim_.now(), o->label("read.verify"), primary->index());
         }
-        for (int r = 0; r < store_.replicas_per_object(); ++r) {
+        for (int r = 0; r < kReplicas; ++r) {
           if (!entry->replica_good(r)) {
             sim_.spawn(repair_replica(*entry, r, /*scrub=*/false));
           }
@@ -465,7 +474,7 @@ class StorageCluster {
       entry->next_gen = std::max(entry->next_gen, entry->committed_gen) + 1;
       attempt_gen = entry->next_gen;
     }
-    if (tracked_write || (cost.replicate && cfg_.replicas > 1)) {
+    if (tracked_write || cost.replicate) {
       obs::SpanHandle replication_span{};
       if (o != nullptr) replication_span = o->begin(trace, sim_.now());
       co_await replicate(*primary, tracked_write ? entry : nullptr, cost,
@@ -559,9 +568,7 @@ class StorageCluster {
                                   std::int64_t bytes, bool torn = false) {
     ReplicaStore::Entry* entry =
         object_id != 0 ? &store_.open(object_id, home_server) : nullptr;
-    const int copies =
-        entry != nullptr ? store_.replicas_per_object() : cfg_.replicas;
-    for (int r = 0; r < copies; ++r) {
+    for (int r = 0; r < kReplicas; ++r) {
       const int s = entry != nullptr
                         ? store_.server_of(*entry, r)
                         : (home_server + r) % cfg_.partition_servers;
@@ -673,21 +680,11 @@ class StorageCluster {
   /// loudly as a Debug build here: replicas > servers would silently fold
   /// distinct replicas onto the same server and fake durability.
   static const ClusterConfig& validated(const ClusterConfig& cfg) {
-    if (cfg.partition_servers <= 0) {
-      throw std::invalid_argument(
-          "ClusterConfig: partition_servers must be positive, got " +
-          std::to_string(cfg.partition_servers));
-    }
-    if (cfg.replicas <= 0) {
-      throw std::invalid_argument("ClusterConfig: replicas must be positive, "
-                                  "got " +
-                                  std::to_string(cfg.replicas));
-    }
-    if (cfg.partition_servers < cfg.replicas) {
+    if (cfg.partition_servers < kReplicas) {
       throw std::invalid_argument(
           "ClusterConfig: partition_servers (" +
           std::to_string(cfg.partition_servers) +
-          ") must be >= replicas (" + std::to_string(cfg.replicas) +
+          ") must be >= replicas (" + std::to_string(kReplicas) +
           "): each replica of an object lives on a distinct server");
     }
     return cfg;
@@ -704,7 +701,7 @@ class StorageCluster {
                             obs::TraceContext trace) {
     sim::WaitGroup wg(sim_);
     const int first = entry != nullptr ? entry->home : primary.index();
-    for (int r = 0; r < cfg_.replicas; ++r) {
+    for (int r = 0; r < kReplicas; ++r) {
       const int s = (first + r) % cfg_.partition_servers;
       if (s == primary.index()) continue;
       wg.add();
@@ -734,7 +731,7 @@ class StorageCluster {
       co_return;
     }
     if (bytes > 0) co_await primary.nic().send(bytes);
-    co_await sim_.delay(network_.config().propagation);
+    co_await sim_.delay(netsim::kPropagation);
     co_await target.replica_commit(bytes, trace);
     if (entry != nullptr) {
       // A concurrent later write may already have landed here; don't
@@ -912,9 +909,8 @@ class StorageCluster {
   // key prefix, created lazily on first touch (keyed lookups only, never
   // iterated, so the unordered container cannot affect event order).
   struct PrefixWindows {
-    PrefixWindows(sim::Simulation& sim, const ClusterConfig& cfg)
-        : reads(sim, cfg.prefix_read_requests_per_sec),
-          writes(sim, cfg.prefix_write_requests_per_sec) {}
+    explicit PrefixWindows(sim::Simulation& sim)
+        : reads(sim, kPrefixReadsPerSec), writes(sim, kPrefixWritesPerSec) {}
     sim::WindowCounter reads;
     sim::WindowCounter writes;
   };
@@ -922,7 +918,7 @@ class StorageCluster {
     auto it = prefix_windows_.find(prefix);
     if (it == prefix_windows_.end()) {
       it = prefix_windows_
-               .emplace(prefix, std::make_unique<PrefixWindows>(sim_, cfg_))
+               .emplace(prefix, std::make_unique<PrefixWindows>(sim_))
                .first;
     }
     return *it->second;

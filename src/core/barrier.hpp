@@ -36,18 +36,13 @@ class QueueBarrier {
                                      : azure::limits::kMessageTtlSeconds *
                                            sim::kSecond) {}
 
-  /// Retry policy for the barrier's queue traffic. Defaults to the paper's
-  /// fixed 1 s ServerBusy policy (Algorithm 2 is a paper workload); chaos
-  /// harnesses swap in a fault-tolerant policy.
-  void set_retry_policy(const azure::RetryPolicy& policy) { retry_ = policy; }
-
   /// Creates the barrier queue (idempotent; any worker may call it).
   sim::Task<void> provision() {
     auto q = account_.create_cloud_queue_client().get_queue_reference(
         queue_name_);
     co_await azure::with_retry(account_.environment().simulation(),
                                [&] { return q.create_if_not_exists(); },
-                               retry_);
+                               kRetry);
   }
 
   /// Enters the barrier and suspends until all workers have arrived.
@@ -64,7 +59,7 @@ class QueueBarrier {
     const sim::TimePoint entered = sim.now();
     co_await azure::with_retry(sim, [&] {
       return q.add_message(azure::Payload::bytes("sync"), message_ttl_);
-    }, retry_);
+    }, kRetry);
     for (;;) {
       if (sim.now() - entered > message_ttl_) {
         throw azure::StorageError(
@@ -72,7 +67,7 @@ class QueueBarrier {
             "(experiment too long for Algorithm 2)");
       }
       const std::int64_t arrived = co_await azure::with_retry(
-          sim, [&] { return q.get_message_count(); }, retry_);
+          sim, [&] { return q.get_message_count(); }, kRetry);
       if (arrived >= static_cast<std::int64_t>(workers_) * sync_count_) {
         co_return;
       }
@@ -88,11 +83,14 @@ class QueueBarrier {
   int sync_count() const noexcept { return sync_count_; }
 
  private:
+  /// Retry policy for the barrier's queue traffic: the paper's fixed 1 s
+  /// ServerBusy policy (Algorithm 2 is a paper workload).
+  static constexpr azure::RetryPolicy kRetry = azure::RetryPolicy::paper();
+
   azure::CloudStorageAccount account_;
   std::string queue_name_;
   int workers_;
   sim::Duration message_ttl_;
-  azure::RetryPolicy retry_ = azure::RetryPolicy::paper();
   int sync_count_ = 0;
 };
 

@@ -95,7 +95,8 @@ sim::Task<RemoteResult> remote_table_put(World* w, int dst, int caller_id,
   co_await azure::with_retry_counted(
       *sh.sim, [&] { return tbl.create_if_not_exists(); }, policy, r.retries);
   azure::TableEntity e;
-  e.partition_key = "w" + std::to_string(caller_id);
+  e.partition_key = "w";
+  e.partition_key += std::to_string(caller_id);
   e.row_key = std::to_string(op);
   e.properties.emplace("data", azure::Payload::synthetic(bytes));
   // The retry wrapper re-invokes the factory on every attempt — the entity
@@ -208,7 +209,9 @@ sim::Task<void> table_worker(World& w, int home, int id,
     co_await azure::with_retry_counted(
         *sh.sim,
         [&] {
-          return tbl.query("p" + std::to_string(id), std::to_string(k));
+          std::string pk = "p";
+          pk += std::to_string(id);
+          return tbl.query(pk, std::to_string(k));
         },
         policy, st.retries);
     ++st.gets;

@@ -1,6 +1,6 @@
 // Deployment model: web/worker role instances running on VMs inside one
-// hosted service, each with its own NIC and local storage, all sharing a
-// storage account (the CloudEnvironment).
+// hosted service, each with its own NIC, all sharing a storage account (the
+// CloudEnvironment).
 //
 //   fabric::Deployment dep(env);
 //   dep.add_web_role(VmSize::kSmall);
@@ -19,7 +19,6 @@
 
 #include "azure/cloud_storage_account.hpp"
 #include "azure/environment.hpp"
-#include "fabric/local_storage.hpp"
 #include "fabric/vm_size.hpp"
 #include "netsim/nic.hpp"
 #include "simcore/simulation.hpp"
@@ -31,7 +30,7 @@ namespace fabric {
 enum class RoleKind { kWeb, kWorker };
 
 /// Everything a role's entry point can touch: its identity, its VM's NIC,
-/// local storage, and a storage account bound to this instance.
+/// and a storage account bound to this instance.
 class RoleContext {
  public:
   RoleContext(azure::CloudEnvironment& env, RoleKind kind, int id, VmSize size)
@@ -40,7 +39,6 @@ class RoleContext {
         id_(id),
         size_(size),
         nic_(env.simulation(), nic_config_of(size)),
-        local_(spec_of(size).local_storage_gb * (1ll << 30)),
         account_(env, nic_) {}
 
   RoleKind kind() const noexcept { return kind_; }
@@ -51,7 +49,6 @@ class RoleContext {
   sim::Simulation& simulation() noexcept { return env_.simulation(); }
   azure::CloudEnvironment& environment() noexcept { return env_; }
   netsim::Nic& nic() noexcept { return nic_; }
-  LocalStorage& local_storage() noexcept { return local_; }
   azure::CloudStorageAccount& account() noexcept { return account_; }
 
  private:
@@ -61,7 +58,6 @@ class RoleContext {
   VmSize size_;
   VmSpec spec_ = spec_of(size_);
   netsim::Nic nic_;
-  LocalStorage local_;
   azure::CloudStorageAccount account_;
 };
 
@@ -94,9 +90,6 @@ class Deployment {
     return *web_;
   }
   RoleContext& worker(int i) { return *workers_.at(static_cast<size_t>(i)); }
-  int worker_count() const noexcept {
-    return static_cast<int>(workers_.size());
-  }
 
   /// Launches the web role's entry point.
   void start_web(EntryPoint entry) { start_one(web_role(), std::move(entry)); }

@@ -34,10 +34,8 @@ inline constexpr sim::Duration kAllocationPerCore = sim::seconds(20);
 inline constexpr sim::Duration kGuestBoot = sim::seconds(90);
 inline constexpr sim::Duration kRoleStart = sim::seconds(30);
 
-struct ProvisioningConfig {
-  /// The fabric allocates at most this many VMs concurrently.
-  int parallel_allocations = 12;
-};
+/// The fabric allocates at most this many VMs concurrently.
+inline constexpr int kParallelAllocations = 12;
 
 /// Result of provisioning one deployment.
 struct ProvisioningReport {
@@ -62,8 +60,7 @@ struct ProvisioningReport {
 /// Simulates provisioning `instances` VMs of the given size. Pure model —
 /// usable standalone (for the provisioning bench) or before starting roles.
 inline sim::Task<ProvisioningReport> provision_deployment(
-    sim::Simulation& sim, int instances, VmSize size,
-    ProvisioningConfig cfg = {}) {
+    sim::Simulation& sim, int instances, VmSize size) {
   ProvisioningReport report;
   const sim::TimePoint start = sim.now();
 
@@ -75,7 +72,7 @@ inline sim::Task<ProvisioningReport> provision_deployment(
   report.package_upload = sim.now() - start;
 
   // 2+3. Allocation batches, then boot, in parallel per instance.
-  sim::Resource allocator(sim, cfg.parallel_allocations);
+  sim::Resource allocator(sim, kParallelAllocations);
   sim::WaitGroup done(sim);
   report.instance_ready.assign(static_cast<std::size_t>(instances), 0);
 

@@ -1,30 +1,26 @@
 // The paper's generic application framework for scientific applications on
 // Azure (Section III, Fig. 3):
 //
-//   user input -> web role -> Task Assignment Queue(s) -> worker roles
+//   user input -> web role -> Task Assignment Queue -> worker roles
 //                                   |                          |
 //                                   v                          v
 //                              Blob/Table storage   Termination Indicator Queue
 //
-// * the web role enqueues task descriptors on one or more task-assignment
-//   queues (several queues when parameter sets differ — and because a single
-//   queue caps at 500 messages/s, sharding improves scalability);
+// * the web role enqueues task descriptors on the task-assignment queue;
 // * task payloads above the 48 KB usable message limit spill into Blob
 //   storage automatically, with the blob name travelling on the queue (the
 //   paper's recommended pattern);
-// * workers poll the task queues, process messages, and signal each
+// * workers poll the task queue, process messages, and signal each
 //   completed phase on the termination-indicator queue;
 // * the web role reads the termination queue's message count to track
 //   progress (FIFO is not guaranteed, so an in-band "end of work" message
 //   would be unreliable — the dedicated queue is the robust pattern).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "azure/cloud_storage_account.hpp"
@@ -35,26 +31,6 @@
 #include "simcore/time.hpp"
 
 namespace framework {
-
-struct BagOfTasksConfig {
-  /// Number of task-assignment queues tasks are round-robined across.
-  int task_queue_shards = 1;
-  /// Visibility timeout while a worker processes a task; the task reappears
-  /// for another worker if the first one dies (the queue's built-in fault
-  /// tolerance the paper highlights).
-  sim::Duration task_visibility_timeout = sim::seconds(120);
-  /// While a handler runs, the worker renews the task's lease (via
-  /// UpdateMessage) every half visibility-timeout, so tasks longer than the
-  /// timeout are not re-delivered to another worker. Set false to get the
-  /// bare 2010-era behaviour (and duplicate execution of long tasks).
-  bool renew_task_leases = true;
-  /// Bounded redelivery: a task delivered more than this many times without
-  /// being completed is a *poison task* (its handler keeps crashing, or its
-  /// payload keeps failing resolution). Rather than cycling through workers
-  /// forever, it is moved to the dead-letter queue for offline inspection.
-  /// 0 disables dead-lettering (unbounded redelivery, the 2010 behaviour).
-  int max_deliveries = 5;
-};
 
 /// One task as seen by a worker.
 struct TaskDescriptor {
@@ -68,10 +44,20 @@ class BagOfTasksApp {
   using Handler =
       std::function<sim::Task<void>(const TaskDescriptor&)>;
 
-  BagOfTasksApp(azure::CloudStorageAccount account, BagOfTasksConfig cfg = {})
-      : account_(account), cfg_(std::move(cfg)) {}
+  /// Visibility timeout while a worker processes a task; the task reappears
+  /// for another worker if the first one dies (the queue's built-in fault
+  /// tolerance the paper highlights). While a handler runs, the worker
+  /// renews the task's lease (via UpdateMessage) every half timeout, so
+  /// tasks longer than the timeout are not re-delivered to another worker.
+  static constexpr sim::Duration kTaskVisibilityTimeout = sim::seconds(120);
+  /// Bounded redelivery: a task delivered more than this many times without
+  /// being completed is a *poison task* (its handler keeps crashing, or its
+  /// payload keeps failing resolution). Rather than cycling through workers
+  /// forever, it is moved to the dead-letter queue for offline inspection.
+  static constexpr int kMaxDeliveries = 5;
 
-  const BagOfTasksConfig& config() const noexcept { return cfg_; }
+  explicit BagOfTasksApp(azure::CloudStorageAccount account)
+      : account_(account) {}
 
   // ------------------------------------------------------- web role side --
 
@@ -79,19 +65,15 @@ class BagOfTasksApp {
   sim::Task<void> provision() {
     auto& sim = account_.environment().simulation();
     auto queues = account_.create_cloud_queue_client();
-    for (int i = 0; i < cfg_.task_queue_shards; ++i) {
-      auto q = queues.get_queue_reference(shard_name(i));
-      co_await azure::with_retry(
-          sim, [&] { return q.create_if_not_exists(); }, kRetry);
-    }
+    auto tasks = queues.get_queue_reference(kTaskQueue);
+    co_await azure::with_retry(
+        sim, [&] { return tasks.create_if_not_exists(); }, kRetry);
     auto termination = queues.get_queue_reference(kTerminationQueue);
     co_await azure::with_retry(
         sim, [&] { return termination.create_if_not_exists(); }, kRetry);
-    if (cfg_.max_deliveries > 0) {
-      auto dlq = queues.get_queue_reference(kDeadLetterQueue);
-      co_await azure::with_retry(
-          sim, [&] { return dlq.create_if_not_exists(); }, kRetry);
-    }
+    auto dlq = queues.get_queue_reference(kDeadLetterQueue);
+    co_await azure::with_retry(
+        sim, [&] { return dlq.create_if_not_exists(); }, kRetry);
     auto spill = account_.create_cloud_blob_client().get_container_reference(
         kSpillContainer);
     co_await azure::with_retry(
@@ -101,9 +83,8 @@ class BagOfTasksApp {
   /// Enqueues one task. Oversized descriptors spill into Blob storage.
   sim::Task<void> submit(std::string body) {
     auto& sim = account_.environment().simulation();
-    auto queues = account_.create_cloud_queue_client();
-    auto q = queues.get_queue_reference(shard_name(next_shard_));
-    next_shard_ = (next_shard_ + 1) % cfg_.task_queue_shards;
+    auto q = account_.create_cloud_queue_client().get_queue_reference(
+        kTaskQueue);
     const std::int64_t id = next_task_id_++;
 
     if (static_cast<std::int64_t>(body.size()) >
@@ -151,27 +132,23 @@ class BagOfTasksApp {
 
   // ------------------------------------------------------ worker role side --
 
-  /// Processes tasks until `tasks_to_process` tasks are handled (or forever
-  /// when -1 until the queues stay empty and `stop_when_idle` rounds pass).
-  ///
-  /// Each worker drains its shards round-robin; every completed task is
-  /// signalled on the termination-indicator queue.
+  /// Processes tasks until the task queue stays empty for `max_idle_polls`
+  /// consecutive polls. Every completed task is signalled on the
+  /// termination-indicator queue.
   sim::Task<void> worker_loop(azure::CloudStorageAccount worker_account,
                               Handler handler,
                               int max_idle_polls = 3) {
     auto& sim = worker_account.environment().simulation();
     auto queues = worker_account.create_cloud_queue_client();
     auto termination = queues.get_queue_reference(kTerminationQueue);
+    auto q = queues.get_queue_reference(kTaskQueue);
     int idle_polls = 0;
-    int shard = 0;
     while (idle_polls < max_idle_polls) {
-      auto q = queues.get_queue_reference(shard_name(shard));
-      shard = (shard + 1) % cfg_.task_queue_shards;
       std::optional<azure::QueueMessage> msg;
       bool not_provisioned = false;
       try {
         msg = co_await azure::with_retry(sim, [&] {
-          return q.get_message(cfg_.task_visibility_timeout);
+          return q.get_message(kTaskVisibilityTimeout);
         }, kRetry);
       } catch (const azure::NotFoundError&) {
         // Workers may boot before the web role has provisioned the queues;
@@ -186,10 +163,9 @@ class BagOfTasksApp {
       idle_polls = 0;
 
       // Poison-task dead-lettering: this delivery already counts toward the
-      // cap, so a task seen more than max_deliveries times is parked on the
+      // cap, so a task seen more than kMaxDeliveries times is parked on the
       // dead-letter queue instead of crashing yet another handler.
-      if (cfg_.max_deliveries > 0 &&
-          msg->dequeue_count > cfg_.max_deliveries) {
+      if (msg->dequeue_count > kMaxDeliveries) {
         auto dlq = queues.get_queue_reference(kDeadLetterQueue);
         co_await azure::with_retry(
             sim, [&] { return dlq.add_message(msg->body); }, kRetry);
@@ -231,11 +207,9 @@ class BagOfTasksApp {
       bool handler_done = false;
       bool lease_lost = false;
       sim::WaitGroup renewal(sim);
-      if (cfg_.renew_task_leases) {
-        renewal.add();
-        sim.spawn(renew_lease(sim, q, current, handler_done, lease_lost,
-                              renewal));
-      }
+      renewal.add();
+      sim.spawn(
+          renew_lease(sim, q, current, handler_done, lease_lost, renewal));
       bool handler_failed = false;
       try {
         co_await handler(task);
@@ -243,7 +217,7 @@ class BagOfTasksApp {
         handler_failed = true;
       }
       handler_done = true;
-      if (cfg_.renew_task_leases) co_await renewal.wait();
+      co_await renewal.wait();
       if (o != nullptr) {
         o->end(task_span, obs::SpanKind::kTask, o->label("bag.task"), -1,
                task.bytes, handler_failed, sim.now());
@@ -323,8 +297,9 @@ class BagOfTasksApp {
   }
 
  private:
-  /// Task-assignment queue i is named "<kTaskQueuePrefix>-i".
-  static constexpr const char* kTaskQueuePrefix = "task-assignment";
+  /// The name places the queue on its partition server, so it sets the
+  /// examples' timing.
+  static constexpr const char* kTaskQueue = "task-assignment-0";
   static constexpr const char* kTerminationQueue = "termination-indicator";
   static constexpr const char* kDeadLetterQueue = "dead-letter";
   /// Container used for task payloads that exceed the queue message limit.
@@ -344,9 +319,8 @@ class BagOfTasksApp {
                               azure::QueueMessage& current,
                               const bool& handler_done, bool& lease_lost,
                               sim::WaitGroup& done_group) {
-    const sim::Duration half = cfg_.task_visibility_timeout / 2;
-    const sim::Duration tick =
-        std::min<sim::Duration>(half, sim::millis(500));
+    constexpr sim::Duration half = kTaskVisibilityTimeout / 2;
+    constexpr sim::Duration tick = sim::millis(500);
     for (;;) {
       sim::Duration waited = 0;
       while (!handler_done && waited < half) {
@@ -359,7 +333,7 @@ class BagOfTasksApp {
         // ServerBusy is retried inside; a stale receipt or a vanished
         // message means the lease is genuinely gone.
         current = co_await azure::with_retry(sim, [&] {
-          return queue.update_message(current, cfg_.task_visibility_timeout);
+          return queue.update_message(current, kTaskVisibilityTimeout);
         }, kRetry);
       } catch (const azure::PreconditionFailedError&) {
         lost = true;
@@ -379,10 +353,6 @@ class BagOfTasksApp {
     done_group.done();
   }
 
-  std::string shard_name(int i) const {
-    return std::string(kTaskQueuePrefix) + "-" + std::to_string(i);
-  }
-
   sim::Task<TaskDescriptor> resolve(azure::CloudStorageAccount account,
                                     const azure::Payload& message) {
     const std::string& text = message.data();
@@ -400,8 +370,6 @@ class BagOfTasksApp {
   }
 
   azure::CloudStorageAccount account_;
-  BagOfTasksConfig cfg_;
-  int next_shard_ = 0;
   std::int64_t next_task_id_ = 0;
   std::int64_t submitted_ = 0;
   std::int64_t handler_failures_ = 0;

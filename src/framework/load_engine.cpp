@@ -30,6 +30,9 @@ LoadEngine::LoadEngine(sim::Simulation& sim, LoadEngineConfig cfg,
   if (cfg_.max_pending < 0) {
     throw std::invalid_argument("load engine needs max_pending >= 0");
   }
+  if (cfg_.max_sessions < 1) {
+    throw std::invalid_argument("load engine needs max_sessions >= 1");
+  }
   if (!body_) {
     throw std::invalid_argument("load engine needs a session body");
   }
@@ -46,10 +49,9 @@ sim::Task<void> LoadEngine::generator() {
   // progress is what makes the load open-loop.
   sim::TimePoint t = sim_.now();
   for (;;) {
-    if (cfg_.max_sessions > 0 && next_id_ >= cfg_.max_sessions) co_return;
+    if (next_id_ >= cfg_.max_sessions) co_return;
     t = proc.next(t);
     if (t == ArrivalProcess::kNever) co_return;
-    if (cfg_.horizon > 0 && t > cfg_.horizon) co_return;
     co_await sim_.delay_until(t);
     offer();
   }

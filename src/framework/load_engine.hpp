@@ -60,12 +60,9 @@ struct LoadEngineConfig {
   /// the generator do when the system cannot keep up".
   int max_pending = 8192;
 
-  /// Stop offering after this many arrivals (0 = uncapped; then `horizon`
-  /// must bound the run).
+  /// Stop offering after this many arrivals. Required (>= 1): with the
+  /// arrival process's own end, it is what bounds the run.
   std::int64_t max_sessions = 0;
-
-  /// Stop offering at this virtual time (0 = uncapped).
-  sim::TimePoint horizon = 0;
 
   /// Base of every session's private RNG stream: session i draws from
   /// Random(hash(session_seed, i)), so a session's randomness depends only
@@ -122,9 +119,9 @@ class LoadEngine {
 
   /// Spawns the open-loop generator process: walks the arrival process on
   /// the virtual clock and offer()s each arrival. The run drains naturally
-  /// — when the generator stops (max_sessions / horizon / exhausted
-  /// process) and every admitted session finished, the simulation's event
-  /// queue empties and Simulation::run() returns.
+  /// — when the generator stops (max_sessions / exhausted process) and
+  /// every admitted session finished, the simulation's event queue empties
+  /// and Simulation::run() returns.
   void start();
 
   /// One arrival at the current virtual time: admit, queue, or shed.

@@ -2,10 +2,9 @@
 //
 // Domains of a sim::par::ShardedSimulation model independent stamp shards;
 // traffic between them crosses an inter-domain link whose one-way latency is
-// the physical floor below every cross-shard interaction. That floor is
-// exactly the conservative lookahead the kernel synchronizes on
-// (min_link_latency below), so the link layer is where lookahead is derived
-// from the network model rather than asserted by hand.
+// the physical floor below every cross-shard interaction. That floor bounds
+// the conservative lookahead the kernel synchronizes on: a link's latency
+// must be at least the lookahead, which DomainLink's constructor asserts.
 //
 // A DomainLink is one direction of such a link: sending pays flow-level
 // occupancy on a source-side pipe (inside the source domain's timeline),
@@ -23,7 +22,6 @@
 #include <optional>
 #include <utility>
 
-#include "netsim/network.hpp"
 #include "netsim/nic.hpp"
 #include "simcore/parallel.hpp"
 #include "simcore/rate_limiter.hpp"
@@ -31,16 +29,6 @@
 #include "simcore/time.hpp"
 
 namespace netsim {
-
-/// The minimum virtual-time distance of any message crossing between two
-/// domains: fabric propagation plus both endpoints' NIC serialization
-/// latency. Every cross-domain delivery pays at least this much, so it is a
-/// valid conservative lookahead for sim::par::ShardedSimulation.
-constexpr sim::Duration min_link_latency(
-    const NetworkConfig& net, sim::Duration src_nic_latency,
-    sim::Duration dst_nic_latency) noexcept {
-  return net.propagation + src_nic_latency + dst_nic_latency;
-}
 
 /// One direction of an inter-domain link.
 class DomainLink {

@@ -21,23 +21,20 @@
 
 namespace netsim {
 
-struct GeoLinkConfig {
-  /// One-way propagation delay across the long-haul path.
-  sim::Duration latency = sim::millis(30);
-};
-
 /// One direction of an inter-region path. carry() moves a replication batch
 /// (occupancy + latency, consulting the geo fault stream); hop() pays the
 /// one-way latency only (control traffic: redirects, strong-read routing).
 class GeoLink {
  public:
-  GeoLink(sim::Simulation& sim, const GeoLinkConfig& cfg)
-      : sim_(sim), cfg_(cfg), pipe_(sim, kBytesPerSec, kBurstBytes) {}
+  /// One-way propagation delay across the long-haul path, a realistic WAN
+  /// one-way.
+  static constexpr sim::Duration kLatency = sim::millis(30);
+
+  explicit GeoLink(sim::Simulation& sim)
+      : sim_(sim), pipe_(sim, kBytesPerSec, kBurstBytes) {}
 
   GeoLink(const GeoLink&) = delete;
   GeoLink& operator=(const GeoLink&) = delete;
-
-  const GeoLinkConfig& config() const noexcept { return cfg_; }
 
   /// Ships `bytes` across the link. Returns false when the geo fault stream
   /// dropped the batch — the occupancy is paid (the bytes left the sending
@@ -53,7 +50,7 @@ class GeoLink {
       }
       co_return false;
     }
-    co_await sim_.delay(cfg_.latency);
+    co_await sim_.delay(kLatency);
     ++batches_;
     bytes_moved_ += bytes;
     if (obs::Observer* const o = sim_.observer(); o != nullptr) {
@@ -66,7 +63,7 @@ class GeoLink {
   /// One-way control hop: latency only, no occupancy, no fault draw (the
   /// redirect protocol retries at the client; losing a redirect is
   /// indistinguishable from a slower one at flow level).
-  sim::Task<void> hop() { co_await sim_.delay(cfg_.latency); }
+  sim::Task<void> hop() { co_await sim_.delay(kLatency); }
 
   std::int64_t batches() const noexcept { return batches_; }
   std::int64_t bytes_moved() const noexcept { return bytes_moved_; }
@@ -79,7 +76,6 @@ class GeoLink {
   static constexpr double kBurstBytes = 256 * 1024.0;
 
   sim::Simulation& sim_;
-  GeoLinkConfig cfg_;
   sim::FlowLimiter pipe_;
   std::int64_t batches_ = 0;
   std::int64_t bytes_moved_ = 0;

@@ -21,18 +21,14 @@
 
 namespace netsim {
 
-struct NetworkConfig {
-  /// One-way propagation + switching delay inside the datacenter.
-  sim::Duration propagation = sim::micros(250);
-};
+/// One-way propagation + switching delay inside the datacenter.
+inline constexpr sim::Duration kPropagation = sim::micros(250);
 
 class Network {
  public:
-  Network(sim::Simulation& sim, const NetworkConfig& cfg = {})
-      : sim_(sim), cfg_(cfg) {}
+  explicit Network(sim::Simulation& sim) : sim_(sim) {}
 
   sim::Simulation& simulation() const noexcept { return sim_; }
-  const NetworkConfig& config() const noexcept { return cfg_; }
 
   /// Installs (or clears, with nullptr) the fault plan consulted on every
   /// transfer. With no plan — or a disabled one — transfer timing and event
@@ -62,7 +58,6 @@ class Network {
 
     if (bytes > 0) co_await src.send(bytes);
     if (fault == faults::LinkFault::kDrop) {
-      ++dropped_transfers_;
       co_await sim_.delay(plan_->config().drop_timeout);
       if (o != nullptr) {
         o->metrics().counter("net.dropped").add(1);
@@ -75,7 +70,7 @@ class Network {
     if (fault == faults::LinkFault::kDuplicate && bytes > 0) {
       co_await src.send(bytes);  // retransmission occupies the uplink again
     }
-    sim::Duration propagation = cfg_.propagation;
+    sim::Duration propagation = kPropagation;
     if (fault == faults::LinkFault::kLatencySpike) {
       propagation += plan_->draw_spike_duration();
     }
@@ -93,11 +88,7 @@ class Network {
       o->end(span, obs::SpanKind::kNetTransfer, 0, -1, bytes,
              /*error=*/false, sim_.now());
     }
-    if (fault == faults::LinkFault::kBitFlip) {
-      ++corrupted_transfers_;
-      co_return true;
-    }
-    co_return false;
+    co_return fault == faults::LinkFault::kBitFlip;
   }
 
   /// transfer_checked for callers that carry no payload checksum (corrupt
@@ -109,19 +100,12 @@ class Network {
 
   std::int64_t transfers() const noexcept { return transfers_; }
   std::int64_t bytes_moved() const noexcept { return bytes_moved_; }
-  std::int64_t dropped_transfers() const noexcept { return dropped_transfers_; }
-  std::int64_t corrupted_transfers() const noexcept {
-    return corrupted_transfers_;
-  }
 
  private:
   sim::Simulation& sim_;
-  NetworkConfig cfg_;
   faults::FaultPlan* plan_ = nullptr;
   std::int64_t transfers_ = 0;
   std::int64_t bytes_moved_ = 0;
-  std::int64_t dropped_transfers_ = 0;
-  std::int64_t corrupted_transfers_ = 0;
 };
 
 }  // namespace netsim

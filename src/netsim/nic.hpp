@@ -42,19 +42,16 @@ class Nic {
 
   /// Awaitable: receives `bytes` into this endpoint.
   auto receive(std::int64_t bytes) noexcept {
-    bytes_received_ += bytes;
     return down_.acquire(static_cast<double>(bytes));
   }
 
   std::int64_t bytes_sent() const noexcept { return bytes_sent_; }
-  std::int64_t bytes_received() const noexcept { return bytes_received_; }
 
  private:
   NicConfig cfg_;
   sim::FlowLimiter up_;
   sim::FlowLimiter down_;
   std::int64_t bytes_sent_ = 0;
-  std::int64_t bytes_received_ = 0;
 };
 
 }  // namespace netsim

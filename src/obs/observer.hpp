@@ -38,19 +38,14 @@
 
 namespace obs {
 
-struct ObserverConfig {
-  /// Capacity of the span ring. When full, the oldest span is evicted
-  /// (dropped_spans() counts them); per-layer histograms are unaffected.
-  std::size_t ring_capacity = 1 << 16;
-  /// When false, spans are counted but not retained (metrics and per-layer
-  /// histograms still work; the ring stays empty).
-  bool keep_spans = true;
-};
-
 class Observer {
  public:
-  explicit Observer(ObserverConfig cfg = {}) : cfg_(cfg) {
-    ring_.reserve(cfg_.ring_capacity);
+  /// Capacity of the span ring. When full, the oldest span is evicted
+  /// (dropped_spans() counts them); per-layer histograms are unaffected.
+  static constexpr std::size_t kRingCapacity = 1 << 16;
+
+  Observer() {
+    ring_.reserve(kRingCapacity);
     labels_.emplace_back();  // label 0 = "none"
     label_hist_.emplace_back();
   }
@@ -92,7 +87,6 @@ class Observer {
       label_hist_[label].record(now - h.start);
     }
     ++emitted_spans_;
-    if (!cfg_.keep_spans || cfg_.ring_capacity == 0) return;
     Span s;
     s.trace_id = h.ctx.trace_id;
     s.span_id = h.ctx.span_id;
@@ -159,7 +153,7 @@ class Observer {
 
  private:
   void push(const Span& s) {
-    if (ring_.size() < cfg_.ring_capacity) {
+    if (ring_.size() < kRingCapacity) {
       ring_.push_back(s);
       return;
     }
@@ -168,7 +162,6 @@ class Observer {
     ++dropped_spans_;
   }
 
-  ObserverConfig cfg_;
   MetricsRegistry metrics_;
   std::vector<std::string> labels_;
   std::map<std::string, std::uint16_t, std::less<>> label_index_;

@@ -6,7 +6,7 @@
 // They interact only through post(): a callable stamped (at, src, seq) and
 // merged into the destination's timeline at `at`. Every cross-domain send
 // is at least `lookahead` in the future (the minimum inter-domain link
-// latency, netsim::min_link_latency). run() repeats one window:
+// latency). run() repeats one window:
 //
 //   1. T = the earliest pending event or staged message over all domains;
 //   2. every domain executes everything stamped below T + lookahead;
@@ -51,8 +51,8 @@ struct Options {
   /// runs the same windows on the calling thread: the parity reference.
   int threads = 0;
   /// Conservative lookahead: the minimum virtual-time distance of any
-  /// cross-domain send, derived from the minimum inter-domain link
-  /// latency (netsim::min_link_latency). Must be > 0 when domains > 1.
+  /// cross-domain send, the minimum inter-domain link latency. Must be
+  /// > 0 when domains > 1.
   Duration lookahead = 0;
 };
 

@@ -35,9 +35,6 @@ class FlowLimiter {
 
   double rate() const noexcept { return rate_; }
 
-  /// Virtual time at which the pipe next becomes free (for metrics/tests).
-  TimePoint next_free() const noexcept { return next_free_; }
-
   /// Awaitable: suspends until `amount` units have flowed through the pipe.
   /// FIFO by construction: each acquire books its slot synchronously.
   auto acquire(double amount) noexcept {

@@ -46,7 +46,6 @@ class Resource {
 
   int capacity() const noexcept { return capacity_; }
   int in_use() const noexcept { return in_use_; }
-  std::size_t queue_length() const noexcept { return waiters_.size(); }
 
   /// Peak concurrent holders observed (for tests/metrics).
   int high_watermark() const noexcept { return high_watermark_; }

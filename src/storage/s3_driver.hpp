@@ -25,7 +25,6 @@ class S3Driver final : public Driver {
   }
 
   cluster::StorageCluster& storage_cluster() noexcept { return cluster_; }
-  S3ObjectService& object_service() noexcept { return s3_; }
 
   sim::Task<void> prepare_objects(netsim::Nic& nic) override;
 

@@ -28,7 +28,6 @@ class TieredDriver final : public Driver {
   }
 
   AzureDriver& fast_tier() noexcept { return fast_; }
-  S3Driver& capacity_tier() noexcept { return capacity_; }
   /// Keys migrated between tiers by size-crossing overwrites.
   std::int64_t migrations() const noexcept { return migrations_; }
 

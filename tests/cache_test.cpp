@@ -2,7 +2,10 @@
 // paper's future work).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "azure_test_util.hpp"
 #include "azure/common/errors.hpp"
@@ -67,34 +70,40 @@ TEST(CacheTest, TtlExpiresItems) {
 }
 
 TEST(CacheTest, LruEvictionUnderMemoryPressure) {
-  azure::CloudConfig cfg;
-  cfg.cache.cache_servers = 1;  // single server: deterministic LRU
-  cfg.cache.memory_per_server = 3 * 1024;
-  TestWorld w(cfg);
+  TestWorld w;
   azb_test::run(w, [](TestWorld& t) -> Task<> {
+    auto& svc = t.env.cache_service();
     auto cache = t.account.create_cloud_cache_client().get_cache_reference("c");
-    co_await cache.put("a", Payload::synthetic(1024));
-    co_await cache.put("b", Payload::synthetic(1024));
-    co_await cache.put("c", Payload::synthetic(1024));
-    // Touch "a" so "b" becomes the LRU victim.
-    EXPECT_TRUE((co_await cache.get("a")).has_value());
-    co_await cache.put("d", Payload::synthetic(1024));
-    EXPECT_TRUE((co_await cache.get("a")).has_value());
-    EXPECT_FALSE((co_await cache.get("b")).has_value());  // evicted
-    EXPECT_TRUE((co_await cache.get("c")).has_value());
-    EXPECT_TRUE((co_await cache.get("d")).has_value());
+    // Four keys on one server, each item a third of its memory.
+    std::vector<std::string> keys;
+    for (int i = 0; keys.size() < 4; ++i) {
+      std::string key = "key-";
+      key += std::to_string(i);
+      if (svc.server_of("c", key) == 0) keys.push_back(std::move(key));
+    }
+    constexpr std::int64_t kItem = azure::CacheService::kMemoryPerServer / 3;
+    co_await cache.put(keys[0], Payload::synthetic(kItem));
+    co_await cache.put(keys[1], Payload::synthetic(kItem));
+    co_await cache.put(keys[2], Payload::synthetic(kItem));
+    // Touch the first so the second becomes the LRU victim.
+    EXPECT_TRUE((co_await cache.get(keys[0])).has_value());
+    co_await cache.put(keys[3], Payload::synthetic(kItem));
+    EXPECT_TRUE((co_await cache.get(keys[0])).has_value());
+    EXPECT_FALSE((co_await cache.get(keys[1])).has_value());  // evicted
+    EXPECT_TRUE((co_await cache.get(keys[2])).has_value());
+    EXPECT_TRUE((co_await cache.get(keys[3])).has_value());
     EXPECT_EQ(cache.stats().evictions, 1);
   });
 }
 
 TEST(CacheTest, OversizedItemRejected) {
-  azure::CloudConfig cfg;
-  cfg.cache.memory_per_server = 1024;
-  TestWorld w(cfg);
+  TestWorld w;
   azb_test::run(w, [](TestWorld& t) -> Task<> {
     auto cache = t.account.create_cloud_cache_client().get_cache_reference("c");
-    EXPECT_THROW(co_await cache.put("big", Payload::synthetic(2048)),
-                 azure::InvalidArgumentError);
+    EXPECT_THROW(
+        co_await cache.put(
+            "big", Payload::synthetic(azure::CacheService::kMemoryPerServer + 1)),
+        azure::InvalidArgumentError);
   });
 }
 

@@ -44,7 +44,6 @@ namespace {
 using azb_test::TestWorld;
 using azure::Payload;
 using framework::BagOfTasksApp;
-using framework::BagOfTasksConfig;
 using framework::TaskDescriptor;
 using sim::Task;
 
@@ -386,14 +385,10 @@ TEST(ChaosBalancerTest, BalancedChaosRunsReplayByteIdentically) {
 TEST(ChaosBagOfTasksTest, CompletesDespiteCrashingHandlers) {
   constexpr int kTasks = 20;
   TestWorld w(chaos_cloud(0xB06));
-  BagOfTasksConfig cfg;
-  cfg.task_visibility_timeout = sim::seconds(30);
-  BagOfTasksApp app(w.account, cfg);
+  BagOfTasksApp app(w.account);
 
   azb_test::run(w, [](TestWorld& t) -> Task<> {
-    BagOfTasksConfig c;
-    c.task_visibility_timeout = sim::seconds(30);
-    BagOfTasksApp setup(t.account, c);
+    BagOfTasksApp setup(t.account);
     co_await setup.provision();
   });
 

@@ -44,7 +44,7 @@ netsim::NicConfig client_nic() {
   return netsim::NicConfig{100e6, 100e6, sim::micros(50), 64 * 1024.0};
 }
 
-/// Two small stamps, fast links, shipping well under the staleness target.
+/// Two small stamps, shipping well under the staleness target.
 GeoConfig drill_geo() {
   GeoConfig g;
   cluster::ClusterConfig stamp;
@@ -52,7 +52,6 @@ GeoConfig drill_geo() {
   stamp.balancer.buckets_per_server = 2;
   g.regions.push_back(GeoRegionConfig{"east", stamp});
   g.regions.push_back(GeoRegionConfig{"west", stamp});
-  g.default_link.latency = sim::millis(5);
   g.ship_interval = sim::millis(10);
   g.staleness_target = sim::millis(100);
   return g;
@@ -138,6 +137,7 @@ GeoChaosRun run_geo_chaos(std::uint64_t fault_seed) {
   cfg.arrivals = a;
   cfg.max_in_flight = 48;
   cfg.max_pending = 96;
+  cfg.max_sessions = 10'000;  // never reached: the crowd's end stops it
   LoadEngine engine(s, cfg, [&s, &geo](LoadEngine::Session& session) {
     return geo_session(s, geo, session);
   });

@@ -59,8 +59,7 @@ TEST(HashTest, DifferentNamesSpreadAcrossServers) {
 
 TEST(ClusterTest, RequestPaysFrontendAndOverhead) {
   Simulation s;
-  ClusterConfig cfg;
-  StorageCluster c(s, cfg);
+  StorageCluster c(s);
   netsim::Nic nic(s, client_nic());
   TimePoint done = -1;
   s.spawn([](Simulation& sim, StorageCluster& cl, netsim::Nic& n,
@@ -71,7 +70,8 @@ TEST(ClusterTest, RequestPaysFrontendAndOverhead) {
   s.run();
   // Must include at least frontend latency + request overhead + two control
   // hops; exact value depends on NIC latencies.
-  EXPECT_GT(done, StorageCluster::kFrontendLatency + cfg.request_overhead);
+  EXPECT_GT(done, StorageCluster::kFrontendLatency +
+                      cluster::PartitionServer::kRequestOverhead);
   EXPECT_LT(done, sim::millis(10));
   EXPECT_EQ(c.total_requests(), 1);
 }
@@ -167,7 +167,6 @@ TEST(ClusterTest, ServerExecutorsLimitConcurrency) {
   Simulation s;
   ClusterConfig cfg;
   cfg.executors_per_server = 2;
-  cfg.request_overhead = sim::millis(10);
   StorageCluster c(s, cfg);
   netsim::Nic nic(s, client_nic());
   sim::WaitGroup wg(s);
@@ -186,8 +185,10 @@ TEST(ClusterTest, ServerExecutorsLimitConcurrency) {
   }(s, wg, done));
   s.run();
   EXPECT_EQ(c.server(c.server_index(1)).executors().high_watermark(), 2);
-  // 6 requests, 2 at a time, 10ms+ each -> at least 3 serialized rounds.
-  EXPECT_GE(done, sim::millis(30));
+  // 6 requests, 2 at a time, kRequestOverhead+ each, behind the front end
+  // -> at least 3 serialized rounds.
+  EXPECT_GE(done, StorageCluster::kFrontendLatency +
+                      3 * cluster::PartitionServer::kRequestOverhead);
 }
 
 TEST(ClusterTest, LargeTransferBoundByClientNic) {

@@ -9,9 +9,11 @@
 // interpreter (bench/scenario_runner.hpp).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cluster/config.hpp"
@@ -21,6 +23,7 @@
 #include "netsim/nic.hpp"
 #include "scenario_runner.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/sync.hpp"
 #include "simcore/task.hpp"
 #include "storage/driver.hpp"
 #include "storage/s3_object_service.hpp"
@@ -242,14 +245,13 @@ TEST(S3DriverTest, DeletedKeyStaysListedUntilTheLagElapses) {
   });
 }
 
-/// Direct service-level throttle check with tiny per-prefix budgets, so
-/// the window trips after a handful of sequential requests.
+/// Direct service-level throttle check at S3's per-prefix targets. A burst
+/// issued at one instant meets one prefix window, so it trips the window at
+/// exactly one request past the budget.
 struct S3ThrottleWorld {
   static cluster::ClusterConfig config() {
     cluster::ClusterConfig cc;
     cc.throttle_mode = cluster::ThrottleMode::kPrefixSlowdown;
-    cc.prefix_write_requests_per_sec = 4;
-    cc.prefix_read_requests_per_sec = 8;
     return cc;
   }
 
@@ -259,23 +261,54 @@ struct S3ThrottleWorld {
   netsim::Nic nic{sim, client_nic()};
 };
 
+/// `n` keys "<prefix>0", "<prefix>1", ..., cycling through `distinct` names.
+std::vector<std::string> keys(const std::string& prefix, std::int64_t n,
+                              std::int64_t distinct) {
+  std::vector<std::string> out;
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::string key = prefix;
+    key += std::to_string(i % distinct);
+    out.push_back(std::move(key));
+  }
+  return out;
+}
+
+Task<> s3_request(S3ThrottleWorld& t, std::string key, bool read,
+                  int& slowed, sim::WaitGroup& wg) {
+  try {
+    if (read) {
+      EXPECT_EQ((co_await t.s3.get_object(t.nic, "b", key)).size(), 64);
+    } else {
+      co_await t.s3.put_object(t.nic, "b", key, azure::Payload::synthetic(64));
+    }
+  } catch (const cluster::SlowDownError&) {
+    ++slowed;
+  }
+  wg.done();
+}
+
+/// PUTs (or, with `read`, GETs) every key concurrently from one instant and
+/// returns how many were rejected with 503 SlowDown.
+Task<int> burst(S3ThrottleWorld& t, std::vector<std::string> names,
+                bool read) {
+  int slowed = 0;
+  sim::WaitGroup wg(t.sim);
+  for (std::string& key : names) {
+    wg.add();
+    t.sim.spawn(s3_request(t, std::move(key), read, slowed, wg));
+  }
+  co_await wg.wait();
+  co_return slowed;
+}
+
 TEST(S3DriverTest, PrefixWriteBurstRaisesSlowDownAndSparesOtherPrefixes) {
   S3ThrottleWorld w;
   w.sim.spawn([](S3ThrottleWorld& t) -> Task<> {
     co_await t.s3.create_bucket(t.nic, "b");
-    // Budget is 4 writes per window for the "hot" prefix.
-    for (int i = 0; i < 4; ++i) {
-      co_await t.s3.put_object(t.nic, "b", "hot/k" + std::to_string(i),
-                               azure::Payload::synthetic(64));
-    }
-    bool slowed = false;
-    try {
-      co_await t.s3.put_object(t.nic, "b", "hot/k4",
-                               azure::Payload::synthetic(64));
-    } catch (const cluster::SlowDownError&) {
-      slowed = true;
-    }
-    EXPECT_TRUE(slowed);
+    // One write past the "hot" prefix's budget inside one window.
+    constexpr std::int64_t kWrites =
+        cluster::StorageCluster::kPrefixWritesPerSec + 1;
+    EXPECT_EQ(co_await burst(t, keys("hot/k", kWrites, kWrites), false), 1);
     EXPECT_EQ(t.cluster.prefix_slowdowns(), 1);
     // A different prefix has its own windows: not throttled.
     co_await t.s3.put_object(t.nic, "b", "cold/k0",
@@ -283,7 +316,7 @@ TEST(S3DriverTest, PrefixWriteBurstRaisesSlowDownAndSparesOtherPrefixes) {
     // The client-visible class is the shared backoff signal.
     bool busy = false;
     try {
-      co_await t.s3.put_object(t.nic, "b", "hot/k5",
+      co_await t.s3.put_object(t.nic, "b", "hot/late",
                                azure::Payload::synthetic(64));
     } catch (const cluster::ServerBusyError&) {
       busy = true;
@@ -297,17 +330,23 @@ TEST(S3DriverTest, ReadsAndWritesMeterSeparatePrefixWindows) {
   S3ThrottleWorld w;
   w.sim.spawn([](S3ThrottleWorld& t) -> Task<> {
     co_await t.s3.create_bucket(t.nic, "b");
-    for (int i = 0; i < 4; ++i) {
-      co_await t.s3.put_object(t.nic, "b", "p/k" + std::to_string(i),
+    constexpr std::int64_t kWrites =
+        cluster::StorageCluster::kPrefixWritesPerSec;
+    constexpr std::int64_t kReads =
+        cluster::StorageCluster::kPrefixReadsPerSec;
+    EXPECT_EQ(co_await burst(t, keys("p/k", kWrites, kWrites), false), 0);
+    // The write window for "p" is exhausted...
+    bool slowed = false;
+    try {
+      co_await t.s3.put_object(t.nic, "b", "p/late",
                                azure::Payload::synthetic(64));
+    } catch (const cluster::SlowDownError&) {
+      slowed = true;
     }
-    // The write window for "p" is exhausted; reads still flow (their
-    // budget is separate and larger).
-    for (int i = 0; i < 4; ++i) {
-      const azure::Payload got =
-          co_await t.s3.get_object(t.nic, "b", "p/k" + std::to_string(i));
-      EXPECT_EQ(got.size(), 64);
-    }
+    EXPECT_TRUE(slowed);
+    // ...yet reads still flow: their budget is separate and larger, and
+    // only the read one past it is slowed.
+    EXPECT_EQ(co_await burst(t, keys("p/k", kReads + 1, kWrites), true), 1);
   }(w));
   w.sim.run();
 }

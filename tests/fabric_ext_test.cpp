@@ -21,21 +21,19 @@ using sim::TimePoint;
 
 // ----------------------------------------------------------- provisioning ----
 
-ProvisioningReport provision(int instances, fabric::VmSize size,
-                             fabric::ProvisioningConfig cfg = {}) {
+ProvisioningReport provision(int instances, fabric::VmSize size) {
   sim::Simulation s;
   ProvisioningReport report;
   s.spawn([](sim::Simulation& sim, int n, fabric::VmSize sz,
-             fabric::ProvisioningConfig c, ProvisioningReport& out) -> Task<> {
-    out = co_await fabric::provision_deployment(sim, n, sz, c);
-  }(s, instances, size, cfg, report));
+             ProvisioningReport& out) -> Task<> {
+    out = co_await fabric::provision_deployment(sim, n, sz);
+  }(s, instances, size, report));
   s.run();
   return report;
 }
 
 TEST(ProvisioningTest, SingleInstanceTimeline) {
-  fabric::ProvisioningConfig cfg;
-  const auto report = provision(1, fabric::VmSize::kSmall, cfg);
+  const auto report = provision(1, fabric::VmSize::kSmall);
   ASSERT_EQ(report.instance_ready.size(), 1u);
   const auto upload = static_cast<sim::Duration>(
       static_cast<double>(fabric::kPackageBytes) /
@@ -48,11 +46,11 @@ TEST(ProvisioningTest, SingleInstanceTimeline) {
 }
 
 TEST(ProvisioningTest, AllocationBatchesBoundParallelism) {
-  fabric::ProvisioningConfig cfg;
-  cfg.parallel_allocations = 4;
-  const auto small = provision(4, fabric::VmSize::kSmall, cfg);
-  const auto large = provision(12, fabric::VmSize::kSmall, cfg);
-  // 12 instances on 4 allocation slots need 3 serialized batches.
+  constexpr int kSlots = fabric::kParallelAllocations;
+  const auto small = provision(kSlots, fabric::VmSize::kSmall);
+  const auto large = provision(3 * kSlots, fabric::VmSize::kSmall);
+  // Three times as many instances as allocation slots need 3 serialized
+  // batches.
   const auto batch = fabric::kVmAllocation + fabric::kAllocationPerCore;
   EXPECT_EQ(large.time_to_all_instances() - small.time_to_all_instances(),
             2 * batch);
@@ -109,7 +107,9 @@ TEST(EndpointTest, MessagesFromOneSenderArriveInOrder) {
   w.sim.spawn([](fabric::InternalEndpoint& from,
                  fabric::InternalEndpoint& to) -> Task<> {
     for (int i = 0; i < 5; ++i) {
-      co_await from.send(to, Payload::bytes("m" + std::to_string(i)));
+      std::string body = "m";
+      body += std::to_string(i);
+      co_await from.send(to, Payload::bytes(body));
     }
   }(a, b));
   w.sim.run();

@@ -6,7 +6,6 @@
 
 #include "azure_test_util.hpp"
 #include "fabric/deployment.hpp"
-#include "fabric/local_storage.hpp"
 #include "fabric/vm_size.hpp"
 
 namespace {
@@ -48,38 +47,6 @@ TEST(VmSizeTest, NicBandwidthScalesWithSize) {
   const auto xl = fabric::nic_config_of(VmSize::kExtraLarge);
   EXPECT_GT(xl.uplink_bytes_per_sec, small.uplink_bytes_per_sec);
   EXPECT_DOUBLE_EQ(small.uplink_bytes_per_sec, 100.0 * 1e6 / 8.0);
-}
-
-// --------------------------------------------------------- local storage ----
-
-TEST(LocalStorageTest, WriteReadRemove) {
-  fabric::LocalStorage disk(1024);
-  disk.write("a", Payload::bytes("hello"));
-  auto back = disk.read("a");
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->data(), "hello");
-  EXPECT_EQ(disk.used(), 5);
-  EXPECT_TRUE(disk.remove("a"));
-  EXPECT_FALSE(disk.remove("a"));
-  EXPECT_EQ(disk.used(), 0);
-  EXPECT_FALSE(disk.read("a").has_value());
-}
-
-TEST(LocalStorageTest, ReplaceAdjustsUsage) {
-  fabric::LocalStorage disk(100);
-  disk.write("f", Payload::synthetic(60));
-  disk.write("f", Payload::synthetic(30));
-  EXPECT_EQ(disk.used(), 30);
-}
-
-TEST(LocalStorageTest, OverflowRejected) {
-  fabric::LocalStorage disk(100);
-  disk.write("a", Payload::synthetic(80));
-  EXPECT_THROW(disk.write("b", Payload::synthetic(30)),
-               azure::InvalidArgumentError);
-  // Replacing an existing file may shrink into the budget.
-  disk.write("a", Payload::synthetic(50));
-  disk.write("b", Payload::synthetic(30));
 }
 
 // ------------------------------------------------------------ deployment ----

@@ -27,7 +27,6 @@ namespace {
 using azb_test::TestWorld;
 using azure::Payload;
 using framework::BagOfTasksApp;
-using framework::BagOfTasksConfig;
 using framework::TaskDescriptor;
 using sim::Task;
 
@@ -204,8 +203,11 @@ TEST(IntegrityTableTest, QueriedEntitiesVerifyEndToEnd) {
     }
     for (int i = 0; i < kRows; ++i) {
       auto row = co_await azure::with_retry(t.sim, [&] {
-        return tbl.query("p" + std::to_string(i % 3),
-                         "r" + std::to_string(i));
+        std::string pk = "p";
+        pk += std::to_string(i % 3);
+        std::string rk = "r";
+        rk += std::to_string(i);
+        return tbl.query(pk, rk);
       }, retry);
       if (std::get<Payload>(row.properties.at("v")).data() !=
           pattern_body(i, 300)) {
@@ -390,10 +392,7 @@ TEST(IntegrityDisabledTest, FaultFreeRunsNeverTouchTheIntegrityMachinery) {
 TEST(IntegrityDlqTest, PoisonTaskIsDeadLetteredWithinTheDeliveryCap) {
   constexpr int kTasks = 6;
   TestWorld w;
-  BagOfTasksConfig cfg;
-  cfg.task_visibility_timeout = sim::seconds(20);
-  cfg.max_deliveries = 3;
-  BagOfTasksApp app(w.account, cfg);
+  BagOfTasksApp app(w.account);
 
   azb_test::run(w, [&](TestWorld&) -> Task<> { co_await app.provision(); });
 
@@ -425,10 +424,10 @@ TEST(IntegrityDlqTest, PoisonTaskIsDeadLetteredWithinTheDeliveryCap) {
   w.sim.run();
 
   EXPECT_EQ(app.dead_lettered(), 1);
-  EXPECT_EQ(app.handler_failures(), cfg.max_deliveries);
-  // The poison handler ran exactly max_deliveries times, then the next
+  EXPECT_EQ(app.handler_failures(), BagOfTasksApp::kMaxDeliveries);
+  // The poison handler ran exactly kMaxDeliveries times, then the next
   // delivery was parked on the dead-letter queue without executing it.
-  EXPECT_EQ(executions["task-0"], cfg.max_deliveries);
+  EXPECT_EQ(executions["task-0"], BagOfTasksApp::kMaxDeliveries);
   for (int i = 1; i < kTasks; ++i) {
     EXPECT_EQ(executions["task-" + std::to_string(i)], 1);
   }
@@ -438,41 +437,6 @@ TEST(IntegrityDlqTest, PoisonTaskIsDeadLetteredWithinTheDeliveryCap) {
     parked = co_await app.dead_letter_count();
   });
   EXPECT_EQ(parked, 1);
-}
-
-TEST(IntegrityDlqTest, ZeroCapDisablesDeadLettering) {
-  TestWorld w;
-  BagOfTasksConfig cfg;
-  cfg.task_visibility_timeout = sim::seconds(20);
-  cfg.max_deliveries = 0;  // 2010-era unbounded redelivery
-  BagOfTasksApp app(w.account, cfg);
-
-  azb_test::run(w, [&](TestWorld&) -> Task<> { co_await app.provision(); });
-
-  // A task that fails its first two executions, then succeeds: with
-  // dead-lettering off it must still complete via plain redelivery.
-  int attempts = 0;
-  w.sim.spawn([](BagOfTasksApp& a) -> Task<> {
-    co_await a.submit("flaky");
-    co_await a.wait_for_completion(1);
-  }(app));
-  fabric::Deployment dep(w.env);
-  dep.add_worker_roles(2);
-  dep.start_workers([&](fabric::RoleContext& ctx) -> Task<> {
-    co_await app.worker_loop(
-        ctx.account(),
-        [&](const TaskDescriptor&) -> Task<> {
-          if (++attempts <= 2) {
-            throw azure::TimeoutError("not yet");
-          }
-          co_await ctx.simulation().delay(sim::millis(10));
-        },
-        /*max_idle_polls=*/10);
-  });
-  w.sim.run();
-
-  EXPECT_EQ(attempts, 3);
-  EXPECT_EQ(app.dead_lettered(), 0);
 }
 
 }  // namespace

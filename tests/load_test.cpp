@@ -255,28 +255,6 @@ TEST(LoadEngine, MaxSessionsCapsOfferedExactly) {
   EXPECT_EQ(r.stats.admitted + r.stats.shed, 1'234);
 }
 
-TEST(LoadEngine, HorizonStopsTheGenerator) {
-  sim::Simulation s;
-  LoadEngineConfig cfg;
-  cfg.arrivals.rate_per_sec = 1000.0;
-  cfg.arrivals.seed = 5;
-  cfg.max_sessions = 0;  // unbounded — the horizon is the only stop
-  cfg.horizon = sim::kSecond;
-  cfg.max_in_flight = 64;
-  LoadEngine engine(s, cfg, [&s](LoadEngine::Session&) {
-    return [](sim::Simulation& sim) -> sim::Task<void> {
-      co_await sim.delay(sim::micros(10));
-    }(s);
-  });
-  engine.start();
-  s.run();
-  // ~Poisson(1000) arrivals in one second; 5 sigma band, and none offered
-  // after the horizon.
-  EXPECT_GT(engine.stats().offered, 800);
-  EXPECT_LT(engine.stats().offered, 1'200);
-  EXPECT_EQ(engine.stats().completed, engine.stats().admitted);
-}
-
 TEST(LoadEngine, ZeroRateProcessOffersNothing) {
   sim::Simulation s;
   LoadEngineConfig cfg;
@@ -302,13 +280,17 @@ TEST(LoadEngine, RejectsInvalidConfig) {
       co_await sim.delay(1);
     }(s);
   };
-  LoadEngineConfig bad_window;
+  LoadEngineConfig ok;
+  ok.max_sessions = 1;
+  LoadEngineConfig bad_window = ok;
   bad_window.max_in_flight = 0;
   EXPECT_THROW(LoadEngine(s, bad_window, body), std::invalid_argument);
-  LoadEngineConfig bad_pending;
+  LoadEngineConfig bad_pending = ok;
   bad_pending.max_pending = -1;
   EXPECT_THROW(LoadEngine(s, bad_pending, body), std::invalid_argument);
-  LoadEngineConfig ok;
+  LoadEngineConfig unbounded = ok;
+  unbounded.max_sessions = 0;
+  EXPECT_THROW(LoadEngine(s, unbounded, body), std::invalid_argument);
   EXPECT_THROW(LoadEngine(s, ok, nullptr), std::invalid_argument);
 }
 
@@ -320,6 +302,7 @@ struct ManualHarness {
       : service_time(service) {
     cfg.max_in_flight = window;
     cfg.max_pending = pending;
+    cfg.max_sessions = 1;  // bounds only the generator, which never starts
     engine = std::make_unique<LoadEngine>(
         s, cfg, [this](LoadEngine::Session& sess) { return body(sess); });
   }

@@ -69,7 +69,7 @@ TEST(NicTest, ConcurrentSendersShareUplink) {
 
 TEST(NetworkTest, TransferPaysBothNicsAndPropagation) {
   Simulation s;
-  netsim::Network net(s, {.propagation = sim::millis(1)});
+  netsim::Network net(s);
   netsim::Nic a(s, fast_nic()), b(s, fast_nic());
   TimePoint done = -1;
   s.spawn([](Simulation& sim, netsim::Network& n, netsim::Nic& src,
@@ -78,16 +78,16 @@ TEST(NetworkTest, TransferPaysBothNicsAndPropagation) {
     t = sim.now();
   }(s, net, a, b, done));
   s.run();
-  // store-and-forward: 0.1s (src up) + 1 ms prop + 2*0.1ms nic latency
+  // store-and-forward: 0.1s (src up) + propagation + 2*0.1ms nic latency
   // + 0.1s (dst down)
-  EXPECT_EQ(done, sim::millis(100) + sim::millis(1) + sim::micros(200) +
+  EXPECT_EQ(done, sim::millis(100) + netsim::kPropagation + sim::micros(200) +
                       sim::millis(100));
   EXPECT_EQ(net.bytes_moved(), 100'000);
 }
 
 TEST(NetworkTest, ControlHopMovesNoBytes) {
   Simulation s;
-  netsim::Network net(s, {.propagation = sim::millis(1)});
+  netsim::Network net(s);
   netsim::Nic a(s, fast_nic()), b(s, fast_nic());
   TimePoint done = -1;
   s.spawn([](Simulation& sim, netsim::Network& n, netsim::Nic& src,
@@ -96,7 +96,7 @@ TEST(NetworkTest, ControlHopMovesNoBytes) {
     t = sim.now();
   }(s, net, a, b, done));
   s.run();
-  EXPECT_EQ(done, sim::millis(1) + sim::micros(200));
+  EXPECT_EQ(done, netsim::kPropagation + sim::micros(200));
   EXPECT_EQ(net.bytes_moved(), 0);
   EXPECT_EQ(a.bytes_sent(), 0);
 }

@@ -159,31 +159,21 @@ TEST(ObserverTest, SpansNestClientRequestOverServiceOpOverCluster) {
 // ----------------------------------------------------------------- ring ----
 
 TEST(ObserverTest, RingEvictsOldestAndCountsDrops) {
-  obs::ObserverConfig cfg;
-  cfg.ring_capacity = 4;
-  obs::Observer small{cfg};
-  for (int i = 0; i < 6; ++i) {
-    small.emit(obs::SpanKind::kServiceOp, obs::TraceContext{}, i, i + 1);
+  obs::Observer o;
+  constexpr auto kCapacity =
+      static_cast<sim::TimePoint>(obs::Observer::kRingCapacity);
+  for (sim::TimePoint i = 0; i < kCapacity + 2; ++i) {
+    o.emit(obs::SpanKind::kServiceOp, obs::TraceContext{}, i, i + 1);
   }
-  EXPECT_EQ(small.emitted_spans(), 6);
-  EXPECT_EQ(small.dropped_spans(), 2);
-  const std::vector<obs::Span> spans = small.spans();
-  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_EQ(o.emitted_spans(), kCapacity + 2);
+  EXPECT_EQ(o.dropped_spans(), 2);
+  const std::vector<obs::Span> spans = o.spans();
+  ASSERT_EQ(spans.size(), obs::Observer::kRingCapacity);
   // Oldest two evicted; survivors in oldest-first order.
   EXPECT_EQ(spans.front().start, 2);
-  EXPECT_EQ(spans.back().start, 5);
+  EXPECT_EQ(spans.back().start, kCapacity + 1);
   // Histograms are unaffected by eviction.
-  EXPECT_EQ(small.layer(obs::SpanKind::kServiceOp).count(), 6);
-}
-
-TEST(ObserverTest, KeepSpansFalseCountsButRetainsNothing) {
-  obs::ObserverConfig cfg;
-  cfg.keep_spans = false;
-  obs::Observer o{cfg};
-  o.emit(obs::SpanKind::kNetTransfer, obs::TraceContext{}, 0, 10);
-  EXPECT_EQ(o.emitted_spans(), 1);
-  EXPECT_TRUE(o.spans().empty());
-  EXPECT_EQ(o.layer(obs::SpanKind::kNetTransfer).count(), 1);
+  EXPECT_EQ(o.layer(obs::SpanKind::kServiceOp).count(), kCapacity + 2);
 }
 
 // ----------------------------------------------------------- JSON golden ----

@@ -393,19 +393,16 @@ TEST(FailoverGuardTest, ThreeOverlappingCrashesConvergeInAnyRestartOrder) {
 TEST(ConfigValidationTest, RejectsReplicasExceedingServers) {
   Simulation s;
   ClusterConfig cfg;
-  cfg.partition_servers = 2;
-  cfg.replicas = 3;
+  cfg.partition_servers = cluster::kReplicas - 1;
   EXPECT_THROW(StorageCluster(s, cfg), std::invalid_argument);
   cfg.partition_servers = 0;
-  cfg.replicas = 0;
   EXPECT_THROW(StorageCluster(s, cfg), std::invalid_argument);
 }
 
 TEST(ConfigValidationTest, ReplicasEqualToServersWorks) {
   Simulation s;
   ClusterConfig cfg;
-  cfg.partition_servers = 3;
-  cfg.replicas = 3;
+  cfg.partition_servers = cluster::kReplicas;
   StorageCluster c(s, cfg);
   netsim::Nic nic(s, client_nic());
   bool ok = false;

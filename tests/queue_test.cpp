@@ -246,16 +246,14 @@ TEST(QueueTest, ClearEmptiesQueue) {
 }
 
 TEST(QueueTest, FifoIsNotGuaranteed) {
-  // With the scramble probability forced high, consumers observe reordering
-  // — the reason the paper dedicates a termination-indicator queue instead
-  // of an in-band "end of work" message.
-  azure::CloudConfig cfg;
-  cfg.queue.fifo_violation_probability = 0.5;
-  TestWorld w(cfg);
+  // Consumers observe reordering — the reason the paper dedicates a
+  // termination-indicator queue instead of an in-band "end of work"
+  // message. At a 2% scramble per get, 256 gets see a reorder.
+  TestWorld w;
   azb_test::run(w, [](TestWorld& t) -> Task<> {
     auto q = t.account.create_cloud_queue_client().get_queue_reference("q");
     co_await q.create();
-    constexpr int kMessages = 64;
+    constexpr int kMessages = 256;
     for (int i = 0; i < kMessages; ++i) {
       co_await q.add_message(Payload::bytes(std::to_string(i)));
     }
@@ -270,25 +268,6 @@ TEST(QueueTest, FifoIsNotGuaranteed) {
       co_await q.delete_message(*m);
     }
     EXPECT_TRUE(out_of_order);
-  });
-}
-
-TEST(QueueTest, FifoScrambleOffPreservesOrder) {
-  azure::CloudConfig cfg;
-  cfg.queue.fifo_violation_probability = 0.0;
-  TestWorld w(cfg);
-  azb_test::run(w, [](TestWorld& t) -> Task<> {
-    auto q = t.account.create_cloud_queue_client().get_queue_reference("q");
-    co_await q.create();
-    for (int i = 0; i < 32; ++i) {
-      co_await q.add_message(Payload::bytes(std::to_string(i)));
-    }
-    for (int i = 0; i < 32; ++i) {
-      auto m = co_await q.get_message();
-      CO_ASSERT_TRUE(m.has_value());
-      EXPECT_EQ(m->body.data(), std::to_string(i));
-      co_await q.delete_message(*m);
-    }
   });
 }
 

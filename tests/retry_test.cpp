@@ -64,16 +64,6 @@ Task<int> attempt(int& calls, int failures, Err e) {
   co_return 7;
 }
 
-/// Like attempt(), but each try costs `cost` of virtual time before it
-/// resolves — the knob the total-deadline boundary tests turn.
-Task<int> timed_attempt(sim::Simulation& sim, int& calls, int failures,
-                        Err e, sim::Duration cost) {
-  ++calls;
-  if (cost > 0) co_await sim.delay(cost);
-  if (calls <= failures) raise(e);
-  co_return 7;
-}
-
 struct Outcome {
   int calls = 0;
   std::int64_t retries = 0;
@@ -101,28 +91,6 @@ Outcome drive(const azure::RetryPolicy& policy, int failures, Err e) {
       out.threw = true;
     }
   }(s, policy, failures, e, out));
-  s.run();
-  out.elapsed = s.now();
-  return out;
-}
-
-/// drive() over timed_attempt: every attempt costs `cost` virtual time.
-Outcome drive_timed(const azure::RetryPolicy& policy, int failures, Err e,
-                    sim::Duration cost) {
-  sim::Simulation s;
-  Outcome out;
-  s.spawn([](sim::Simulation& sim, azure::RetryPolicy pol, int failures,
-             Err e, sim::Duration cost, Outcome& out) -> Task<> {
-    try {
-      out.result = co_await azure::with_retry_counted(
-          sim, [&] { return timed_attempt(sim, out.calls, failures, e, cost); },
-          pol, out.retries);
-    } catch (const azure::StorageError&) {
-      out.threw = true;
-    } catch (const azure::FaultError&) {
-      out.threw = true;
-    }
-  }(s, policy, failures, e, cost, out));
   s.run();
   out.elapsed = s.now();
   return out;
@@ -442,90 +410,6 @@ TEST(RetryPaperPresetTest, PaperPresetSurfacesGeoRedirects) {
   const Outcome o = drive(azure::RetryPolicy::paper(), 1, Err::kRegionMoved);
   EXPECT_TRUE(o.threw);
   EXPECT_EQ(o.calls, 1);
-}
-
-// ------------------------------------------------- total-deadline budget ----
-
-constexpr std::initializer_list<Err> kTransientClasses = {
-    Err::kBusy,          Err::kTimeout,     Err::kReset,
-    Err::kChecksum,      Err::kPartitionMoved, Err::kRegionMoved};
-
-TEST(RetryDeadlineTest, DisabledByDefaultAndInPaperPreset) {
-  EXPECT_EQ(azure::RetryPolicy{}.total_deadline, 0);
-  EXPECT_EQ(azure::RetryPolicy::paper().total_deadline, 0);
-  // With the cap at 0, elapsed time alone never gives up.
-  EXPECT_FALSE(exact_policy().gives_up(true, 0, sim::seconds(3'600)));
-}
-
-TEST(RetryDeadlineTest, ExactlyAtDeadlineGivesUpPerErrorClass) {
-  // Boundary contract: an error caught with elapsed == total_deadline is
-  // rethrown — the budget is inclusive at the deadline instant. One attempt
-  // costing exactly the deadline exhausts the budget for every class.
-  for (Err e : kTransientClasses) {
-    azure::RetryPolicy p = exact_policy();
-    p.total_deadline = sim::seconds(2);
-    const Outcome o = drive_timed(p, /*failures=*/1'000, e, sim::seconds(2));
-    EXPECT_TRUE(o.threw) << "class " << static_cast<int>(e);
-    EXPECT_EQ(o.calls, 1) << "class " << static_cast<int>(e);
-    EXPECT_EQ(o.retries, 0) << "class " << static_cast<int>(e);
-    EXPECT_EQ(o.elapsed, sim::seconds(2)) << "class " << static_cast<int>(e);
-  }
-}
-
-TEST(RetryDeadlineTest, OneNanosecondUnderDeadlineStillRetriesPerErrorClass) {
-  // The mirror boundary: elapsed == deadline - 1 ns may retry. With one
-  // transient failure, the single retry recovers for every class.
-  for (Err e : kTransientClasses) {
-    azure::RetryPolicy p = exact_policy();
-    p.total_deadline = sim::seconds(2);
-    const Outcome o =
-        drive_timed(p, /*failures=*/1, e, sim::seconds(2) - 1);
-    EXPECT_EQ(o.result, 7) << "class " << static_cast<int>(e);
-    EXPECT_EQ(o.calls, 2) << "class " << static_cast<int>(e);
-    EXPECT_EQ(o.retries, 1) << "class " << static_cast<int>(e);
-  }
-}
-
-TEST(RetryDeadlineTest, BackoffTimeCountsAgainstTheBudget) {
-  // Fixed 500 ms backoff, 300 ms attempts, 1 s budget: attempt 1 fails at
-  // 300 ms (under budget → retry), backoff ends at 800 ms, attempt 2 fails
-  // at 1.1 s (over budget → rethrow). The backoff sleep itself consumed
-  // budget — without it the second attempt would have finished in time.
-  azure::RetryPolicy p = exact_policy();
-  p.mode = azure::Backoff::kFixed;
-  p.backoff = sim::millis(500);
-  p.total_deadline = sim::seconds(1);
-  const Outcome o =
-      drive_timed(p, /*failures=*/1'000, Err::kBusy, sim::millis(300));
-  EXPECT_TRUE(o.threw);
-  EXPECT_EQ(o.calls, 2);
-  EXPECT_EQ(o.retries, 1);
-  EXPECT_EQ(o.elapsed, sim::millis(300 + 500 + 300));
-}
-
-TEST(RetryDeadlineTest, DeadlineNeverCancelsTheAttemptInFlight) {
-  // An attempt that straddles the deadline runs to completion; the budget
-  // only stops further retrying. A success after the deadline is a success.
-  azure::RetryPolicy p = exact_policy();
-  p.total_deadline = sim::millis(100);
-  const Outcome o =
-      drive_timed(p, /*failures=*/0, Err::kBusy, sim::seconds(5));
-  EXPECT_EQ(o.result, 7);
-  EXPECT_EQ(o.calls, 1);
-  EXPECT_EQ(o.elapsed, sim::seconds(5));
-}
-
-TEST(RetryDeadlineTest, AttemptCapStillBindsUnderALooseDeadline) {
-  // Both budgets are live: whichever exhausts first rethrows. A generous
-  // deadline does not extend the attempt cap.
-  azure::RetryPolicy p = exact_policy();
-  p.mode = azure::Backoff::kFixed;
-  p.max_attempts = 3;
-  p.total_deadline = sim::seconds(3'600);
-  const Outcome o = drive_timed(p, 1'000, Err::kTimeout, sim::millis(1));
-  EXPECT_TRUE(o.threw);
-  EXPECT_EQ(o.calls, 3);
-  EXPECT_EQ(o.retries, 2);
 }
 
 TEST(RetryPaperPresetTest, PresetsDivergeOnlyWhenRetriesOccur) {

@@ -42,7 +42,9 @@ void expect_error(const std::string& text, const std::string& path,
   } catch (const ScenarioError& e) {
     EXPECT_EQ(e.path(), path) << e.what();
     EXPECT_NE(e.reason().find(needle), std::string::npos) << e.what();
-    if (line >= 0) EXPECT_EQ(e.line(), line) << e.what();
+    if (line >= 0) {
+      EXPECT_EQ(e.line(), line) << e.what();
+    }
   }
 }
 

@@ -234,7 +234,9 @@ TEST(SchedulerHeapTest, RandomTimestampsExecuteInNondecreasingOrder) {
     const auto& [t_cur, id_cur] = seen[static_cast<size_t>(i)];
     EXPECT_LE(t_prev, t_cur);
     // Same-timestamp events must pop in scheduling (FIFO) order.
-    if (t_prev == t_cur) EXPECT_LT(id_prev, id_cur);
+    if (t_prev == t_cur) {
+      EXPECT_LT(id_prev, id_cur);
+    }
   }
 }
 

@@ -168,10 +168,7 @@ TEST(SqlTest, EditionSizeCapFailsWrites) {
 }
 
 TEST(SqlTest, ConnectionLimitSerializesExcessClients) {
-  azure::CloudConfig cfg;
-  cfg.sql.max_connections = 2;
-  cfg.sql.point_lookup_cpu = sim::millis(50);
-  TestWorld w(cfg);
+  TestWorld w;
   azb_test::run(w, [](TestWorld& t) -> Task<> {
     co_await provision(t);
     co_await t.env.sql_service().insert(t.nic, "appdb", "people",
@@ -179,7 +176,8 @@ TEST(SqlTest, ConnectionLimitSerializesExcessClients) {
   });
   sim::WaitGroup wg(w.sim);
   const TimePoint start = w.sim.now();
-  for (int i = 0; i < 6; ++i) {
+  constexpr int kClients = 3 * sql::SqlService::kMaxConnections;
+  for (int i = 0; i < kClients; ++i) {
     wg.add();
     w.sim.spawn([](TestWorld& t, sim::WaitGroup& g) -> Task<> {
       (void)co_await t.env.sql_service().select_by_key(
@@ -189,8 +187,8 @@ TEST(SqlTest, ConnectionLimitSerializesExcessClients) {
   }
   w.sim.spawn([](sim::WaitGroup& g) -> Task<> { co_await g.wait(); }(wg));
   w.sim.run();
-  // 6 x 50 ms lookups over 2 connections: at least 3 serialized rounds.
-  EXPECT_GE(w.sim.now() - start, sim::millis(150));
+  // Three lookups per connection slot: at least 3 serialized rounds.
+  EXPECT_GE(w.sim.now() - start, 3 * sql::SqlService::kPointLookupCpu);
 }
 
 TEST(SqlTest, PointLookupFasterThanScanButTableStorageComparable) {

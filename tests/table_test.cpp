@@ -297,29 +297,27 @@ TEST(TableTest, SeparatePartitionsThrottleIndependently) {
 
 // ------------------------------------------- requests racing a delete ----
 
-/// A cloud whose point queries spend 500 ms on the server, so a write issued
-/// after a query starts commits while the query is still in flight.
-azure::CloudConfig slow_query_cloud() {
-  azure::CloudConfig cfg;
-  cfg.table.query_cpu = sim::millis(500);
-  return cfg;
-}
+/// A query started this long after a delete or an update finds the row
+/// before its cluster round trip and re-reads it after the write landed:
+/// the write's server work outlasts the lag, and the lag plus the query's
+/// own TableService::kQueryCpu outlasts the write.
+constexpr sim::Duration kQueryLag = sim::millis(20);
 
 TEST(TableTest, DeleteDuringInFlightQueryReturnsNotFound) {
   // Regression: query found the row before its cluster round trip and read
   // it after, so a delete landing in between handed back a freed row.
-  TestWorld w(slow_query_cloud());
+  TestWorld w;
   azb_test::run(w, [](TestWorld& t) -> Task<> {
     auto tbl = t.account.create_cloud_table_client().get_table_reference("t");
     co_await tbl.create();
     co_await tbl.insert(make_entity("pk", "rk"));
     int answered = 0;
     t.sim.spawn([](TestWorld& u, int& done) -> Task<> {
+      co_await u.sim.delay(kQueryLag);
       auto q = u.account.create_cloud_table_client().get_table_reference("t");
       EXPECT_THROW(co_await q.query("pk", "rk"), azure::NotFoundError);
       ++done;
     }(t, answered));
-    co_await t.sim.delay(sim::millis(1));
     co_await tbl.erase("pk", "rk");
     EXPECT_EQ(answered, 0) << "the delete must land while the query is in "
                               "flight";
@@ -327,18 +325,22 @@ TEST(TableTest, DeleteDuringInFlightQueryReturnsNotFound) {
 }
 
 TEST(TableTest, ReplaceDuringInFlightQueryReturnsTheReplacement) {
-  TestWorld w(slow_query_cloud());
+  TestWorld w;
   azb_test::run(w, [](TestWorld& t) -> Task<> {
     auto tbl = t.account.create_cloud_table_client().get_table_reference("t");
     co_await tbl.create();
     co_await tbl.insert(make_entity("pk", "rk", 128));
-    t.sim.spawn([](TestWorld& u) -> Task<> {
+    int answered = 0;
+    t.sim.spawn([](TestWorld& u, int& done) -> Task<> {
+      co_await u.sim.delay(kQueryLag);
       auto q = u.account.create_cloud_table_client().get_table_reference("t");
       const TableEntity got = co_await q.query("pk", "rk");
       EXPECT_EQ(std::get<Payload>(got.properties.at("data")).size(), 256);
-    }(t));
-    co_await t.sim.delay(sim::millis(1));
+      ++done;
+    }(t, answered));
     co_await tbl.update(make_entity("pk", "rk", 256));
+    EXPECT_EQ(answered, 0) << "the update must land while the query is in "
+                              "flight";
   });
 }
 
@@ -432,8 +434,11 @@ TEST(TableTimingTest, LargeEntitiesDegradeUnderConcurrency) {
             t.account.create_cloud_table_client().get_table_reference("t");
         for (int k = 0; k < 20; ++k) {
           co_await azure::with_retry(t.sim, [&] {
-            return tbl.insert(make_entity("w" + std::to_string(id),
-                                          "r" + std::to_string(k), size));
+            std::string pk = "w";
+            pk += std::to_string(id);
+            std::string rk = "r";
+            rk += std::to_string(k);
+            return tbl.insert(make_entity(pk, rk, size));
           });
         }
         g.done();
