@@ -17,6 +17,7 @@
 // Exit codes: 0 ok, 1 selfcheck divergence, 2 usage/spec error.
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -382,18 +383,15 @@ int main(int argc, char** argv) {
                    "specs (figures are defined by the Azure contract)\n");
       return 2;
     }
-    if (backend_flag == "azure") {
-      sc.backend = framework::BackendKind::kAzure;
-    } else if (backend_flag == "s3") {
-      sc.backend = framework::BackendKind::kS3;
-    } else if (backend_flag == "tiered") {
-      sc.backend = framework::BackendKind::kTiered;
-    } else {
+    const std::optional<framework::BackendKind> kind =
+        framework::backend_kind(backend_flag);
+    if (!kind.has_value()) {
       std::fprintf(stderr,
                    "usage error: unknown backend '%s' (azure | s3 | tiered)\n",
                    backend_flag.c_str());
       return 2;
     }
+    sc.backend = *kind;
     // The parser validated the mix against the spec's own backend; the
     // override must re-check against the new one.
     for (const framework::ScenarioMixEntry& e : sc.mix) {

@@ -1,7 +1,8 @@
 // Generic-mode interpreter for declarative scenario specs
 // (framework/scenario.hpp): one open-loop LoadEngine run against whichever
-// storage backend the spec names (`"backend"` key — azure | s3 | tiered),
-// reached exclusively through the storage::Driver interface. Lives in
+// storage backend the spec names (`"backend"` key — azure | s3 | tiered).
+// Object ops go through the storage::Driver interface; queue, table and
+// SQL ops go to the Azure stamp the driver serves them from. Lives in
 // bench/ as a header so both the driver binary (bench_scenario.cpp) and the
 // replay tests (tests/scenario_test.cpp) execute the exact same code path.
 //
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "azure/common/retry.hpp"
@@ -42,6 +44,7 @@
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "simcore/simulation.hpp"
+#include "storage/azure_driver.hpp"
 #include "storage/driver.hpp"
 
 namespace benchscn {
@@ -131,6 +134,7 @@ struct Driver {
   const framework::Scenario& sc;
   sim::Simulation s;
   std::unique_ptr<storage::Driver> backend;
+  storage::AzureDriver* stamp;  // queue, table and sql; null on s3
   std::vector<std::unique_ptr<netsim::Nic>> nics;
   framework::KeyGen keygen;
   std::vector<double> cum_weight;
@@ -140,6 +144,7 @@ struct Driver {
   explicit Driver(const framework::Scenario& scenario)
       : sc(scenario),
         backend(storage::make_driver(s, scenario)),
+        stamp(backend->azure()),
         keygen(scenario.keys) {
     for (int i = 0; i < kClientNics; ++i) {
       nics.push_back(std::make_unique<netsim::Nic>(
@@ -147,7 +152,20 @@ struct Driver {
     }
     stat.resize(sc.mix.size());
     double total = 0;
-    for (const framework::ScenarioMixEntry& e : sc.mix) {
+    for (std::size_t i = 0; i < sc.mix.size(); ++i) {
+      const framework::ScenarioMixEntry& e = sc.mix[i];
+      // The parser rejects these with a location; a Scenario built in code
+      // gets the same typed error here, before any op runs.
+      if (!framework::backend_supports(sc.backend, e.service)) {
+        std::string path = "scenario.mix[";
+        path += std::to_string(i);
+        path += "].service";
+        throw framework::ScenarioError(
+            std::move(path), 0, 0,
+            std::string("backend '") + framework::backend_name(sc.backend) +
+                "' has no " + framework::service_name(e.service) +
+                " service");
+      }
       total += e.weight;
       cum_weight.push_back(total);
       use[static_cast<int>(e.service)] = true;
@@ -188,7 +206,7 @@ struct Driver {
   }
   std::string row_of(std::uint64_t key) const { return tagged('r', key); }
 
-  // One resolved operation, delegated to the backend driver. Returns bytes
+  // One resolved operation, delegated to the backend. Returns bytes
   // moved; records miss via out-param so the caller keeps all the
   // per-entry accounting in one place.
   sim::Task<std::int64_t> execute(OpCode op, std::uint64_t key,
@@ -214,41 +232,41 @@ struct Driver {
       case OpCode::kQueuePut: {
         // Pub/sub fanout: one put publishes the message to every queue.
         for (int f = 0; f < sc.queue_fanout; ++f) {
-          const storage::OpResult one = co_await backend->queue_put(
+          const storage::OpResult one = co_await stamp->queue_put(
               nic, tagged('q', static_cast<std::uint64_t>(f)), bytes);
           r.bytes += one.bytes;
         }
         break;
       }
       case OpCode::kQueueGet:
-        r = co_await backend->queue_get(nic, queue_name(key));
+        r = co_await stamp->queue_get(nic, queue_name(key));
         break;
       case OpCode::kQueuePeek:
-        r = co_await backend->queue_peek(nic, queue_name(key));
+        r = co_await stamp->queue_peek(nic, queue_name(key));
         break;
       case OpCode::kTableRead:
-        r = co_await backend->table_read(nic, partition_of(key), row_of(key));
+        r = co_await stamp->table_read(nic, partition_of(key), row_of(key));
         break;
       case OpCode::kTableInsert:
-        r = co_await backend->table_insert(nic, partition_of(key),
-                                           row_of(key), bytes);
+        r = co_await stamp->table_insert(nic, partition_of(key), row_of(key),
+                                         bytes);
         break;
       case OpCode::kTableUpdate:
-        r = co_await backend->table_update(nic, partition_of(key),
-                                           row_of(key), bytes);
+        r = co_await stamp->table_update(nic, partition_of(key), row_of(key),
+                                         bytes);
         break;
       case OpCode::kTableScan:
-        r = co_await backend->table_scan(nic, partition_of(key));
+        r = co_await stamp->table_scan(nic, partition_of(key));
         break;
       case OpCode::kTableRmw:
-        r = co_await backend->table_rmw(nic, partition_of(key), row_of(key),
-                                        bytes);
+        r = co_await stamp->table_rmw(nic, partition_of(key), row_of(key),
+                                      bytes);
         break;
       case OpCode::kSqlRead:
-        r = co_await backend->sql_read(nic, key);
+        r = co_await stamp->sql_read(nic, key);
         break;
       case OpCode::kSqlWrite:
-        r = co_await backend->sql_write(nic, key, bytes);
+        r = co_await stamp->sql_write(nic, key, bytes);
         break;
     }
     miss = r.miss;
@@ -315,35 +333,35 @@ struct Driver {
       const std::int64_t seed_msgs = std::min(pop, kQueueSeedCap);
       for (int f = 0; f < sc.queue_fanout; ++f) {
         const std::string q = tagged('q', static_cast<std::uint64_t>(f));
-        co_await backend->prepare_queue(nic, q);
+        co_await stamp->prepare_queue(nic, q);
         for (std::int64_t m = 0; m < seed_msgs; ++m) {
           const std::int64_t b = pick_bytes(sizes);
           co_await azure::with_retry(
-              s, [&]() { return backend->queue_put(nic, q, b); },
+              s, [&]() { return stamp->queue_put(nic, q, b); },
               kPopulateRetry);
         }
       }
     }
     if (use[static_cast<int>(S::kTable)]) {
-      co_await backend->prepare_table(nic);
+      co_await stamp->prepare_table(nic);
       for (std::int64_t k = 0; k < pop; ++k) {
         const std::uint64_t kk = static_cast<std::uint64_t>(k);
         const std::string part = partition_of(kk);
         const std::string row = row_of(kk);
         const std::int64_t b = pick_bytes(sizes);
         co_await azure::with_retry(
-            s, [&]() { return backend->table_insert(nic, part, row, b); },
+            s, [&]() { return stamp->table_insert(nic, part, row, b); },
             kPopulateRetry);
       }
     }
     if (use[static_cast<int>(S::kSql)]) {
-      co_await backend->prepare_sql(nic);
+      co_await stamp->prepare_sql(nic);
       for (std::int64_t k = 0; k < pop; ++k) {
         const std::int64_t b = pick_bytes(sizes);
         co_await azure::with_retry(
             s,
             [&]() {
-              return backend->sql_write(nic, static_cast<std::uint64_t>(k), b);
+              return stamp->sql_write(nic, static_cast<std::uint64_t>(k), b);
             },
             kPopulateRetry);
       }

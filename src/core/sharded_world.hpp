@@ -63,8 +63,9 @@ struct ShardedCloudConfig {
   double duplicate_probability = 0.01;
   double latency_spike_probability = 0.02;
 
-  /// One-way inter-domain link latency. Must be >= the derived lookahead
-  /// (fabric propagation + both gateway NIC latencies).
+  /// One-way inter-domain link latency. It is also the parallel kernel's
+  /// lookahead: no cross-domain event lands sooner than this after it is
+  /// sent, so each domain may run this far ahead of the others.
   sim::Duration inter_domain_latency = sim::millis(1);
 
   /// Attach one Observer per domain and render the deterministic merged

@@ -30,15 +30,16 @@ LoadEngine::LoadEngine(sim::Simulation& sim, LoadEngineConfig cfg,
   if (cfg_.max_pending < 0) {
     throw std::invalid_argument("load engine needs max_pending >= 0");
   }
-  if (cfg_.max_sessions < 1) {
-    throw std::invalid_argument("load engine needs max_sessions >= 1");
-  }
   if (!body_) {
     throw std::invalid_argument("load engine needs a session body");
   }
 }
 
 void LoadEngine::start() {
+  // Only the generator reads max_sessions, so only start() needs it.
+  if (cfg_.max_sessions < 1) {
+    throw std::invalid_argument("load engine needs max_sessions >= 1");
+  }
   sim_.spawn(generator());
 }
 

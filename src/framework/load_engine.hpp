@@ -60,8 +60,9 @@ struct LoadEngineConfig {
   /// the generator do when the system cannot keep up".
   int max_pending = 8192;
 
-  /// Stop offering after this many arrivals. Required (>= 1): with the
-  /// arrival process's own end, it is what bounds the run.
+  /// Stop offering after this many arrivals. start() requires it >= 1:
+  /// with the arrival process's own end, it is what bounds the run. A
+  /// caller that offer()s every arrival itself need not set it.
   std::int64_t max_sessions = 0;
 
   /// Base of every session's private RNG stream: session i draws from
@@ -118,7 +119,8 @@ class LoadEngine {
   LoadEngine& operator=(const LoadEngine&) = delete;
 
   /// Spawns the open-loop generator process: walks the arrival process on
-  /// the virtual clock and offer()s each arrival. The run drains naturally
+  /// the virtual clock and offer()s each arrival. Throws
+  /// std::invalid_argument unless max_sessions >= 1. The run drains naturally
   /// — when the generator stops (max_sessions / exhausted process) and
   /// every admitted session finished, the simulation's event queue empties
   /// and Simulation::run() returns.

@@ -55,6 +55,11 @@ struct JsonNode {
   }
 };
 
+/// How deep objects and arrays may nest. value() recurses once per level,
+/// so without a bound a deep enough spec overflows the stack; committed
+/// specs nest at most 3 levels.
+constexpr int kMaxNesting = 64;
+
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -119,10 +124,17 @@ class JsonParser {
     n.col = col_;
     switch (peek()) {
       case '{':
-        object(n);
-        return n;
       case '[':
-        array(n);
+        if (++depth_ > kMaxNesting) {
+          fail("objects and arrays nest deeper than " +
+               std::to_string(kMaxNesting) + " levels");
+        }
+        if (peek() == '{') {
+          object(n);
+        } else {
+          array(n);
+        }
+        --depth_;
         return n;
       case '"':
         n.kind = JsonNode::Kind::kString;
@@ -320,6 +332,7 @@ class JsonParser {
   std::size_t pos_ = 0;
   int line_ = 1;
   int col_ = 1;
+  int depth_ = 0;  // objects and arrays open around the current value
 };
 
 // ========================================================= schema layer ====
@@ -720,39 +733,18 @@ const char* backend_name(BackendKind kind) noexcept {
   return "?";
 }
 
-BackendCaps backend_caps(BackendKind kind) noexcept {
-  BackendCaps c;
-  switch (kind) {
-    case BackendKind::kAzure:
-      c.throttle_model = "per-account 5,000 tx/s gate (ServerBusy)";
-      break;
-    case BackendKind::kS3:
-      c.has_queues = false;
-      c.has_tables = false;
-      c.has_sql = false;
-      c.consistent_list = false;
-      c.throttle_model = "per-prefix request caps (503 SlowDown)";
-      break;
-    case BackendKind::kTiered:
-      // Listings merge the capacity tier, so they inherit its eventuality.
-      c.consistent_list = false;
-      c.throttle_model =
-          "fast tier: account gate; capacity tier: per-prefix SlowDown";
-      break;
+std::optional<BackendKind> backend_kind(std::string_view name) noexcept {
+  for (const BackendKind kind :
+       {BackendKind::kAzure, BackendKind::kS3, BackendKind::kTiered}) {
+    if (name == backend_name(kind)) return kind;
   }
-  return c;
+  return std::nullopt;
 }
 
 bool backend_supports(BackendKind kind,
                       ScenarioMixEntry::Service service) noexcept {
-  const BackendCaps c = backend_caps(kind);
-  switch (service) {
-    case ScenarioMixEntry::Service::kBlob: return c.has_blobs;
-    case ScenarioMixEntry::Service::kQueue: return c.has_queues;
-    case ScenarioMixEntry::Service::kTable: return c.has_tables;
-    case ScenarioMixEntry::Service::kSql: return c.has_sql;
-  }
-  return false;
+  return service == ScenarioMixEntry::Service::kBlob ||
+         kind != BackendKind::kS3;
 }
 
 Scenario parse_scenario(std::string_view text) {
@@ -788,16 +780,12 @@ Scenario parse_scenario(std::string_view text) {
       get_int(root, path, "max_pending", sc.max_pending, 0, 10'000'000));
 
   const std::string backend = get_str(root, path, "backend", "azure");
-  if (backend == "azure") {
-    sc.backend = BackendKind::kAzure;
-  } else if (backend == "s3") {
-    sc.backend = BackendKind::kS3;
-  } else if (backend == "tiered") {
-    sc.backend = BackendKind::kTiered;
-  } else {
+  const std::optional<BackendKind> kind = backend_kind(backend);
+  if (!kind.has_value()) {
     fail_at(*root.find("backend"), join(path, "backend"),
             "unknown backend '" + backend + "' (azure | s3 | tiered)");
   }
+  sc.backend = *kind;
   if (const JsonNode* n = root.find("tier_split_bytes")) {
     if (sc.backend != BackendKind::kTiered) {
       fail_at(*n, join(path, "tier_split_bytes"),

@@ -101,26 +101,16 @@ enum class BackendKind {
   kTiered,
 };
 
-/// What a backend can do — the contract surface the parser validates mix
-/// entries against, and the conformance suite asserts per driver.
-struct BackendCaps {
-  bool has_blobs = true;
-  bool has_queues = true;
-  bool has_tables = true;
-  bool has_sql = true;
-  /// A completed write (or delete) is visible to an immediately following
-  /// list. False = eventual list-after-write (S3-style visibility lag).
-  bool consistent_list = true;
-  /// Human-readable throttle contract, for diagnostics and docs.
-  const char* throttle_model = "";
-};
-
 const char* backend_name(BackendKind kind) noexcept;
-BackendCaps backend_caps(BackendKind kind) noexcept;
+/// The kind backend_name() spells `name`, if any (the spec's "backend" key
+/// and bench_scenario's --backend both read it).
+std::optional<BackendKind> backend_kind(std::string_view name) noexcept;
 
-/// Whether `kind` serves mix entries of `service` at all. The parser turns
-/// a false here into a located ScenarioError; bench_scenario re-checks it
-/// for --backend overrides.
+/// Whether `kind` serves mix entries of `service` at all: blobs on every
+/// backend, queue/table/sql wherever there is an Azure stamp. The parser
+/// turns a false here into a located ScenarioError; bench_scenario
+/// re-checks it for --backend overrides, and the runner for scenarios
+/// built without the parser.
 bool backend_supports(BackendKind kind,
                       ScenarioMixEntry::Service service) noexcept;
 

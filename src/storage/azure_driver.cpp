@@ -7,8 +7,7 @@
 namespace storage {
 
 AzureDriver::AzureDriver(sim::Simulation& sim, const framework::Scenario& sc)
-    : env_(sim, cloud_config(sc)),
-      caps_(framework::backend_caps(framework::BackendKind::kAzure)) {}
+    : Driver(this), env_(sim, cloud_config(sc)) {}
 
 azure::CloudConfig AzureDriver::cloud_config(const framework::Scenario& sc) {
   azure::CloudConfig cc;

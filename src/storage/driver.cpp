@@ -5,78 +5,6 @@
 #include "storage/tiered_driver.hpp"
 
 namespace storage {
-namespace {
-
-// Lazy tasks run synchronously up to the first suspension when awaited, so
-// a plain throw in the body surfaces exactly at the caller's co_await.
-[[noreturn]] void unsupported(const Driver& d, const char* group) {
-  throw CapabilityError(std::string("backend '") + d.name() + "' has no " +
-                        group + " service");
-}
-
-}  // namespace
-
-sim::Task<void> Driver::prepare_objects(netsim::Nic&) {
-  unsupported(*this, "object");
-}
-sim::Task<void> Driver::prepare_queue(netsim::Nic&, std::string) {
-  unsupported(*this, "queue");
-}
-sim::Task<void> Driver::prepare_table(netsim::Nic&) {
-  unsupported(*this, "table");
-}
-sim::Task<void> Driver::prepare_sql(netsim::Nic&) {
-  unsupported(*this, "sql");
-}
-sim::Task<OpResult> Driver::object_write(netsim::Nic&, std::string,
-                                         std::int64_t) {
-  unsupported(*this, "object");
-}
-sim::Task<OpResult> Driver::object_read(netsim::Nic&, std::string) {
-  unsupported(*this, "object");
-}
-sim::Task<OpResult> Driver::object_list(netsim::Nic&) {
-  unsupported(*this, "object");
-}
-sim::Task<OpResult> Driver::object_delete(netsim::Nic&, std::string) {
-  unsupported(*this, "object");
-}
-sim::Task<OpResult> Driver::queue_put(netsim::Nic&, std::string,
-                                      std::int64_t) {
-  unsupported(*this, "queue");
-}
-sim::Task<OpResult> Driver::queue_get(netsim::Nic&, std::string) {
-  unsupported(*this, "queue");
-}
-sim::Task<OpResult> Driver::queue_peek(netsim::Nic&, std::string) {
-  unsupported(*this, "queue");
-}
-sim::Task<OpResult> Driver::table_read(netsim::Nic&, std::string,
-                                       std::string) {
-  unsupported(*this, "table");
-}
-sim::Task<OpResult> Driver::table_insert(netsim::Nic&, std::string,
-                                         std::string, std::int64_t) {
-  unsupported(*this, "table");
-}
-sim::Task<OpResult> Driver::table_update(netsim::Nic&, std::string,
-                                         std::string, std::int64_t) {
-  unsupported(*this, "table");
-}
-sim::Task<OpResult> Driver::table_scan(netsim::Nic&, std::string) {
-  unsupported(*this, "table");
-}
-sim::Task<OpResult> Driver::table_rmw(netsim::Nic&, std::string, std::string,
-                                      std::int64_t) {
-  unsupported(*this, "table");
-}
-sim::Task<OpResult> Driver::sql_read(netsim::Nic&, std::uint64_t) {
-  unsupported(*this, "sql");
-}
-sim::Task<OpResult> Driver::sql_write(netsim::Nic&, std::uint64_t,
-                                      std::int64_t) {
-  unsupported(*this, "sql");
-}
 
 std::unique_ptr<Driver> make_driver(sim::Simulation& sim,
                                     const framework::Scenario& sc) {

@@ -12,11 +12,11 @@ constexpr const char* kBucket = "b";
 // The spec's `throttle: queue` ablation has no S3 analogue: this backend
 // always meters per prefix.
 S3Driver::S3Driver(sim::Simulation& sim, const framework::Scenario& sc)
-    : fault_plan_(sim, fault_config(sc)),
+    : Driver(nullptr),
+      fault_plan_(sim, fault_config(sc)),
       cluster_(sim,
                cluster_config(sc, cluster::ThrottleMode::kPrefixSlowdown)),
-      s3_(cluster_),
-      caps_(framework::backend_caps(framework::BackendKind::kS3)) {
+      s3_(cluster_) {
   if (fault_plan_.enabled()) cluster_.enable_faults(fault_plan_);
 }
 

@@ -1,8 +1,8 @@
 // S3-like backend behind the uniform storage::Driver interface: objects
 // only, eventual list-after-write, idempotent deletes, per-prefix 503
 // SlowDown throttling (its cluster runs ThrottleMode::kPrefixSlowdown and
-// no account gate). Queue/table/sql calls raise CapabilityError via the
-// Driver base.
+// no account gate). It has no Azure stamp, so azure() is null: the parser
+// and the runner reject a queue, table or sql mix entry on it.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +19,6 @@ class S3Driver final : public Driver {
  public:
   S3Driver(sim::Simulation& sim, const framework::Scenario& sc);
 
-  const char* name() const noexcept override { return "s3"; }
-  const framework::BackendCaps& caps() const noexcept override {
-    return caps_;
-  }
-
-  cluster::StorageCluster& storage_cluster() noexcept { return cluster_; }
-
   sim::Task<void> prepare_objects(netsim::Nic& nic) override;
 
   sim::Task<OpResult> object_write(netsim::Nic& nic, std::string key,
@@ -39,7 +32,6 @@ class S3Driver final : public Driver {
   faults::FaultPlan fault_plan_;
   cluster::StorageCluster cluster_;
   S3ObjectService s3_;
-  framework::BackendCaps caps_;
 };
 
 }  // namespace storage

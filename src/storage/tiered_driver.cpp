@@ -9,27 +9,14 @@ TieredDriver::TieredDriver(sim::Simulation& sim,
     // Fast tier constructs first so its cluster/balancer events enqueue
     // ahead of the capacity tier's — construction order is part of the
     // deterministic event schedule.
-    : fast_(sim, sc),
+    : Driver(&fast_),
+      fast_(sim, sc),
       capacity_(sim, sc),
-      split_bytes_(sc.tier_split_bytes),
-      caps_(framework::backend_caps(framework::BackendKind::kTiered)) {}
+      split_bytes_(sc.tier_split_bytes) {}
 
 sim::Task<void> TieredDriver::prepare_objects(netsim::Nic& nic) {
   co_await fast_.prepare_objects(nic);
   co_await capacity_.prepare_objects(nic);
-}
-
-sim::Task<void> TieredDriver::prepare_queue(netsim::Nic& nic,
-                                            std::string queue) {
-  co_await fast_.prepare_queue(nic, std::move(queue));
-}
-
-sim::Task<void> TieredDriver::prepare_table(netsim::Nic& nic) {
-  co_await fast_.prepare_table(nic);
-}
-
-sim::Task<void> TieredDriver::prepare_sql(netsim::Nic& nic) {
-  co_await fast_.prepare_sql(nic);
 }
 
 sim::Task<OpResult> TieredDriver::object_write(netsim::Nic& nic,
@@ -42,7 +29,6 @@ sim::Task<OpResult> TieredDriver::object_write(netsim::Nic& nic,
     // stale copy in the old tier must go first (otherwise listings would
     // show the key twice and a later delete would leave an orphan).
     co_await tier(it->second).object_delete(nic, key);
-    ++migrations_;
   }
   const OpResult r = co_await tier(target).object_write(nic, key, bytes);
   placement_.insert_or_assign(std::move(key), target);
@@ -72,69 +58,6 @@ sim::Task<OpResult> TieredDriver::object_delete(netsim::Nic& nic,
   const Tier t = it != placement_.end() ? it->second : Tier::kFast;
   if (it != placement_.end()) placement_.erase(it);
   co_return co_await tier(t).object_delete(nic, std::move(key));
-}
-
-sim::Task<OpResult> TieredDriver::queue_put(netsim::Nic& nic,
-                                            std::string queue,
-                                            std::int64_t bytes) {
-  co_return co_await fast_.queue_put(nic, std::move(queue), bytes);
-}
-
-sim::Task<OpResult> TieredDriver::queue_get(netsim::Nic& nic,
-                                            std::string queue) {
-  co_return co_await fast_.queue_get(nic, std::move(queue));
-}
-
-sim::Task<OpResult> TieredDriver::queue_peek(netsim::Nic& nic,
-                                             std::string queue) {
-  co_return co_await fast_.queue_peek(nic, std::move(queue));
-}
-
-sim::Task<OpResult> TieredDriver::table_read(netsim::Nic& nic,
-                                             std::string partition,
-                                             std::string row) {
-  co_return co_await fast_.table_read(nic, std::move(partition),
-                                      std::move(row));
-}
-
-sim::Task<OpResult> TieredDriver::table_insert(netsim::Nic& nic,
-                                               std::string partition,
-                                               std::string row,
-                                               std::int64_t bytes) {
-  co_return co_await fast_.table_insert(nic, std::move(partition),
-                                        std::move(row), bytes);
-}
-
-sim::Task<OpResult> TieredDriver::table_update(netsim::Nic& nic,
-                                               std::string partition,
-                                               std::string row,
-                                               std::int64_t bytes) {
-  co_return co_await fast_.table_update(nic, std::move(partition),
-                                        std::move(row), bytes);
-}
-
-sim::Task<OpResult> TieredDriver::table_scan(netsim::Nic& nic,
-                                             std::string partition) {
-  co_return co_await fast_.table_scan(nic, std::move(partition));
-}
-
-sim::Task<OpResult> TieredDriver::table_rmw(netsim::Nic& nic,
-                                            std::string partition,
-                                            std::string row,
-                                            std::int64_t bytes) {
-  co_return co_await fast_.table_rmw(nic, std::move(partition),
-                                     std::move(row), bytes);
-}
-
-sim::Task<OpResult> TieredDriver::sql_read(netsim::Nic& nic,
-                                           std::uint64_t key) {
-  co_return co_await fast_.sql_read(nic, key);
-}
-
-sim::Task<OpResult> TieredDriver::sql_write(netsim::Nic& nic,
-                                            std::uint64_t key,
-                                            std::int64_t bytes) {
-  co_return co_await fast_.sql_write(nic, key, bytes);
 }
 
 }  // namespace storage

@@ -1,12 +1,12 @@
 // Conformance suite for the backend-agnostic storage::Driver layer: every
-// backend honours the uniform op contract (roundtrip, miss reporting,
-// typed errors), while the *differences* the drivers exist to model stay
-// observable — Azure's 404-on-absent-delete vs S3's idempotent 204, S3's
-// eventual list-after-write window, per-prefix 503 SlowDown vs the
-// account-wide ServerBusy gate, capability errors for services a backend
-// does not have, and tiered placement/migration. Ends with run-vs-run
-// replay determinism of the cross-backend scenario specs through the real
-// interpreter (bench/scenario_runner.hpp).
+// backend honours the uniform object-op contract (roundtrip, miss
+// reporting, typed errors), while the *differences* the drivers exist to
+// model stay observable — Azure's 404-on-absent-delete vs S3's idempotent
+// 204, S3's eventual list-after-write window, per-prefix 503 SlowDown vs
+// the account-wide ServerBusy gate, which backends carry the Azure stamp
+// that serves queue/table/sql, and tiered placement/migration. Ends with
+// run-vs-run replay determinism of the cross-backend scenario specs
+// through the real interpreter (bench/scenario_runner.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 #include "simcore/simulation.hpp"
 #include "simcore/sync.hpp"
 #include "simcore/task.hpp"
+#include "storage/azure_driver.hpp"
 #include "storage/driver.hpp"
 #include "storage/s3_object_service.hpp"
 #include "storage/tiered_driver.hpp"
@@ -32,6 +33,7 @@
 namespace {
 
 using framework::BackendKind;
+using Service = framework::ScenarioMixEntry::Service;
 using sim::Task;
 using storage::OpResult;
 
@@ -71,19 +73,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BackendKind>& info) {
       return framework::backend_name(info.param);
     });
-
-TEST_P(DriverConformance, NameAndCapsMatchTheRegistry) {
-  DriverWorld w(GetParam());
-  const framework::BackendCaps want = framework::backend_caps(GetParam());
-  const framework::BackendCaps& got = w.driver->caps();
-  EXPECT_STREQ(w.driver->name(), framework::backend_name(GetParam()));
-  EXPECT_EQ(got.has_blobs, want.has_blobs);
-  EXPECT_EQ(got.has_queues, want.has_queues);
-  EXPECT_EQ(got.has_tables, want.has_tables);
-  EXPECT_EQ(got.has_sql, want.has_sql);
-  EXPECT_EQ(got.consistent_list, want.consistent_list);
-  EXPECT_STREQ(got.throttle_model, want.throttle_model);
-}
 
 TEST_P(DriverConformance, ObjectRoundtripThenDeleteMakesReadsMiss) {
   DriverWorld w(GetParam());
@@ -126,26 +115,27 @@ TEST_P(DriverConformance, DeleteOfAbsentKeySplitsByContract) {
   });
 }
 
+// Queue, table and SQL run on the Azure stamp a backend carries: the
+// driver itself on azure, the fast tier on tiered, none on s3.
 TEST_P(DriverConformance, QueueGroupHonoursCapabilityFlag) {
   DriverWorld w(GetParam());
-  if (!w.driver->caps().has_queues) {
-    EXPECT_THROW(w.driver->queue_put(w.nic, "q0", 64),
-                 storage::CapabilityError);
-    EXPECT_THROW(w.driver->queue_get(w.nic, "q0"),
-                 storage::CapabilityError);
-    EXPECT_THROW(w.driver->prepare_queue(w.nic, "q0"),
-                 storage::CapabilityError);
+  if (!framework::backend_supports(GetParam(), Service::kQueue)) {
+    EXPECT_EQ(w.driver->azure(), nullptr);
     return;
   }
+  if (GetParam() == BackendKind::kAzure) {
+    EXPECT_EQ(w.driver->azure(), w.driver.get());
+  }
   run(w, [](DriverWorld& t) -> Task<> {
-    co_await t.driver->prepare_queue(t.nic, "q0");
-    const OpResult empty = co_await t.driver->queue_get(t.nic, "q0");
+    storage::AzureDriver& stamp = *t.driver->azure();
+    co_await stamp.prepare_queue(t.nic, "q0");
+    const OpResult empty = co_await stamp.queue_get(t.nic, "q0");
     EXPECT_TRUE(empty.miss);
-    const OpResult put = co_await t.driver->queue_put(t.nic, "q0", 512);
+    const OpResult put = co_await stamp.queue_put(t.nic, "q0", 512);
     EXPECT_EQ(put.bytes, 512);
-    const OpResult peek = co_await t.driver->queue_peek(t.nic, "q0");
+    const OpResult peek = co_await stamp.queue_peek(t.nic, "q0");
     EXPECT_EQ(peek.bytes, 512);
-    const OpResult got = co_await t.driver->queue_get(t.nic, "q0");
+    const OpResult got = co_await stamp.queue_get(t.nic, "q0");
     EXPECT_EQ(got.bytes, 512);
     EXPECT_FALSE(got.miss);
   });
@@ -153,56 +143,48 @@ TEST_P(DriverConformance, QueueGroupHonoursCapabilityFlag) {
 
 TEST_P(DriverConformance, TableGroupHonoursCapabilityFlag) {
   DriverWorld w(GetParam());
-  if (!w.driver->caps().has_tables) {
-    EXPECT_THROW(w.driver->table_insert(w.nic, "p0", "r0", 64),
-                 storage::CapabilityError);
-    EXPECT_THROW(w.driver->table_scan(w.nic, "p0"),
-                 storage::CapabilityError);
+  if (!framework::backend_supports(GetParam(), Service::kTable)) {
+    EXPECT_EQ(w.driver->azure(), nullptr);
     return;
   }
   run(w, [](DriverWorld& t) -> Task<> {
-    co_await t.driver->prepare_table(t.nic);
-    const OpResult absent = co_await t.driver->table_read(t.nic, "p0", "r0");
+    storage::AzureDriver& stamp = *t.driver->azure();
+    co_await stamp.prepare_table(t.nic);
+    const OpResult absent = co_await stamp.table_read(t.nic, "p0", "r0");
     EXPECT_TRUE(absent.miss);
-    const OpResult ins =
-        co_await t.driver->table_insert(t.nic, "p0", "r0", 256);
+    const OpResult ins = co_await stamp.table_insert(t.nic, "p0", "r0", 256);
     EXPECT_EQ(ins.bytes, 256);
-    const OpResult rd = co_await t.driver->table_read(t.nic, "p0", "r0");
+    const OpResult rd = co_await stamp.table_read(t.nic, "p0", "r0");
     EXPECT_FALSE(rd.miss);
     EXPECT_GT(rd.bytes, 0);
-    const OpResult scan = co_await t.driver->table_scan(t.nic, "p0");
+    const OpResult scan = co_await stamp.table_scan(t.nic, "p0");
     EXPECT_FALSE(scan.miss);
-    const OpResult rmw =
-        co_await t.driver->table_rmw(t.nic, "p0", "r0", 128);
+    const OpResult rmw = co_await stamp.table_rmw(t.nic, "p0", "r0", 128);
     EXPECT_FALSE(rmw.miss);
   });
 }
 
 TEST_P(DriverConformance, SqlGroupHonoursCapabilityFlag) {
   DriverWorld w(GetParam());
-  if (!w.driver->caps().has_sql) {
-    EXPECT_THROW(w.driver->sql_write(w.nic, 1, 64),
-                 storage::CapabilityError);
-    EXPECT_THROW(w.driver->sql_read(w.nic, 1), storage::CapabilityError);
+  if (!framework::backend_supports(GetParam(), Service::kSql)) {
+    EXPECT_EQ(w.driver->azure(), nullptr);
     return;
   }
   run(w, [](DriverWorld& t) -> Task<> {
-    co_await t.driver->prepare_sql(t.nic);
-    const OpResult absent = co_await t.driver->sql_read(t.nic, 42);
+    storage::AzureDriver& stamp = *t.driver->azure();
+    co_await stamp.prepare_sql(t.nic);
+    const OpResult absent = co_await stamp.sql_read(t.nic, 42);
     EXPECT_TRUE(absent.miss);
-    const OpResult wr = co_await t.driver->sql_write(t.nic, 42, 100);
+    const OpResult wr = co_await stamp.sql_write(t.nic, 42, 100);
     EXPECT_EQ(wr.bytes, 100);
-    const OpResult rd = co_await t.driver->sql_read(t.nic, 42);
+    const OpResult rd = co_await stamp.sql_read(t.nic, 42);
     EXPECT_FALSE(rd.miss);
     EXPECT_EQ(rd.bytes, 100);
   });
 }
 
-TEST(DriverErrorTaxonomy, CapabilityErrorIsAStorageError) {
-  // Spec-driven runs never hit CapabilityError (the parser rejects the
-  // mix), but direct driver users catch it under the storage taxonomy.
-  static_assert(std::is_base_of_v<cluster::StorageError,
-                                  storage::CapabilityError>);
+TEST(DriverErrorTaxonomy, SlowDownIsAServerBusy) {
+  // S3's 503 SlowDown takes the same client backoff as Azure's ServerBusy.
   static_assert(
       std::is_base_of_v<cluster::ServerBusyError, cluster::SlowDownError>);
   SUCCEED();
@@ -377,14 +359,12 @@ TEST(TieredDriverTest, WritesRouteBySizeAndOverwritesMigrate) {
     // Small write lands on the fast tier.
     co_await t.driver.object_write(t.nic, "k", 1000);
     const OpResult fast_rd =
-        co_await t.driver.fast_tier().object_read(t.nic, "k");
+        co_await t.driver.azure()->object_read(t.nic, "k");
     EXPECT_FALSE(fast_rd.miss);
-    EXPECT_EQ(t.driver.migrations(), 0);
     // Overwrite past the split: migrates to the capacity tier.
     co_await t.driver.object_write(t.nic, "k", 8192);
-    EXPECT_EQ(t.driver.migrations(), 1);
     const OpResult gone_fast =
-        co_await t.driver.fast_tier().object_read(t.nic, "k");
+        co_await t.driver.azure()->object_read(t.nic, "k");
     EXPECT_TRUE(gone_fast.miss);
     const OpResult rd = co_await t.driver.object_read(t.nic, "k");
     EXPECT_FALSE(rd.miss);
@@ -452,6 +432,27 @@ TEST(DriverReplayTest, S3ScenarioReplaysByteIdentically) {
 TEST(DriverReplayTest, TieredScenarioReplaysByteIdentically) {
   const framework::Scenario sc = small_cross_backend_spec("tiered");
   EXPECT_EQ(report_of(sc), report_of(sc));
+}
+
+TEST(DriverReplayTest, RunnerRejectsAServiceTheBackendLacks) {
+  // The parser never lets this through; a Scenario built in code must get
+  // the typed error too, not a call on the s3 backend's missing stamp.
+  framework::Scenario sc;
+  sc.name = "hand_built";
+  sc.backend = BackendKind::kS3;
+  sc.operations = 10;
+  sc.mix.resize(2);
+  sc.mix[0].service = Service::kBlob;
+  sc.mix[0].op = "read";
+  sc.mix[1].service = Service::kQueue;
+  sc.mix[1].op = "put";
+  try {
+    (void)benchscn::run_generic_scenario(sc, nullptr);
+    FAIL() << "expected ScenarioError";
+  } catch (const framework::ScenarioError& e) {
+    EXPECT_EQ(e.path(), "scenario.mix[1].service");
+    EXPECT_EQ(e.reason(), "backend 's3' has no queue service");
+  }
 }
 
 TEST(DriverReplayTest, BackendsDivergeOnTheSameWorkload) {

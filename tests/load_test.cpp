@@ -290,7 +290,8 @@ TEST(LoadEngine, RejectsInvalidConfig) {
   EXPECT_THROW(LoadEngine(s, bad_pending, body), std::invalid_argument);
   LoadEngineConfig unbounded = ok;
   unbounded.max_sessions = 0;
-  EXPECT_THROW(LoadEngine(s, unbounded, body), std::invalid_argument);
+  LoadEngine manual(s, unbounded, body);  // offer() alone needs no bound
+  EXPECT_THROW(manual.start(), std::invalid_argument);
   EXPECT_THROW(LoadEngine(s, ok, nullptr), std::invalid_argument);
 }
 
@@ -302,7 +303,6 @@ struct ManualHarness {
       : service_time(service) {
     cfg.max_in_flight = window;
     cfg.max_pending = pending;
-    cfg.max_sessions = 1;  // bounds only the generator, which never starts
     engine = std::make_unique<LoadEngine>(
         s, cfg, [this](LoadEngine::Session& sess) { return body(sess); });
   }

@@ -4,7 +4,10 @@ a re-recorded golden cannot silently lose a shape the paper reports:
 
   fig4              page-blob upload beats block-blob upload (MiB/s) at
                     every worker count, and neither download's MiB/s falls
-                    as workers grow;
+                    as workers grow; page upload saturates from 8 workers
+                    and block upload from 4: the first worker count within
+                    10% of the top count's MiB/s, and every later count
+                    stays within it;
   fig5              sequential block reads beat random page reads (MiB/s)
                     at every worker count;
   fig6              Peek < Put < Get ms/op at every message size, for every
@@ -39,6 +42,8 @@ import io
 import os
 import sys
 
+FIG4_PLATEAU = 0.10
+FIG4_SATURATED_FROM = {"pageUp_MiBps": 8, "blockUp_MiBps": 4}
 FIG6_MAX_WORKERS = 80
 FIG6_ANOMALY = 1.4
 FIG7_THINK_RATIO = 1.8
@@ -75,6 +80,19 @@ def check_fig4(rows):
                 bad.append(f"fig4 workers={r['workers']}: want {col} >= its "
                            f"value at workers={prev[0]}, got {v} < {prev[1]}")
             prev = (r["workers"], v)
+    ordered = by_workers(rows)
+    for col, want in FIG4_SATURATED_FROM.items():
+        top = float(ordered[-1][col])
+        near = [abs(float(r[col]) - top) <= FIG4_PLATEAU * top
+                for r in ordered]
+        first = near.index(True)
+        got = int(ordered[first]["workers"])
+        if got != want or not all(near[first:]):
+            bad.append(f"fig4: want {col} within {FIG4_PLATEAU:.0%} of its "
+                       f"{ordered[-1]['workers']}-worker value {top} from "
+                       f"workers={want} on, got "
+                       + ", ".join(f"{r['workers']}: {r[col]}"
+                                   for r in ordered))
     return bad
 
 

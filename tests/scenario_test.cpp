@@ -208,6 +208,27 @@ TEST(ScenarioParser, RejectsMalformedToken) {
   expect_error(R"({"name":"x","operations":12abc})", "<spec>", "");
 }
 
+TEST(ScenarioParser, RejectsNestingDeeperThanTheLimit) {
+  // The parser recurses once per level, so without the limit 200,000
+  // nested arrays overflow the stack. The root object is level 1, so the
+  // 64th '[' (column 19 + 63) opens level 65.
+  const std::string head = R"({"name":"x","mix":)";
+  try {
+    (void)parse_scenario(head + std::string(200'000, '['));
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_EQ(e.path(), "<spec>");
+    EXPECT_NE(e.reason().find("deeper than 64 levels"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_EQ(e.col(), 19 + 63);
+  }
+  // Exactly 64 levels parse; the binder then rejects the shape instead.
+  std::string at_limit = head + std::string(63, '[') + std::string(63, ']');
+  at_limit += '}';
+  expect_error(at_limit, "scenario.mix[0]", "expected an object");
+}
+
 TEST(ScenarioParser, ParsesFullGenericSpecWithCommentsAndDefaults) {
   const Scenario sc = parse_scenario(R"({
     // comments are allowed — this is a config dialect
@@ -629,7 +650,10 @@ TEST(ScenarioParser, ParsesEveryKnownBackend) {
         R"(","mix":[{"service":"blob"}]})");
     EXPECT_EQ(sc.backend, kind) << name;
     EXPECT_STREQ(framework::backend_name(sc.backend), name.c_str());
+    EXPECT_EQ(framework::backend_kind(name), kind) << name;
   }
+  EXPECT_FALSE(framework::backend_kind("gcs").has_value());
+  EXPECT_FALSE(framework::backend_kind("").has_value());
 }
 
 TEST(ScenarioParser, RejectsUnknownBackendWithLocation) {
@@ -670,24 +694,29 @@ TEST(ScenarioParser, TieredBackendAcceptsTierSplitBytes) {
 }
 
 TEST(ScenarioParser, BackendCapsMatrixMatchesTheDesignContract) {
+  // DESIGN.md's capability matrix: which backend serves which service.
+  // List consistency is pinned by the S3 and tiered listing tests in
+  // driver_test.cpp.
   using framework::BackendKind;
-  const framework::BackendCaps azure =
-      framework::backend_caps(BackendKind::kAzure);
-  EXPECT_TRUE(azure.has_queues);
-  EXPECT_TRUE(azure.has_tables);
-  EXPECT_TRUE(azure.has_sql);
-  EXPECT_TRUE(azure.consistent_list);
-  const framework::BackendCaps s3 = framework::backend_caps(BackendKind::kS3);
-  EXPECT_TRUE(s3.has_blobs);
-  EXPECT_FALSE(s3.has_queues);
-  EXPECT_FALSE(s3.has_tables);
-  EXPECT_FALSE(s3.has_sql);
-  EXPECT_FALSE(s3.consistent_list);
-  const framework::BackendCaps tiered =
-      framework::backend_caps(BackendKind::kTiered);
-  EXPECT_TRUE(tiered.has_queues);
-  // Merged listings inherit the capacity tier's eventuality.
-  EXPECT_FALSE(tiered.consistent_list);
+  using S = framework::ScenarioMixEntry::Service;
+  struct Row {
+    S service;
+    bool azure, s3, tiered;
+  };
+  for (const Row& r : {Row{S::kBlob, true, true, true},
+                       Row{S::kQueue, true, false, true},
+                       Row{S::kTable, true, false, true},
+                       Row{S::kSql, true, false, true}}) {
+    const char* svc = framework::service_name(r.service);
+    EXPECT_EQ(framework::backend_supports(BackendKind::kAzure, r.service),
+              r.azure)
+        << svc;
+    EXPECT_EQ(framework::backend_supports(BackendKind::kS3, r.service), r.s3)
+        << svc;
+    EXPECT_EQ(framework::backend_supports(BackendKind::kTiered, r.service),
+              r.tiered)
+        << svc;
+  }
 }
 
 // ------------------------------------------------------------ replay ------
