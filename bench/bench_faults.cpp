@@ -75,26 +75,26 @@ sim::Task<void> worker(World& w, int id, int messages, std::int64_t& ops,
   retry.jitter_seed = static_cast<std::uint64_t>(id);
   auto q = w.account.create_cloud_queue_client().get_queue_reference(
       "flt-q-" + std::to_string(id));
-  co_await azure::with_retry_counted(
-      w.sim, [&] { return q.create_if_not_exists(); }, retry, retries);
+  co_await azure::with_retry(
+      w.sim, [&] { return q.create_if_not_exists(); }, retry, &retries);
   for (int k = 0; k < messages; ++k) {
-    co_await azure::with_retry_counted(w.sim, [&] {
+    co_await azure::with_retry(w.sim, [&] {
       return q.add_message(azure::Payload::synthetic(4096));
-    }, retry, retries);
+    }, retry, &retries);
     ++ops;
   }
   int done = 0;
   while (done < messages) {
-    auto m = co_await azure::with_retry_counted(
+    auto m = co_await azure::with_retry(
         w.sim, [&] { return q.get_message(sim::seconds(30)); }, retry,
-        retries);
+        &retries);
     ++ops;
     if (!m.has_value()) {
       co_await w.sim.delay(sim::millis(100));
       continue;
     }
-    co_await azure::with_retry_counted(
-        w.sim, [&] { return q.delete_message(*m); }, retry, retries);
+    co_await azure::with_retry(
+        w.sim, [&] { return q.delete_message(*m); }, retry, &retries);
     ++ops;
     ++done;
   }
@@ -103,17 +103,17 @@ sim::Task<void> worker(World& w, int id, int messages, std::int64_t& ops,
   // integrity paths (blob payloads dwarf queue message bodies).
   auto c = w.account.create_cloud_blob_client().get_container_reference(
       "flt-c-" + std::to_string(id));
-  co_await azure::with_retry_counted(
-      w.sim, [&] { return c.create_if_not_exists(); }, retry, retries);
+  co_await azure::with_retry(
+      w.sim, [&] { return c.create_if_not_exists(); }, retry, &retries);
   const int blobs = std::max(1, messages / 8);
   for (int b = 0; b < blobs; ++b) {
     auto blob = c.get_block_blob_reference("b-" + std::to_string(b));
-    co_await azure::with_retry_counted(w.sim, [&] {
+    co_await azure::with_retry(w.sim, [&] {
       return blob.upload_text(azure::Payload::synthetic(64 << 10));
-    }, retry, retries);
+    }, retry, &retries);
     ++ops;
-    (void)co_await azure::with_retry_counted(
-        w.sim, [&] { return blob.download_text(); }, retry, retries);
+    (void)co_await azure::with_retry(
+        w.sim, [&] { return blob.download_text(); }, retry, &retries);
     ++ops;
   }
   wg.done();

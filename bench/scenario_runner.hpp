@@ -123,10 +123,7 @@ constexpr std::int64_t kQueueSeedCap = 1'000;
 /// store instead of a cold miss storm.
 inline constexpr azure::RetryPolicy kPopulateRetry = [] {
   azure::RetryPolicy p = azure::RetryPolicy::paper();
-  p.retry_timeouts = true;
-  p.retry_connection_resets = true;
-  p.retry_checksum_mismatch = true;
-  p.retry_partition_moved = true;
+  p.retry_faults = true;
   return p;
 }();
 

@@ -42,6 +42,11 @@ run_config() {
   # lifetime paths that only the sanitizer configuration checks.
   echo "=== kernel ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L kernel
+  # The retry suite re-runs by label: with_retry rethrows from catch
+  # handlers inside a coroutine frame and resumes after the backoff, a
+  # lifetime path that only the sanitizer configuration checks.
+  echo "=== retry ${dir} ==="
+  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L retry
   # The parallel-kernel suite re-runs by label: the byte-parity contract
   # (threads=N identical to threads=1) must hold under sanitizers too.
   echo "=== parallel ${dir} ==="

@@ -16,6 +16,7 @@
 #include <string_view>
 
 #include "azure/common/payload.hpp"
+#include "simcore/random.hpp"
 
 namespace azure {
 
@@ -79,21 +80,15 @@ class Crc32c {
 /// compared against another checksum computed the same way.
 inline std::uint32_t payload_crc(const Payload& p) {
   if (!p.is_synthetic()) return Crc32c::of(p.data());
-  // splitmix64 finalizer over the size.
-  std::uint64_t z =
-      static_cast<std::uint64_t>(p.size()) + 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return static_cast<std::uint32_t>((z ^ (z >> 31)) >> 16);
+  // splitmix64's first output from the size.
+  return static_cast<std::uint32_t>(
+      sim::stream_seed(static_cast<std::uint64_t>(p.size()), 0) >> 16);
 }
 
 /// Deterministic combiner for deriving object ids and version checksums
 /// from parts (service salt, partition hash, mutation serials).
 inline std::uint64_t mix_u64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t z = a ^ (b + 0x9E3779B97F4A7C15ull + (a << 6) + (a >> 2));
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  return sim::mix64(a ^ (b + 0x9E3779B97F4A7C15ull + (a << 6) + (a >> 2)));
 }
 
 }  // namespace azure

@@ -15,7 +15,7 @@ using cluster::ServerBusyError;
 using cluster::StorageError;
 
 // Injected infrastructure faults (see faults/errors.hpp): transient from the
-// client's point of view, retryable per RetryPolicy's error classes.
+// client's point of view, retried when RetryPolicy::retry_faults is set.
 using cluster::ChecksumMismatchError;
 using cluster::ConnectionResetError;
 using cluster::FaultError;

@@ -6,36 +6,32 @@
 // as RetryPolicy::paper() and used by every figure-reproduction workload.
 //
 // New code defaults to capped exponential backoff with deterministic jitter
-// and per-error-class retryability, covering the fault-injection layer's
-// transient errors (TimeoutError, ConnectionResetError) alongside the
-// paper-era ServerBusyError. Service-semantic errors (NotFound, Conflict,
+// that also retries the fault-injection layer's transient errors
+// (TimeoutError, ConnectionResetError, ChecksumMismatchError) and the stale
+// partition-map and geo-map redirects alongside the paper-era
+// ServerBusyError. Service-semantic errors (NotFound, Conflict,
 // PreconditionFailed, InvalidArgument) are never retried: retrying them
 // cannot succeed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <utility>
 
 #include "azure/common/errors.hpp"
 #include "obs/observer.hpp"
+#include "simcore/random.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/task.hpp"
 #include "simcore/time.hpp"
 
 namespace azure {
 
-enum class Backoff {
-  /// Constant `backoff` between attempts (the paper's 1 s sleep).
-  kFixed,
-  /// backoff * kBackoffMultiplier^retry, capped at max_backoff.
-  kExponential,
-};
-
 struct RetryPolicy {
-  Backoff mode = Backoff::kExponential;
-  /// First (and, in kFixed mode, every) backoff.
+  /// First backoff; each later one is kBackoffMultiplier times the last,
+  /// capped at max_backoff. With no jitter, max_backoff == backoff is a
+  /// fixed sleep (the paper's 1 s).
   sim::Duration backoff = sim::millis(500);
-  /// Upper bound on any single backoff in kExponential mode.
+  /// Upper bound on any single backoff, jitter included.
   sim::Duration max_backoff = sim::seconds(32);
   /// Deterministic jitter: each backoff is scaled by a factor drawn
   /// uniformly from [1 - jitter, 1 + jitter]. The draw is a pure hash of
@@ -45,35 +41,23 @@ struct RetryPolicy {
   std::uint64_t jitter_seed = 0;
   /// Total attempts (first try included) before the error is rethrown.
   int max_attempts = 1'000;  // effectively "retry until it works"
-
-  // Per-error-class retryability; ServerBusy is always retryable
-  // (detail::kRetryServerBusy). Anything not listed here is rethrown
-  // immediately.
-  bool retry_timeouts = true;          // lost request/response
-  bool retry_connection_resets = true; // server crashed mid-request
-  bool retry_checksum_mismatch = true; // payload corrupted in flight
-  bool retry_partition_moved = true;   // stale partition-map redirect
-  bool retry_region_moved = true;      // stale geo-map redirect (failover)
+  /// Whether the transient fault classes are retried: timeouts, connection
+  /// resets, checksum mismatches and stale partition-map and geo-map
+  /// redirects. ServerBusy is retried under every policy; anything else is
+  /// rethrown immediately.
+  bool retry_faults = true;
 
   /// The paper's client policy: fixed 1 s sleep, ServerBusy only. With this
   /// preset (and no injected faults) retry timing is byte-identical to the
-  /// original benchmarks. Timeouts, resets, and checksum mismatches did not
-  /// exist in the paper's model, so the preset surfaces them instead of
-  /// hiding them.
+  /// original benchmarks. The fault classes did not exist in the paper's
+  /// model, which is one stamp with a static partition placement, so the
+  /// preset surfaces them instead of hiding them.
   static constexpr RetryPolicy paper() {
     RetryPolicy p;
-    p.mode = Backoff::kFixed;
     p.backoff = sim::kSecond;
+    p.max_backoff = sim::kSecond;
     p.jitter = 0.0;
-    p.retry_timeouts = false;
-    p.retry_connection_resets = false;
-    p.retry_checksum_mismatch = false;
-    // The paper-era model routes with a static partition placement: a moved
-    // partition cannot occur in a frozen figure run, and the preset must
-    // surface one (not absorb it) if a misconfiguration ever produces it.
-    // The same goes for a region failover — the paper model is one stamp.
-    p.retry_partition_moved = false;
-    p.retry_region_moved = false;
+    p.retry_faults = false;
     return p;
   }
 
@@ -90,11 +74,7 @@ struct RetryPolicy {
     p.jitter = 0.002;
     p.jitter_seed = jitter_seed;
     p.max_attempts = 4;
-    p.retry_timeouts = false;
-    p.retry_connection_resets = false;
-    p.retry_checksum_mismatch = false;
-    p.retry_partition_moved = false;
-    p.retry_region_moved = false;
+    p.retry_faults = false;
     return p;
   }
 
@@ -110,68 +90,43 @@ struct RetryPolicy {
   /// Backoff before retry number `retry` (0-based). Pure function of the
   /// policy and the retry index.
   sim::Duration backoff_for(int retry) const {
-    sim::Duration base = backoff;
-    if (mode == Backoff::kExponential) {
-      double b = static_cast<double>(backoff);
-      for (int i = 0; i < retry && b < static_cast<double>(max_backoff); ++i) {
-        b *= kBackoffMultiplier;
-      }
-      base = b < static_cast<double>(max_backoff)
-                 ? static_cast<sim::Duration>(b)
-                 : max_backoff;
-    }
+    const auto cap = static_cast<double>(max_backoff);
+    double b = static_cast<double>(backoff);
+    for (int i = 0; i < retry && b < cap; ++i) b *= kBackoffMultiplier;
+    sim::Duration base = b < cap ? static_cast<sim::Duration>(b) : max_backoff;
     if (jitter > 0.0) {
-      const double u = jitter_unit(jitter_seed, retry);
-      double scaled =
+      // u is uniform on [0, 1): a splitmix64 hash of (jitter_seed, retry).
+      const std::uint64_t h =
+          sim::stream_seed(jitter_seed, static_cast<std::uint64_t>(retry));
+      const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+      const double scaled =
           static_cast<double>(base) * (1.0 - jitter + 2.0 * jitter * u);
-      if (mode == Backoff::kExponential &&
-          scaled > static_cast<double>(max_backoff)) {
-        scaled = static_cast<double>(max_backoff);
-      }
-      base = static_cast<sim::Duration>(scaled);
+      base = static_cast<sim::Duration>(std::min(scaled, cap));
     }
     return base > 0 ? base : sim::kNanosecond;
   }
 
  private:
-  /// Growth factor of successive kExponential backoffs.
+  /// Growth factor of successive backoffs.
   static constexpr double kBackoffMultiplier = 2.0;
-
-  /// splitmix64-style hash of (seed, retry) onto [0, 1) — platform-identical.
-  static double jitter_unit(std::uint64_t seed, int retry) {
-    std::uint64_t z =
-        seed + 0x9E3779B97F4A7C15ull *
-                   (static_cast<std::uint64_t>(retry) + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    z ^= z >> 31;
-    return static_cast<double>(z >> 11) * 0x1.0p-53;
-  }
 };
 
-namespace detail {
-/// Error-class labels interned on first use (tracing only).
-inline std::uint16_t error_label(obs::Observer* o, const char* name) {
-  return o != nullptr ? o->label(name) : 0;
-}
-
-/// ServerBusy (HTTP 503 throttling) is retryable under every policy.
-inline constexpr bool kRetryServerBusy = true;
-
-/// The retry loop behind with_retry_counted and with_retry (which passes
-/// no counter, so it adds no coroutine frame of its own).
+/// Runs `make_op()` (a factory returning a fresh Task each attempt),
+/// retrying transient errors according to `policy` and, when `retries` is
+/// given, counting each retry into it. Non-retryable errors propagate
+/// immediately; the transient error is rethrown once attempts run out.
 template <class MakeOp>
-auto retry_loop(sim::Simulation& sim, MakeOp make_op, RetryPolicy policy,
-                std::int64_t* retries_out) -> decltype(make_op()) {
+auto with_retry(sim::Simulation& sim, MakeOp make_op, RetryPolicy policy = {},
+                std::int64_t* retries = nullptr) -> decltype(make_op()) {
   obs::RequestScope request(sim);  // root span over all attempts
   obs::Observer* const o = request.observer();
-  int retries = 0;
+  int retry = 0;  // retries made so far
   std::uint16_t error_class = 0;
   // Called from a catch handler: labels the caught error and rethrows it
   // if the policy gives up, else returns so the loop backs off and retries.
   const auto retry_or_rethrow = [&](const char* label, bool retryable) {
-    error_class = error_label(o, label);
-    if (policy.gives_up(retryable, retries)) {
+    error_class = o != nullptr ? o->label(label) : 0;
+    if (policy.gives_up(retryable, retry)) {
       request.fail(error_class);
       throw;
     }
@@ -188,58 +143,38 @@ auto retry_loop(sim::Simulation& sim, MakeOp make_op, RetryPolicy policy,
     try {
       co_return co_await make_op();
     } catch (const ServerBusyError&) {
-      retry_or_rethrow("server_busy", kRetryServerBusy);
+      retry_or_rethrow("server_busy", true);
     } catch (const TimeoutError&) {
-      retry_or_rethrow("timeout", policy.retry_timeouts);
+      retry_or_rethrow("timeout", policy.retry_faults);
     } catch (const ConnectionResetError&) {
-      retry_or_rethrow("connection_reset", policy.retry_connection_resets);
+      retry_or_rethrow("connection_reset", policy.retry_faults);
     } catch (const ChecksumMismatchError&) {
       // Corruption in flight: the upload was rejected before any state was
       // touched, or the download's end-to-end checksum failed client-side.
       // Either way the operation is safe to repeat verbatim.
-      retry_or_rethrow("checksum_mismatch", policy.retry_checksum_mismatch);
+      retry_or_rethrow("checksum_mismatch", policy.retry_faults);
     } catch (const PartitionMovedError&) {
       // Stale partition-map redirect: the request never executed and the
       // redirect already refreshed this client's cached map, so the retry
       // routes against fresh state.
-      retry_or_rethrow("partition_moved", policy.retry_partition_moved);
+      retry_or_rethrow("partition_moved", policy.retry_faults);
     } catch (const RegionMovedError&) {
       // Stale geo-map redirect: the primary region failed over since this
       // client last routed. The redirect refreshed the client's cached geo
       // map, so the retry reaches the promoted region.
-      retry_or_rethrow("region_moved", policy.retry_region_moved);
+      retry_or_rethrow("region_moved", policy.retry_faults);
     }
     // Only a handler that chose to retry gets here. co_await is not
     // permitted inside a catch handler, so the backoff waits until now.
-    if (retries_out != nullptr) ++*retries_out;
+    if (retries != nullptr) ++*retries;
     const sim::TimePoint backoff_start = sim.now();
-    co_await sim.delay(policy.backoff_for(retries++));
+    co_await sim.delay(policy.backoff_for(retry++));
     if (o != nullptr) {
       o->metrics().counter("retry.backoffs").add(1);
       o->emit(obs::SpanKind::kRetryBackoff, request.ctx(), backoff_start,
               sim.now(), error_class);
     }
   }
-}
-
-}  // namespace detail
-
-/// Runs `make_op()` (a factory returning a fresh Task each attempt),
-/// retrying transient errors according to `policy` and counting retries
-/// into `retries_out`. Non-retryable errors propagate immediately; the
-/// transient error is rethrown once attempts run out.
-template <class MakeOp>
-auto with_retry_counted(sim::Simulation& sim, MakeOp make_op,
-                        RetryPolicy policy, std::int64_t& retries_out)
-    -> decltype(make_op()) {
-  return detail::retry_loop(sim, std::move(make_op), policy, &retries_out);
-}
-
-/// with_retry_counted without the counter.
-template <class MakeOp>
-auto with_retry(sim::Simulation& sim, MakeOp make_op, RetryPolicy policy = {})
-    -> decltype(make_op()) {
-  return detail::retry_loop(sim, std::move(make_op), policy, nullptr);
 }
 
 }  // namespace azure

@@ -50,6 +50,15 @@ std::int64_t property_size(const PropertyValue& v) {
   return std::visit(Sizer{}, v);
 }
 
+/// The row a merge leaves: `row` with every property of `patch` written
+/// over it.
+TableEntity merged_entity(TableEntity row, const TableEntity& patch) {
+  for (const auto& [name, value] : patch.properties) {
+    row.properties[name] = value;
+  }
+  return row;
+}
+
 /// End-to-end checksum of an entity's content: keys plus every property
 /// name and value (system properties — ETag, Timestamp — excluded, as they
 /// are assigned server-side after the checksum is validated).
@@ -250,11 +259,7 @@ sim::Task<void> TableService::write_entity(netsim::Nic& client,
   if (kind == OpKind::kMerge) {
     const auto& rows = require_partition(table, entity.partition_key).rows;
     if (const auto pre = rows.find(entity.row_key); pre != rows.end()) {
-      TableEntity merged = pre->second;
-      for (const auto& [name, value] : entity.properties) {
-        merged.properties[name] = value;
-      }
-      crc = entity_crc(merged);
+      crc = entity_crc(merged_entity(pre->second, entity));
     }
   }
   cluster::RequestCost cost;
@@ -287,13 +292,13 @@ sim::Task<void> TableService::write_entity(netsim::Nic& client,
     }
   }
   if (kind == OpKind::kMerge) {
-    for (auto& [name, value] : entity.properties) {
-      it->second.properties[name] = value;
-    }
-    // Validate the merged result still fits the limits.
-    validate_entity(it->second);
-    it->second.etag = next_etag();
-    it->second.timestamp = cluster_.simulation().now();
+    // The merged result must still fit the limits; check it before the row
+    // changes, so a failed merge leaves the row as it was.
+    TableEntity merged = merged_entity(it->second, entity);
+    validate_entity(merged);
+    merged.etag = next_etag();
+    merged.timestamp = cluster_.simulation().now();
+    it->second = std::move(merged);
     co_return;
   }
   entity.etag = next_etag();
@@ -481,6 +486,9 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
           throw PreconditionFailedError("ETag mismatch in batch on " +
                                         op.entity.row_key);
         }
+        if (op.kind == OpKind::kMerge) {
+          validate_entity(merged_entity(it->second, op.entity));
+        }
         break;
       case OpKind::kInsertOrReplace:
         break;
@@ -499,9 +507,7 @@ sim::Task<void> TableService::execute_batch(netsim::Nic& client,
       }
       case OpKind::kMerge: {
         TableEntity& target = rows.find(op.entity.row_key)->second;
-        for (const auto& [name, value] : op.entity.properties) {
-          target.properties[name] = value;
-        }
+        target = merged_entity(std::move(target), op.entity);
         target.etag = next_etag();
         target.timestamp = cluster_.simulation().now();
         break;

@@ -11,7 +11,6 @@
 #include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "fabric/vm_size.hpp"
 #include "simcore/time.hpp"
@@ -29,12 +28,6 @@ class PhaseCollector {
               sim::TimePoint end) {
     auto& longest = spans_[{phase, repeat}];
     longest = std::max(longest, end - start);
-    // Per-worker busy time (for Fig. 9's per-operation averages). The first
-    // record of a phase also fixes its position in phases(): benchmarks
-    // print phases in execution order, not lexicographically.
-    auto [it, inserted] = busy_.try_emplace(phase, 0);
-    if (inserted) phase_order_.push_back(phase);
-    it->second += end - start;
   }
 
   /// Accumulated phase time across repeats. Per repeat this is the longest
@@ -49,21 +42,8 @@ class PhaseCollector {
     return total;
   }
 
-  /// Sum of all workers' busy time in a phase (>= wall under parallelism).
-  sim::Duration busy(const std::string& phase) const {
-    auto it = busy_.find(phase);
-    return it == busy_.end() ? 0 : it->second;
-  }
-
-  /// Phase names in first-recorded order. (A previous version re-derived
-  /// this from the span map, which sorts lexicographically — "download"
-  /// printed before "upload" even though the benchmark ran uploads first.)
-  const std::vector<std::string>& phases() const { return phase_order_; }
-
  private:
   std::map<std::pair<std::string, int>, sim::Duration> spans_;
-  std::map<std::string, sim::Duration> busy_;
-  std::vector<std::string> phase_order_;
 };
 
 /// Aggregate throughput/time for one benchmark phase, as reported in the

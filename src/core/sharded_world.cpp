@@ -74,11 +74,11 @@ sim::Task<RemoteResult> remote_queue_put(World* w, int dst, int caller_id,
       worker_policy(0x5EED0000u + static_cast<std::uint64_t>(caller_id));
   auto q = sh.account->create_cloud_queue_client().get_queue_reference(
       "inbox-" + std::to_string(dst));
-  co_await azure::with_retry_counted(
-      *sh.sim, [&] { return q.create_if_not_exists(); }, policy, r.retries);
-  co_await azure::with_retry_counted(
+  co_await azure::with_retry(
+      *sh.sim, [&] { return q.create_if_not_exists(); }, policy, &r.retries);
+  co_await azure::with_retry(
       *sh.sim, [&] { return q.add_message(azure::Payload::synthetic(bytes)); },
-      policy, r.retries);
+      policy, &r.retries);
   co_return r;
 }
 
@@ -92,8 +92,8 @@ sim::Task<RemoteResult> remote_table_put(World* w, int dst, int caller_id,
       worker_policy(0x5EED0000u + static_cast<std::uint64_t>(caller_id));
   auto tbl = sh.account->create_cloud_table_client().get_table_reference(
       "inbox-t-" + std::to_string(dst));
-  co_await azure::with_retry_counted(
-      *sh.sim, [&] { return tbl.create_if_not_exists(); }, policy, r.retries);
+  co_await azure::with_retry(
+      *sh.sim, [&] { return tbl.create_if_not_exists(); }, policy, &r.retries);
   azure::TableEntity e;
   e.partition_key = "w";
   e.partition_key += std::to_string(caller_id);
@@ -101,8 +101,8 @@ sim::Task<RemoteResult> remote_table_put(World* w, int dst, int caller_id,
   e.properties.emplace("data", azure::Payload::synthetic(bytes));
   // The retry wrapper re-invokes the factory on every attempt — the entity
   // must be copied in, not moved, or attempt 2 submits empty keys.
-  co_await azure::with_retry_counted(
-      *sh.sim, [&] { return tbl.insert_or_replace(e); }, policy, r.retries);
+  co_await azure::with_retry(
+      *sh.sim, [&] { return tbl.insert_or_replace(e); }, policy, &r.retries);
   co_return r;
 }
 
@@ -124,8 +124,8 @@ sim::Task<void> queue_worker(World& w, int home, int id,
       worker_policy(static_cast<std::uint64_t>(id));
   auto q = sh.account->create_cloud_queue_client().get_queue_reference(
       "q-" + std::to_string(id));
-  co_await azure::with_retry_counted(
-      *sh.sim, [&] { return q.create_if_not_exists(); }, policy, st.retries);
+  co_await azure::with_retry(
+      *sh.sim, [&] { return q.create_if_not_exists(); }, policy, &st.retries);
   for (int k = 0; k < w.cfg.ops_per_worker; ++k) {
     if (is_remote_turn(w, k)) {
       const int dst = (home + 1) % w.cfg.domains;
@@ -139,26 +139,26 @@ sim::Task<void> queue_worker(World& w, int home, int id,
       ++st.puts;
       st.retries += r.retries;
     } else {
-      co_await azure::with_retry_counted(
+      co_await azure::with_retry(
           *sh.sim,
           [&] {
             return q.add_message(
                 azure::Payload::synthetic(w.cfg.message_bytes));
           },
-          policy, st.retries);
+          policy, &st.retries);
       ++st.puts;
     }
     co_await sh.sim->delay(sim::millis(rng.uniform(20, 60)));
   }
   const std::int64_t local_puts = st.puts - st.remote_ops;
   while (st.deletes < local_puts) {
-    auto msg = co_await azure::with_retry_counted(
-        *sh.sim, [&] { return q.get_message(); }, policy, st.retries);
+    auto msg = co_await azure::with_retry(
+        *sh.sim, [&] { return q.get_message(); }, policy, &st.retries);
     ++st.gets;
     if (msg) {
-      co_await azure::with_retry_counted(
+      co_await azure::with_retry(
           *sh.sim, [&] { return q.delete_message(*msg); }, policy,
-          st.retries);
+          &st.retries);
       ++st.deletes;
     }
     co_await sh.sim->delay(sim::millis(rng.uniform(20, 60)));
@@ -176,9 +176,9 @@ sim::Task<void> table_worker(World& w, int home, int id,
       worker_policy(static_cast<std::uint64_t>(id));
   auto tbl = sh.account->create_cloud_table_client().get_table_reference(
       "t-" + std::to_string(id));
-  co_await azure::with_retry_counted(
+  co_await azure::with_retry(
       *sh.sim, [&] { return tbl.create_if_not_exists(); }, policy,
-      st.retries);
+      &st.retries);
   std::vector<int> local_rows;
   for (int k = 0; k < w.cfg.ops_per_worker; ++k) {
     if (is_remote_turn(w, k)) {
@@ -198,22 +198,22 @@ sim::Task<void> table_worker(World& w, int home, int id,
       e.row_key = std::to_string(k);
       e.properties.emplace("data",
                            azure::Payload::synthetic(w.cfg.message_bytes));
-      co_await azure::with_retry_counted(
-          *sh.sim, [&] { return tbl.insert(e); }, policy, st.retries);
+      co_await azure::with_retry(
+          *sh.sim, [&] { return tbl.insert(e); }, policy, &st.retries);
       ++st.puts;
       local_rows.push_back(k);
     }
     co_await sh.sim->delay(sim::millis(rng.uniform(20, 60)));
   }
   for (const int k : local_rows) {
-    co_await azure::with_retry_counted(
+    co_await azure::with_retry(
         *sh.sim,
         [&] {
           std::string pk = "p";
           pk += std::to_string(id);
           return tbl.query(pk, std::to_string(k));
         },
-        policy, st.retries);
+        policy, &st.retries);
     ++st.gets;
     co_await sh.sim->delay(sim::millis(rng.uniform(20, 60)));
   }
@@ -270,30 +270,30 @@ sim::Task<void> open_loop_session(World& w, int home,
   } else if (w.cfg.mode == ShardedCloudConfig::Mode::kQueue) {
     auto q = sh.account->create_cloud_queue_client().get_queue_reference(
         "open-inbox-" + std::to_string(home));
-    co_await azure::with_retry_counted(
+    co_await azure::with_retry(
         *sh.sim, [&] { return q.create_if_not_exists(); }, policy,
-        st.retries);
-    co_await azure::with_retry_counted(
+        &st.retries);
+    co_await azure::with_retry(
         *sh.sim,
         [&] {
           return q.add_message(azure::Payload::synthetic(w.cfg.message_bytes));
         },
-        policy, st.retries);
+        policy, &st.retries);
     ++st.puts;
   } else {
     auto tbl = sh.account->create_cloud_table_client().get_table_reference(
         "open-inbox-t-" + std::to_string(home));
-    co_await azure::with_retry_counted(
+    co_await azure::with_retry(
         *sh.sim, [&] { return tbl.create_if_not_exists(); }, policy,
-        st.retries);
+        &st.retries);
     azure::TableEntity e;
     e.partition_key = "s" + std::to_string(home);
     e.row_key = std::to_string(s.id);
     e.properties.emplace("data",
                          azure::Payload::synthetic(w.cfg.message_bytes));
-    co_await azure::with_retry_counted(
+    co_await azure::with_retry(
         *sh.sim, [&] { return tbl.insert_or_replace(e); }, policy,
-        st.retries);
+        &st.retries);
     ++st.puts;
   }
   // A dash of per-session think time (pure function of the session id's

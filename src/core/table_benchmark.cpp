@@ -55,9 +55,9 @@ sim::Task<void> worker_body(fabric::RoleContext& ctx, Shared& shared) {
     {
       const sim::TimePoint t0 = sim.now();
       for (int row = 0; row < cfg.entities; ++row) {
-        co_await azure::with_retry_counted(
+        co_await azure::with_retry(
             sim, [&] { return table.insert(make_entity(ctx.id(), row, size)); },
-            azure::RetryPolicy::paper(), shared.retries);
+            azure::RetryPolicy::paper(), &shared.retries);
       }
       shared.collector.record("insert-" + tag, size_index, t0, sim.now());
     }
@@ -67,13 +67,13 @@ sim::Task<void> worker_body(fabric::RoleContext& ctx, Shared& shared) {
     {
       const sim::TimePoint t0 = sim.now();
       for (int row = 0; row < cfg.entities; ++row) {
-        (void)co_await azure::with_retry_counted(
+        (void)co_await azure::with_retry(
             sim,
             [&] {
               return table.query("worker-" + std::to_string(ctx.id()),
                                  "row-" + std::to_string(row));
             },
-            azure::RetryPolicy::paper(), shared.retries);
+            azure::RetryPolicy::paper(), &shared.retries);
       }
       shared.collector.record("query-" + tag, size_index, t0, sim.now());
     }
@@ -83,10 +83,10 @@ sim::Task<void> worker_body(fabric::RoleContext& ctx, Shared& shared) {
     {
       const sim::TimePoint t0 = sim.now();
       for (int row = 0; row < cfg.entities; ++row) {
-        co_await azure::with_retry_counted(
+        co_await azure::with_retry(
             sim,
             [&] { return table.update(make_entity(ctx.id(), row, size), "*"); },
-            azure::RetryPolicy::paper(), shared.retries);
+            azure::RetryPolicy::paper(), &shared.retries);
       }
       shared.collector.record("update-" + tag, size_index, t0, sim.now());
     }
@@ -96,13 +96,13 @@ sim::Task<void> worker_body(fabric::RoleContext& ctx, Shared& shared) {
     {
       const sim::TimePoint t0 = sim.now();
       for (int row = 0; row < cfg.entities; ++row) {
-        co_await azure::with_retry_counted(
+        co_await azure::with_retry(
             sim,
             [&] {
               return table.erase("worker-" + std::to_string(ctx.id()),
                                  "row-" + std::to_string(row));
             },
-            azure::RetryPolicy::paper(), shared.retries);
+            azure::RetryPolicy::paper(), &shared.retries);
       }
       shared.collector.record("delete-" + tag, size_index, t0, sim.now());
     }

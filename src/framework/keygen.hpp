@@ -191,18 +191,12 @@ class KeyGen {
     std::uint64_t left = (x >> half_bits_) & half_mask_;
     std::uint64_t right = x & half_mask_;
     for (const std::uint64_t key : feistel_keys_) {
-      const std::uint64_t f = mix(right ^ key) & half_mask_;
+      const std::uint64_t f = sim::mix64(right ^ key) & half_mask_;
       const std::uint64_t next_left = right;
       right = left ^ f;
       left = next_left;
     }
     return (left << half_bits_) | right;
-  }
-
-  static std::uint64_t mix(std::uint64_t z) noexcept {
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
   }
 
   std::uint64_t draw_coverage() {

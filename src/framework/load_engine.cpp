@@ -7,19 +7,6 @@
 #include "obs/observer.hpp"
 
 namespace framework {
-namespace {
-
-/// splitmix64-style hash of (seed, id) — each session's stream is a pure
-/// function of its id, independent of admission order and interleaving.
-std::uint64_t session_stream(std::uint64_t seed, std::int64_t id) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull *
-                               (static_cast<std::uint64_t>(id) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 LoadEngine::LoadEngine(sim::Simulation& sim, LoadEngineConfig cfg,
                        SessionFn body)
@@ -93,7 +80,10 @@ void LoadEngine::admit(std::int64_t id, sim::TimePoint arrived) {
   s.id = id;
   s.arrived = arrived;
   s.admitted = sim_.now();
-  s.rng = sim::Random(session_stream(cfg_.session_seed, id));
+  // Each session's stream is a pure function of its id, independent of
+  // admission order and interleaving.
+  s.rng = sim::Random(
+      sim::stream_seed(cfg_.session_seed, static_cast<std::uint64_t>(id)));
 
   ++in_flight_;
   if (in_flight_ > stats_.peak_in_flight) stats_.peak_in_flight = in_flight_;

@@ -708,10 +708,7 @@ void bind_figure(const JsonNode& n, const std::string& path,
 /// seed so distinct sections never share a stream by accident.
 std::uint64_t scenario_derive_seed(std::uint64_t seed,
                                    std::uint64_t salt) noexcept {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  return sim::stream_seed(seed, salt);
 }
 
 const char* service_name(ScenarioMixEntry::Service s) noexcept {
@@ -861,27 +858,19 @@ Scenario parse_scenario(std::string_view text) {
   }
   bind_mix(*mix, join(path, "mix"), sc.mix);
 
-  // Capability check: every mix entry must name a service the declared
+  // Backend check: every mix entry must name a service the declared
   // backend actually has. The diagnostic points at the entry's 'service'
-  // token and names the capability flag so the fix is obvious.
+  // token.
   for (std::size_t i = 0; i < sc.mix.size(); ++i) {
     if (backend_supports(sc.backend, sc.mix[i].service)) continue;
     const JsonNode& e = mix->arr[i];
     const JsonNode* svc = e.find("service");
     const std::string p =
         join(path, "mix") + "[" + std::to_string(i) + "]";
-    const char* cap = "?";
-    switch (sc.mix[i].service) {
-      case ScenarioMixEntry::Service::kBlob: cap = "has_blobs"; break;
-      case ScenarioMixEntry::Service::kQueue: cap = "has_queues"; break;
-      case ScenarioMixEntry::Service::kTable: cap = "has_tables"; break;
-      case ScenarioMixEntry::Service::kSql: cap = "has_sql"; break;
-    }
     fail_at(svc != nullptr ? *svc : e, join(p, "service"),
             std::string("backend '") + backend_name(sc.backend) + "' has no " +
-                service_name(sc.mix[i].service) + " service (capability " +
-                cap + "=false) — drop the entry or pick a backend that "
-                "serves it");
+                service_name(sc.mix[i].service) +
+                " service — drop the entry or pick a backend that serves it");
   }
 
   // The queue message cap is a hard service limit (48 KiB usable payload);

@@ -43,12 +43,17 @@ namespace framework {
 
 /// Spec-file diagnostic: JSON path (e.g. "scenario.mix[1].weight"), the
 /// 1-based line/column of the offending token, and the reason. what() is
-/// pre-formatted as "<path> (line L, col C): <reason>".
+/// pre-formatted as "<path> (line L, col C): <reason>", or as
+/// "<path>: <reason>" when the error has no spec location (line 0).
 class ScenarioError : public std::runtime_error {
  public:
   ScenarioError(std::string path, int line, int col, std::string why)
-      : std::runtime_error(path + " (line " + std::to_string(line) +
-                           ", col " + std::to_string(col) + "): " + why),
+      : std::runtime_error(
+            path +
+            (line > 0 ? " (line " + std::to_string(line) + ", col " +
+                            std::to_string(col) + ")"
+                      : std::string()) +
+            ": " + why),
         path_(std::move(path)),
         reason_(std::move(why)),
         line_(line),

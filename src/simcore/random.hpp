@@ -11,18 +11,25 @@
 
 namespace sim {
 
+/// splitmix64's output function: a bijective 64-bit mixer.
+constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+/// Output `k` (0-based) of splitmix64 started from state `seed`: a seed for
+/// stream `k` that is a pure function of (seed, k).
+constexpr std::uint64_t stream_seed(std::uint64_t seed,
+                                    std::uint64_t k) noexcept {
+  return mix64(seed + 0x9E3779B97F4A7C15ull * (k + 1));
+}
+
 class Random {
  public:
   explicit Random(std::uint64_t seed = 0x9E3779B97F4A7C15ull) {
     // splitmix64 to spread the seed across all 256 bits of state.
-    std::uint64_t x = seed;
-    for (auto& word : state_) {
-      x += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      word = z ^ (z >> 31);
-    }
+    for (std::uint64_t k = 0; k < 4; ++k) state_[k] = stream_seed(seed, k);
   }
 
   /// Uniform 64-bit value.

@@ -161,22 +161,22 @@ Task<> chaos_worker(TestWorld& t, int id, OpCounts& ops, sim::WaitGroup& wg) {
   retry.jitter_seed = static_cast<std::uint64_t>(id);
   auto q = t.account.create_cloud_queue_client().get_queue_reference(
       "chaos-q-" + std::to_string(id));
-  co_await azure::with_retry_counted(
-      t.sim, [&] { return q.create_if_not_exists(); }, retry, ops.retries);
+  co_await azure::with_retry(
+      t.sim, [&] { return q.create_if_not_exists(); }, retry, &ops.retries);
   for (int k = 0; k < kOps; ++k) {
-    co_await azure::with_retry_counted(t.sim, [&] {
+    co_await azure::with_retry(t.sim, [&] {
       return q.add_message(azure::Payload::bytes("c-" + std::to_string(k)));
-    }, retry, ops.retries);
+    }, retry, &ops.retries);
     ++ops.puts;
   }
   while (ops.deletes < kOps) {
     std::optional<azure::QueueMessage> msg =
-        co_await azure::with_retry_counted(
-            t.sim, [&] { return q.get_message(); }, retry, ops.retries);
+        co_await azure::with_retry(
+            t.sim, [&] { return q.get_message(); }, retry, &ops.retries);
     ++ops.gets;
     if (msg) {
-      co_await azure::with_retry_counted(
-          t.sim, [&] { return q.delete_message(*msg); }, retry, ops.retries);
+      co_await azure::with_retry(
+          t.sim, [&] { return q.delete_message(*msg); }, retry, &ops.retries);
       ++ops.deletes;
     } else {
       co_await t.sim.delay(sim::millis(100));

@@ -452,6 +452,9 @@ TEST(DriverReplayTest, RunnerRejectsAServiceTheBackendLacks) {
   } catch (const framework::ScenarioError& e) {
     EXPECT_EQ(e.path(), "scenario.mix[1].service");
     EXPECT_EQ(e.reason(), "backend 's3' has no queue service");
+    // A Scenario built in code has no spec location to report.
+    EXPECT_EQ(std::string(e.what()).find("(line 0"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -229,21 +229,21 @@ Task<> chaos_worker(TestWorld& t, int id, sim::WaitGroup& wg) {
   std::int64_t retries = 0;
   auto q = t.account.create_cloud_queue_client().get_queue_reference(
       "obs-chaos-q-" + std::to_string(id));
-  co_await azure::with_retry_counted(
-      t.sim, [&] { return q.create_if_not_exists(); }, retry, retries);
+  co_await azure::with_retry(
+      t.sim, [&] { return q.create_if_not_exists(); }, retry, &retries);
   for (int k = 0; k < kOps; ++k) {
-    co_await azure::with_retry_counted(t.sim, [&] {
+    co_await azure::with_retry(t.sim, [&] {
       return q.add_message(azure::Payload::bytes("c-" + std::to_string(k)));
-    }, retry, retries);
+    }, retry, &retries);
   }
   int deletes = 0;
   while (deletes < kOps) {
     std::optional<azure::QueueMessage> msg =
-        co_await azure::with_retry_counted(
-            t.sim, [&] { return q.get_message(); }, retry, retries);
+        co_await azure::with_retry(
+            t.sim, [&] { return q.get_message(); }, retry, &retries);
     if (msg) {
-      co_await azure::with_retry_counted(
-          t.sim, [&] { return q.delete_message(*msg); }, retry, retries);
+      co_await azure::with_retry(
+          t.sim, [&] { return q.delete_message(*msg); }, retry, &retries);
       ++deletes;
     } else {
       co_await t.sim.delay(sim::millis(100));

@@ -111,9 +111,9 @@ TEST(RetryRobustnessTest, GivesUpAfterMaxAttempts) {
     auto q = t.account.create_cloud_queue_client().get_queue_reference("fg");
     azure::RetryPolicy policy;
     policy.max_attempts = 5;
-    policy.mode = azure::Backoff::kFixed;
     policy.jitter = 0.0;
     policy.backoff = sim::millis(900);  // always lands in a full window
+    policy.max_backoff = policy.backoff;
     try {
       co_await azure::with_retry(
           t.sim, [&] { return q.create_if_not_exists(); }, policy);

@@ -664,13 +664,13 @@ TEST(ScenarioParser, RejectsUnknownBackendWithLocation) {
 
 TEST(ScenarioParser, CapabilityMismatchNamesBackendServiceAndFlag) {
   // The s3-like backend has no queue service; the diagnostic must anchor at
-  // the offending mix entry's 'service' token and name the capability flag.
+  // the offending mix entry's 'service' token and name backend and service.
   expect_error("{\n  \"name\": \"x\",\n  \"backend\": \"s3\",\n"
                "  \"mix\": [\n    {\"service\": \"blob\"},\n"
                "    {\"service\": \"queue\"}\n  ]\n}",
                "scenario.mix[1].service", "has no queue service", 6);
   expect_error(R"({"name":"x","backend":"s3","mix":[{"service":"sql"}]})",
-               "scenario.mix[0].service", "has_sql=false");
+               "scenario.mix[0].service", "backend 's3' has no sql service");
 }
 
 TEST(ScenarioParser, RejectsTierSplitBytesOnNonTieredBackend) {

@@ -1000,6 +1000,14 @@ TEST(RandomTest, ForkProducesIndependentStream) {
   EXPECT_NE(a.next_u64(), b.next_u64());
 }
 
+TEST(RandomTest, Mix64MatchesSplitmix64KnownAnswer) {
+  // splitmix64 from state 0: the state steps by 0x9E3779B97F4A7C15, and the
+  // first output is 0xE220A8397B1DCDAF.
+  static_assert(sim::mix64(0x9E3779B97F4A7C15ull) == 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(sim::mix64(0x9E3779B97F4A7C15ull), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(sim::stream_seed(0, 0), 0xE220A8397B1DCDAFull);
+}
+
 // ----------------------------------------------------------- formatting ----
 
 TEST(TimeFormatTest, RendersAllScales) {

@@ -191,6 +191,56 @@ TEST(TableTest, MergeCombinesProperties) {
   });
 }
 
+/// An entity at pk/`rk` with `n` integer properties named `prefix`0, ...
+TableEntity wide_entity(const std::string& rk, const std::string& prefix,
+                        int n) {
+  TableEntity e;
+  e.partition_key = "pk";
+  e.row_key = rk;
+  for (int i = 0; i < n; ++i) {
+    e.properties[prefix + std::to_string(i)] = std::int64_t{i};
+  }
+  return e;
+}
+
+TEST(TableTest, MergePastThePropertyLimitLeavesTheRowAsItWas) {
+  // Regression: a merge wrote the patch into the stored row before it
+  // validated the result, so the rejected merge left 300 properties behind.
+  TestWorld w;
+  azb_test::run(w, [](TestWorld& t) -> Task<> {
+    auto tbl = t.account.create_cloud_table_client().get_table_reference("t");
+    co_await tbl.create();
+    co_await tbl.insert(wide_entity("rk", "a", 200));
+    const std::string etag = (co_await tbl.query("pk", "rk")).etag;
+    EXPECT_THROW(co_await tbl.merge(wide_entity("rk", "b", 100)),
+                 azure::InvalidArgumentError);
+    const auto back = co_await tbl.query("pk", "rk");
+    EXPECT_EQ(back.properties.size(), 200u);
+    EXPECT_EQ(back.etag, etag);
+  });
+}
+
+TEST(TableTest, BatchMergePastThePropertyLimitAppliesNothing) {
+  // Regression: execute_batch never validated a merged row, so the same
+  // merge in a batch stored a 300-property entity and raised no error.
+  TestWorld w;
+  azb_test::run(w, [](TestWorld& t) -> Task<> {
+    auto tbl = t.account.create_cloud_table_client().get_table_reference("t");
+    co_await tbl.create();
+    co_await tbl.insert(wide_entity("rk", "a", 200));
+    const std::string etag = (co_await tbl.query("pk", "rk")).etag;
+    azure::TableBatch batch;
+    batch.merge(wide_entity("rk", "b", 100));
+    batch.insert(make_entity("pk", "other"));
+    EXPECT_THROW(co_await tbl.execute_batch(std::move(batch)),
+                 azure::InvalidArgumentError);
+    const auto back = co_await tbl.query("pk", "rk");
+    EXPECT_EQ(back.properties.size(), 200u);
+    EXPECT_EQ(back.etag, etag);
+    EXPECT_THROW(co_await tbl.query("pk", "other"), azure::NotFoundError);
+  });
+}
+
 TEST(TableTest, EraseRemovesEntity) {
   TestWorld w;
   azb_test::run(w, [](TestWorld& t) -> Task<> {
